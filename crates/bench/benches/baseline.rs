@@ -1,6 +1,6 @@
 //! The tracked performance baseline: times full small simulation points
-//! per scheduler mode, the hot-structure microbenches, and the
-//! `point_threads` scaling pair, and emits machine-readable JSON so
+//! per scheduler mode, the hot-structure microbenches, and the served
+//! submission throughput, and emits machine-readable JSON so
 //! every PR has a perf trajectory to compare against
 //! (`BENCH_history.json` at the repo root is the checked-in record —
 //! one append-only row per commit).
@@ -18,14 +18,14 @@
 //! fresh measurement against the median of the checked-in tail, so the
 //! file is a trend, not a ledger of one hand-nested before/after chain.
 
+#![forbid(unsafe_code)]
+
 use slicc_bench::{time_ns_per_iter, time_ns_per_run};
 use slicc_cache::{AccessKind, Cache, PolicyKind};
 use slicc_common::{BlockAddr, CacheGeometry, CoreId, SplitMix64};
 use slicc_mem::{L2AccessKind, L2Nuca};
 use slicc_serve::{loadgen, LoadgenConfig, Scenario, Server, ServerConfig};
-use slicc_sim::{
-    RunRequest, Runner, SchedulerMode, ServiceConfig, SimConfig, SimConfigBuilder, SimService,
-};
+use slicc_sim::{RunRequest, Runner, SchedulerMode, ServiceConfig, SimConfig, SimService};
 use slicc_trace::{TraceScale, Workload};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -140,7 +140,7 @@ fn bench_micro(measure: Duration, samples: usize) -> Vec<(String, f64)> {
     // tracing + epoch sampling on. Compare against the row above to see
     // what `--obs-out` actually costs (the obs-off build pays nothing —
     // the no-default-features golden lane in ci.sh proves that side).
-    // Metrics capture (the registry + lane profiler) rides the same row
+    // Metrics capture (the registry) rides the same row
     // so the ci.sh obs-overhead gate bounds the whole observability bill.
     let observed = req.clone().with_obs(
         slicc_sim::ObsConfig::disabled()
@@ -153,70 +153,6 @@ fn bench_micro(measure: Duration, samples: usize) -> Vec<(String, f64)> {
 
     for (name, ns) in &rows {
         eprintln!("micro/{name:<30} {ns:>12.1} ns/iter");
-    }
-    rows
-}
-
-/// The intra-point scaling pair: a 32-core TPC-C point at
-/// `point_threads` 1 and 4, plus the digest cross-check that the lanes
-/// changed nothing. Reported sim-ips feed the `scaling/*` history rows;
-/// the speedup is only meaningful on hosts with CPUs to spare (the row
-/// records `host_cpus` so the CI gate can tell).
-fn bench_scaling(samples: usize) -> Vec<(String, f64)> {
-    let point = |threads: usize| {
-        let cfg = SimConfigBuilder::paper_baseline()
-            .cores(32, 8, 4)
-            .point_threads(threads)
-            .build()
-            .expect("32-core scaling machine is valid");
-        RunRequest::new(Workload::TpcC1, TraceScale::small(), cfg).with_tasks(256)
-    };
-    let mut rows = Vec::new();
-    let mut ips = Vec::new();
-    let mut digests = Vec::new();
-    for threads in [1usize, 4] {
-        let req = point(threads);
-        let metrics = req.execute().metrics; // warm-up + digest capture
-        digests.push(metrics.digest());
-        let ns = time_ns_per_run(samples, || req.execute());
-        let sim_ips = metrics.instructions as f64 * 1e9 / ns;
-        eprintln!(
-            "scaling/point-threads-{threads} {:>7.2} ms/run {:>10.2} M sim-ips",
-            ns / 1e6,
-            sim_ips / 1e6
-        );
-        rows.push((format!("scaling/point-threads-{threads}/sim_ips"), sim_ips));
-        ips.push(sim_ips);
-    }
-    assert_eq!(digests[0], digests[1], "point_threads changed the scaling point's digest");
-    let speedup = ips[1] / ips[0];
-    eprintln!("scaling/speedup-p4            {speedup:>12.3} x");
-    rows.push(("scaling/speedup-p4".to_string(), speedup));
-
-    // One extra profiled p4 run, outside the timed samples: the
-    // split-step lane profiler explains *why* speedup-p4 moved (less
-    // overlap? more throttle pauses? a stalling committer?) without
-    // perturbing the timing rows above.
-    let profiled =
-        point(4).with_obs(slicc_sim::ObsConfig::disabled().with_metrics()).execute();
-    assert_eq!(
-        profiled.metrics.digest(),
-        digests[0],
-        "metrics capture changed the scaling point's digest"
-    );
-    let profile = profiled
-        .obs
-        .as_ref()
-        .and_then(|o| o.lane_profile.as_ref())
-        .expect("metrics capture attaches a lane profile");
-    let lane = [
-        ("scaling/lane/overlap-fraction", profile.overlap_fraction()),
-        ("scaling/lane/throttle-duty", profile.throttle_duty_cycle()),
-        ("scaling/lane/committer-stall-share", profile.committer_stall_share()),
-    ];
-    for (name, v) in lane {
-        eprintln!("{name:<34} {v:>8.3}");
-        rows.push((name.to_string(), v));
     }
     rows
 }
@@ -267,7 +203,6 @@ fn render_doc(
     samples: usize,
     points: &[PointRow],
     micro: &[(String, f64)],
-    scaling: &[(String, f64)],
     serve: &[(String, f64)],
 ) -> String {
     let total_instr: u64 = points.iter().map(|p| p.instructions).sum();
@@ -295,12 +230,6 @@ fn render_doc(
     for (i, (name, ns)) in micro.iter().enumerate() {
         let comma = if i + 1 < micro.len() { "," } else { "" };
         let _ = writeln!(s, "    \"{name}\": {ns:.1}{comma}");
-    }
-    s.push_str("  },\n");
-    s.push_str("  \"scaling\": {\n");
-    for (i, (name, v)) in scaling.iter().enumerate() {
-        let comma = if i + 1 < scaling.len() { "," } else { "" };
-        let _ = writeln!(s, "    \"{name}\": {v:.3}{comma}");
     }
     s.push_str("  },\n");
     s.push_str("  \"serve\": {\n");
@@ -346,7 +275,6 @@ fn today() -> String {
 fn render_history_row(
     points: &[PointRow],
     micro: &[(String, f64)],
-    scaling: &[(String, f64)],
     serve: &[(String, f64)],
 ) -> String {
     let total_instr: u64 = points.iter().map(|p| p.instructions).sum();
@@ -359,16 +287,6 @@ fn render_history_row(
     benches.push(("aggregate_sim_ips".to_string(), aggregate, "sim-ips"));
     for (name, ns) in micro {
         benches.push((format!("micro/{name}"), *ns, "ns/iter"));
-    }
-    for (name, v) in scaling {
-        let unit = if name.ends_with("sim_ips") {
-            "sim-ips"
-        } else if name.contains("/lane/") {
-            "ratio"
-        } else {
-            "x"
-        };
-        benches.push((name.clone(), *v, unit));
     }
     for (name, v) in serve {
         benches.push((name.clone(), *v, "submits/s"));
@@ -436,12 +354,11 @@ fn main() {
 
     let points = bench_points(samples);
     let micro = bench_micro(micro_time, samples);
-    let scaling = bench_scaling(samples);
     let serve = bench_serve(opts.quick);
-    let doc = render_doc(samples, &points, &micro, &scaling, &serve);
+    let doc = render_doc(samples, &points, &micro, &serve);
 
     if let Some(path) = &opts.history {
-        let row = render_history_row(&points, &micro, &scaling, &serve);
+        let row = render_history_row(&points, &micro, &serve);
         append_history(path, &row);
     }
 

@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo bench --bench simulator [-- FILTER]`.
 
+#![forbid(unsafe_code)]
+
 use slicc_bench::Harness;
 use slicc_common::ThreadId;
 use slicc_sim::{RunRequest, SchedulerMode, SimConfig};

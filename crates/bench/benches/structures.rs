@@ -6,6 +6,8 @@
 //!
 //! Run with `cargo bench --bench structures [-- FILTER]`.
 
+#![forbid(unsafe_code)]
+
 use slicc_bench::Harness;
 use slicc_cache::{AccessKind, BloomSignature, Cache, PolicyKind, ThreeCClassifier};
 use slicc_common::{BlockAddr, CacheGeometry, CoreId, SplitMix64};

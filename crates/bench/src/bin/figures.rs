@@ -34,6 +34,8 @@
 //! `--queue-limit` sheds submissions beyond the worker pool's backlog
 //! with a typed overload error — see DESIGN.md §12.
 
+#![forbid(unsafe_code)]
+
 use slicc_bench::{Experiment, ExperimentScale};
 use slicc_common::{atomic_write, install_sigint_cancel, sigint_count};
 use slicc_sim::{ProgressEvent, ProgressKind, RetryPolicy, Runner};
@@ -248,9 +250,6 @@ fn main() {
         if stats.shed_points > 0 {
             let _ = write!(suffix, ", {} shed", stats.shed_points);
         }
-        if stats.pool_spinups > 0 {
-            let _ = write!(suffix, ", {} pool thread(s)", stats.pool_spinups);
-        }
         reporter.report(ProgressEvent::Note {
             message: format!(
                 "{} simulation points ({} memoized + {} coalesced{suffix}), {} jobs, {:.0} instructions/s",
@@ -259,23 +258,6 @@ fn main() {
                 stats.coalesced_hits,
                 jobs,
                 stats.sim_ips(),
-            ),
-        });
-    }
-    // Every figures point runs profiled (digest-invariant), so the lane
-    // aggregate summarizes how the split-step engine actually behaved
-    // across the whole report.
-    if let Some(profile) = runner.lane_profile() {
-        reporter.report(ProgressEvent::Note {
-            message: format!(
-                "lane profile: {} steps, {} lanes, {} dispatched ({:.0}% overlapped), \
-                 {:.0}% throttle duty, {:.0}% committer stall",
-                profile.steps,
-                profile.lanes.len(),
-                profile.dispatched,
-                100.0 * profile.overlap_fraction(),
-                100.0 * profile.throttle_duty_cycle(),
-                100.0 * profile.committer_stall_share(),
             ),
         });
     }

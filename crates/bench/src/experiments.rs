@@ -161,9 +161,8 @@ fn base_cfg() -> SimConfig {
 }
 
 /// A request for `w` at this experiment scale on machine `cfg`. Every
-/// figures point runs with metrics capture on: the registry and lane
-/// profiler are digest-invariant (tests/golden.rs pins this), and the
-/// aggregate feeds the end-note summary in the `figures` binary.
+/// figures point runs with metrics capture on, which is digest-invariant
+/// (tests/golden.rs pins this).
 fn req(w: Workload, scale: ExperimentScale, cfg: SimConfig) -> RunRequest {
     RunRequest::new(w, scale.trace_scale(), cfg)
         .with_obs(ObsConfig::disabled().with_metrics())

@@ -20,6 +20,8 @@
 //! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for the
 //! recorded paper-vs-measured comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod format;
 pub mod microbench;

@@ -31,6 +31,8 @@
 //! assert!(matches!(l1i.access(block, AccessKind::Read), LookupResult::Hit));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bloom;
 pub mod cache;
 pub mod classify;

@@ -20,8 +20,6 @@
 //! - poison-recovering mutex access ([`lock_unpoisoned`]), cooperative
 //!   cancellation ([`CancelToken`]) and SIGINT/SIGTERM wiring — see
 //!   [`sync`];
-//! - a process-global scoped worker pool ([`pool::scope`]) shared by
-//!   [`parallel_map`] and the engine's shard lanes — see [`pool`];
 //! - crash-safe artifact emission ([`atomic_write`]) and the injectable
 //!   [`ArtifactIo`] layer for chaos testing — see [`io`];
 //! - the [`Merge`] trait unifying statistics aggregation — see [`merge`].
@@ -41,6 +39,9 @@
 //! assert_eq!(geom.set_index(block), geom.set_index(block));
 //! ```
 
+// The signal handlers in `sync` are the only code allowed to opt back in.
+#![deny(unsafe_code)]
+
 pub mod addr;
 pub mod fasthash;
 pub mod fifo;
@@ -58,7 +59,6 @@ pub mod merge;
 // `--features proptest`.
 #[cfg(all(test, feature = "proptest"))]
 mod proptests;
-pub mod pool;
 pub mod rng;
 pub mod sync;
 
@@ -75,8 +75,7 @@ pub use mask::CoreMask;
 pub use merge::Merge;
 pub use rng::SplitMix64;
 pub use sync::{
-    install_shutdown_cancel, install_sigint_cancel, lock_unpoisoned, parallel_map, sigint_count,
-    CancelToken,
+    install_shutdown_cancel, install_sigint_cancel, lock_unpoisoned, sigint_count, CancelToken,
 };
 
 /// Simulated clock cycles.

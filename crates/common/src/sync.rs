@@ -1,8 +1,7 @@
 //! Small synchronization helpers shared across the workspace: poison
-//! recovery, cooperative cancellation, SIGINT-to-cancel wiring, and a
-//! deterministic scoped fork-join for index-addressed work.
+//! recovery, cooperative cancellation, and SIGINT-to-cancel wiring.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
@@ -53,65 +52,6 @@ impl CancelToken {
     fn flag_ptr(&self) -> *mut AtomicBool {
         Arc::as_ptr(&self.cancelled) as *mut AtomicBool
     }
-}
-
-/// Runs `f(i)` for every index in `0..n` across up to `workers` threads
-/// drawn from the process-global [`pool`](crate::pool) and returns the
-/// results in index order.
-///
-/// Work is shared through an atomic next-index counter, so uneven items
-/// load-balance naturally. The output is **deterministic by
-/// construction**: each result is keyed by its index and reassembled in
-/// order, so any worker count (including 1, which runs inline with no
-/// threads at all) produces the identical `Vec` as long as `f` itself is
-/// a pure function of `i`. The engine leans on this to pre-decode
-/// per-thread trace streams in parallel without letting scheduling
-/// nondeterminism anywhere near simulated results.
-///
-/// The calling thread always participates as one of the `workers`, so the
-/// map completes (at reduced parallelism) even when the pool is saturated
-/// by other work.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` after the scope joins.
-pub fn parallel_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    if workers == 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let chunks: Mutex<Vec<Vec<(usize, T)>>> = Mutex::new(Vec::with_capacity(workers));
-    let claim_loop = |produced: &mut Vec<(usize, T)>| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        produced.push((i, f(i)));
-    };
-    crate::pool::scope(|scope| {
-        for _ in 0..workers - 1 {
-            scope.spawn(|| {
-                let mut produced = Vec::new();
-                claim_loop(&mut produced);
-                lock_unpoisoned(&chunks).push(produced);
-            });
-        }
-        // Caller participation: this thread is the last worker.
-        let mut produced = Vec::new();
-        claim_loop(&mut produced);
-        lock_unpoisoned(&chunks).push(produced);
-    });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, value) in chunks.into_inner().unwrap_or_else(PoisonError::into_inner).into_iter().flatten()
-    {
-        slots[i] = Some(value);
-    }
-    slots.into_iter().map(|s| s.expect("every index 0..n is claimed exactly once")).collect()
 }
 
 /// Process-wide shutdown-signal state. The handler may only perform
@@ -165,6 +105,7 @@ const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
 #[cfg(unix)]
+#[allow(unsafe_code)]
 fn install_handler(signals: &[i32]) -> bool {
     // Hand-rolled FFI keeps the workspace dependency-free: `signal` and
     // `_exit` come from the C runtime the process links anyway.
@@ -254,23 +195,12 @@ mod tests {
         assert!(handle.join().unwrap());
     }
 
-    #[test]
-    fn parallel_map_is_deterministic_across_worker_counts() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i as u64;
-        let sequential: Vec<u64> = (0..257).map(f).collect();
-        for workers in [1, 2, 3, 8, 64, 1000] {
-            assert_eq!(parallel_map(257, workers, f), sequential, "workers={workers}");
-        }
-        // Degenerate sizes must not hang or panic.
-        assert!(parallel_map(0, 4, f).is_empty());
-        assert_eq!(parallel_map(1, 4, f), vec![f(0)]);
-    }
-
     // One SIGINT only: the handler hard-exits the process on the second
     // delivery, so this is the single place in the crate's test binary
     // that may raise.
     #[cfg(unix)]
     #[test]
+    #[allow(unsafe_code)]
     fn first_sigint_cancels_the_registered_token() {
         extern "C" {
             fn raise(signum: i32) -> i32;

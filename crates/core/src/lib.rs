@@ -33,6 +33,8 @@
 //! assert_eq!(agent.advice(), MigrationAdvice::Stay);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod hw_cost;
 pub mod mask;

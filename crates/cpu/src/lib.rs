@@ -14,6 +14,8 @@
 //!   §4.4 (architectural state staged through the L2 bank nearest the
 //!   target core) — see [`migration`].
 
+#![forbid(unsafe_code)]
+
 pub mod migration;
 pub mod timing;
 pub mod tlb;

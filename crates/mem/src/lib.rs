@@ -22,6 +22,8 @@
 //! assert!(done > 0); // off-chip accesses take real time
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dram;
 pub mod l2;
 

@@ -20,6 +20,8 @@
 //! assert_eq!(noc.hops(CoreId::new(0), CoreId::new(15)), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod stats;
 pub mod torus;
 

@@ -23,6 +23,8 @@
 //! The crate depends only on `slicc-common`, so every layer of the
 //! simulator can emit into it without dependency cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod event;
 pub mod metrics;
@@ -34,8 +36,8 @@ pub mod sink;
 pub use chrome::{chrome_trace_json, TraceMeta};
 pub use event::{EventKind, MigrationReason, MissKind, MissLevel, ThreeC, TraceEvent};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, LaneProfile, LaneStat, Log2Hist, MetricSample,
-    MetricValue, MetricsRegistry, MetricsSnapshot,
+    Counter, Gauge, Histogram, HistogramSnapshot, Log2Hist, MetricSample, MetricValue,
+    MetricsRegistry, MetricsSnapshot,
 };
 pub use progress::{
     JsonLinesReporter, PlainReporter, ProgressEvent, ProgressKind, QuietReporter, Reporter,
@@ -43,7 +45,7 @@ pub use progress::{
 };
 pub use ring::EventRing;
 pub use series::{Epoch, IntervalSampler, IntervalSeries, ObsCounters};
-pub use sink::{CoreSink, EventSink};
+pub use sink::EventSink;
 
 use slicc_common::Cycle;
 
@@ -64,7 +66,7 @@ pub struct ObsConfig {
     /// Sample the interval series every this many simulated cycles
     /// (`None`: no series).
     pub epoch_cycles: Option<Cycle>,
-    /// Capture the metrics snapshot and split-step lane profile.
+    /// Capture the run's metrics into a registry snapshot.
     pub metrics: bool,
 }
 
@@ -117,8 +119,8 @@ impl ObsConfig {
         self
     }
 
-    /// Returns a copy with metrics capture (registry snapshot + lane
-    /// profile) on.
+    /// Returns a copy with metrics capture on: the run's counters are
+    /// exported into a [`MetricsRegistry`] snapshot.
     pub fn with_metrics(mut self) -> Self {
         self.metrics = true;
         self
@@ -143,8 +145,6 @@ pub struct Observation {
     pub dropped_events: u64,
     /// The interval series, when [`ObsConfig::epoch_cycles`] was set.
     pub series: Option<IntervalSeries>,
-    /// The split-step lane profile, when [`ObsConfig::metrics`] was set.
-    pub lane_profile: Option<LaneProfile>,
 }
 
 #[cfg(test)]

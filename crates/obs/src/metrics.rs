@@ -6,7 +6,7 @@
 //!   and [`Histogram`] (fixed log2 buckets). Handles are `Arc`-backed
 //!   and `Clone`; every update is a relaxed atomic op with no lock, so
 //!   hot paths pay one RMW per record. [`Log2Hist`] is the plain
-//!   (non-atomic) twin for single-owner accumulation inside the engine.
+//!   (non-atomic) twin for single-owner accumulation.
 //! - **Registry** — [`MetricsRegistry`] maps names to instruments. The
 //!   registry lock is taken only at registration and snapshot time
 //!   (cold paths); recording never touches it.
@@ -54,9 +54,9 @@ pub fn bucket_bound(i: usize) -> Option<u64> {
 // ---------------------------------------------------------------------------
 // Plain (single-owner) histogram
 
-/// A plain fixed-log2-bucket histogram for single-owner accumulation —
-/// the engine's committer thread records into one of these without any
-/// atomics, then hands it off wholesale.
+/// A plain fixed-log2-bucket histogram for single-owner accumulation:
+/// one owner records into it without any atomics, then hands it off
+/// wholesale ([`Histogram::absorb`]).
 #[derive(Clone, PartialEq, Eq)]
 pub struct Log2Hist {
     /// Per-bucket counts (see [`log2_bucket`] for the bucket layout).
@@ -517,114 +517,6 @@ impl MetricsSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lane profiler
-
-/// One worker lane's accounting from a split-step run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LaneStat {
-    /// Speculative tasks this lane executed.
-    pub tasks: u64,
-    /// Wall nanoseconds spent running tasks.
-    pub busy_nanos: u64,
-    /// Wall nanoseconds spent blocked waiting for work.
-    pub idle_nanos: u64,
-}
-
-/// The split-step engine's per-run lane profile: why a parallel point
-/// was (or wasn't) faster than the sequential one.
-///
-/// Carried on [`crate::Observation::lane_profile`] when
-/// [`crate::ObsConfig::metrics`] is set; like everything else in this
-/// crate it is derived *from* the run and never feeds back into it.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LaneProfile {
-    /// Committer event-loop steps executed.
-    pub steps: u64,
-    /// Speculative prime tasks dispatched to lanes.
-    pub dispatched: u64,
-    /// Collects that found the task already done (full overlap).
-    pub overlapped: u64,
-    /// Collects that blocked on a running task.
-    pub waited: u64,
-    /// Collects that stole a still-queued task back inline.
-    pub stolen: u64,
-    /// Times the dispatch throttle tripped into a pause.
-    pub pause_transitions: u64,
-    /// Committer steps skipped for priming while paused.
-    pub paused_steps: u64,
-    /// Wall nanoseconds the committer spent blocked in `waited` collects.
-    pub committer_wait_nanos: u64,
-    /// Wall nanoseconds of the whole engine run (committer perspective).
-    pub committer_run_nanos: u64,
-    /// Distribution of per-collect committer wait times (nanoseconds).
-    pub wait_nanos: Log2Hist,
-    /// Distribution of outstanding primed tasks at each dispatch
-    /// (commit-queue depth).
-    pub spec_depth: Log2Hist,
-    /// Per-lane task/busy/idle accounting (empty on sequential runs).
-    pub lanes: Vec<LaneStat>,
-}
-
-impl LaneProfile {
-    /// Collects resolved, by any kind.
-    pub fn collected(&self) -> u64 {
-        self.overlapped + self.waited + self.stolen
-    }
-
-    /// Fraction of dispatches whose work fully overlapped commit
-    /// (0 when nothing was dispatched).
-    pub fn overlap_fraction(&self) -> f64 {
-        ratio(self.overlapped, self.collected())
-    }
-
-    /// Fraction of committer steps spent with the dispatch throttle
-    /// engaged.
-    pub fn throttle_duty_cycle(&self) -> f64 {
-        ratio(self.paused_steps, self.steps)
-    }
-
-    /// Share of the committer's wall time spent blocked waiting on
-    /// lanes.
-    pub fn committer_stall_share(&self) -> f64 {
-        ratio(self.committer_wait_nanos, self.committer_run_nanos)
-    }
-
-    /// Folds another run's profile into this one: scalar sums, histogram
-    /// merges, and index-wise per-lane sums (a wider lane vector
-    /// extends this one). Lets a batch runner report one aggregate
-    /// profile across every profiled point it completed.
-    pub fn merge(&mut self, other: &LaneProfile) {
-        self.steps += other.steps;
-        self.dispatched += other.dispatched;
-        self.overlapped += other.overlapped;
-        self.waited += other.waited;
-        self.stolen += other.stolen;
-        self.pause_transitions += other.pause_transitions;
-        self.paused_steps += other.paused_steps;
-        self.committer_wait_nanos += other.committer_wait_nanos;
-        self.committer_run_nanos += other.committer_run_nanos;
-        self.wait_nanos.merge(&other.wait_nanos);
-        self.spec_depth.merge(&other.spec_depth);
-        if self.lanes.len() < other.lanes.len() {
-            self.lanes.resize(other.lanes.len(), LaneStat::default());
-        }
-        for (a, b) in self.lanes.iter_mut().zip(other.lanes.iter()) {
-            a.tasks += b.tasks;
-            a.busy_nanos += b.busy_nanos;
-            a.idle_nanos += b.idle_nanos;
-        }
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,31 +736,5 @@ mod tests {
         // (full parsing happens in the CI smoke lane with python).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn lane_profile_ratios() {
-        let mut p = LaneProfile {
-            steps: 1_000,
-            dispatched: 100,
-            overlapped: 60,
-            waited: 30,
-            stolen: 10,
-            pause_transitions: 2,
-            paused_steps: 250,
-            committer_wait_nanos: 400,
-            committer_run_nanos: 1_600,
-            ..LaneProfile::default()
-        };
-        p.lanes.push(LaneStat { tasks: 100, busy_nanos: 10, idle_nanos: 90 });
-        assert_eq!(p.collected(), 100);
-        assert!((p.overlap_fraction() - 0.6).abs() < 1e-12);
-        assert!((p.throttle_duty_cycle() - 0.25).abs() < 1e-12);
-        assert!((p.committer_stall_share() - 0.25).abs() < 1e-12);
-        // Empty profile: ratios are all zero, never NaN.
-        let empty = LaneProfile::default();
-        assert_eq!(empty.overlap_fraction(), 0.0);
-        assert_eq!(empty.throttle_duty_cycle(), 0.0);
-        assert_eq!(empty.committer_stall_share(), 0.0);
     }
 }

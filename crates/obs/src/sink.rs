@@ -135,67 +135,6 @@ impl EventSink {
         let skip = all.len().saturating_sub(k);
         all[skip..].to_vec()
     }
-
-    /// Lends one core's ring out as a [`CoreSink`], leaving an empty
-    /// placeholder behind. The engine checks a core's ring out for the
-    /// duration of one speculated private segment so a shard lane can
-    /// record events without touching the shared sink; [`EventSink::put_core`]
-    /// restores it. While a ring is lent, [`EventSink::drain`]/
-    /// [`EventSink::snapshot`] see only the placeholder for that core —
-    /// callers put every ring back before draining.
-    pub fn take_core(&mut self, core: CoreId) -> CoreSink {
-        if !self.is_enabled() {
-            return CoreSink::disabled();
-        }
-        CoreSink {
-            ring: std::mem::replace(&mut self.rings[core.index()], EventRing::new(0)),
-            enabled: true,
-        }
-    }
-
-    /// Restores a ring lent by [`EventSink::take_core`]. A disabled lent
-    /// sink (from a disabled parent) restores nothing.
-    pub fn put_core(&mut self, core: CoreId, lent: CoreSink) {
-        if self.is_enabled() && lent.enabled {
-            self.rings[core.index()] = lent.ring;
-        }
-    }
-}
-
-/// One core's event ring, checked out of an [`EventSink`] for the
-/// duration of a speculated private segment. Only unconditional records
-/// pass through here (segment boundaries); the sampled high-frequency
-/// events all originate from misses, which by construction never occur
-/// inside a private segment.
-#[derive(Debug)]
-pub struct CoreSink {
-    ring: EventRing,
-    enabled: bool,
-}
-
-impl CoreSink {
-    /// A sink that records nothing.
-    pub fn disabled() -> Self {
-        CoreSink { ring: EventRing::new(0), enabled: false }
-    }
-
-    /// Whether recording is on; a constant `false` without the `capture`
-    /// feature, exactly like [`EventSink::is_enabled`].
-    #[inline(always)]
-    pub fn is_enabled(&self) -> bool {
-        cfg!(feature = "capture") && self.enabled
-    }
-
-    /// Records one event unconditionally into the lent ring.
-    #[inline]
-    pub fn record(&mut self, core: CoreId, cycle: Cycle, kind: EventKind) {
-        #[cfg(feature = "capture")]
-        if self.enabled {
-            self.ring.push(TraceEvent { core, cycle, kind });
-        }
-        #[cfg(not(feature = "capture"))]
-        let _ = (core, cycle, kind);
-    }
 }
 
 #[cfg(all(test, feature = "capture"))]

@@ -10,6 +10,8 @@
 //! invariants hold, 1 when they are violated (the violation goes to
 //! stderr), 2 on usage errors.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use slicc_serve::{loadgen, LoadgenConfig, Scenario};

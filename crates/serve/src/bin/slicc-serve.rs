@@ -10,6 +10,8 @@
 //! gracefully and exit 0; a second signal hard-exits `128+signum`.
 //! Exit 2 is a usage error.
 
+#![forbid(unsafe_code)]
+
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -19,6 +19,8 @@
 //! Two binaries ship with it: `slicc-serve` (the daemon) and
 //! `slicc-loadgen` (the drill driver the CI smoke lane runs).
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod loadgen;
 pub mod protocol;

@@ -380,16 +380,15 @@ fn sanitize(text: &str) -> String {
 ///
 /// Recognized keys:
 ///
-/// | key              | values                                        |
-/// |------------------|-----------------------------------------------|
-/// | `workload`       | `tpcc1` `tpcc10` `tpce` `mapreduce` (required)|
-/// | `mode`           | `base` `slicc` `slicc-sw` `slicc-pp` `steps`  |
-/// | `scale`          | `tiny` (default) `small` `paper`              |
-/// | `machine`        | `paper` (default) `tiny` (miniature test box) |
-/// | `seed`           | trace-seed override (u64)                     |
-/// | `tasks`          | task-count override (u32)                     |
-/// | `decode_threads` | split-step decode lanes (u64 ≥ 1)             |
-/// | `wall_ms`        | per-point wall-clock deadline in ms           |
+/// | key        | values                                        |
+/// |------------|-----------------------------------------------|
+/// | `workload` | `tpcc1` `tpcc10` `tpce` `mapreduce` (required)|
+/// | `mode`     | `base` `slicc` `slicc-sw` `slicc-pp` `steps`  |
+/// | `scale`    | `tiny` (default) `small` `paper`              |
+/// | `machine`  | `paper` (default) `tiny` (miniature test box) |
+/// | `seed`     | trace-seed override (u64)                     |
+/// | `tasks`    | task-count override (u32)                     |
+/// | `wall_ms`  | per-point wall-clock deadline in ms           |
 pub fn submission_from_json(json: &JsonValue) -> Result<RunRequest, ProtocolError> {
     let bad = |detail: String| ProtocolError::BadPayload { verb: "SUBMIT", detail };
     let obj = json.as_object().ok_or_else(|| bad("submission must be a JSON object".into()))?;
@@ -397,8 +396,7 @@ pub fn submission_from_json(json: &JsonValue) -> Result<RunRequest, ProtocolErro
     for key in obj.keys() {
         if !matches!(
             key.as_str(),
-            "workload" | "mode" | "scale" | "machine" | "seed" | "tasks" | "decode_threads"
-                | "wall_ms"
+            "workload" | "mode" | "scale" | "machine" | "seed" | "tasks" | "wall_ms"
         ) {
             return Err(bad(format!("unknown key {key:?}")));
         }
@@ -447,11 +445,9 @@ pub fn submission_from_json(json: &JsonValue) -> Result<RunRequest, ProtocolErro
         other => return Err(bad(format!("unknown machine {other:?}"))),
     };
 
-    let mut builder = machine.mode(mode);
-    if let Some(threads) = u64_field("decode_threads")? {
-        builder = builder.decode_threads(threads as usize);
-    }
-    let config = builder.build().map_err(|e| bad(format!("invalid machine config: {e}")))?;
+    let config = machine
+        .mode(mode)
+        .build().map_err(|e| bad(format!("invalid machine config: {e}")))?;
 
     let mut req = RunRequest::new(workload, scale, config);
     if let Some(seed) = u64_field("seed")? {
@@ -565,7 +561,7 @@ mod tests {
             r#"{"workload":"tpcc1","mode":"turbo"}"#,   // unknown mode
             r#"{"workload":"tpcc1","speed":"max"}"#,    // unknown key
             r#"{"workload":"tpcc1","seed":-1}"#,        // negative integer
-            r#"{"workload":"tpcc1","decode_threads":0}"#, // rejected by config validation
+            r#"{"workload":"tpcc1","decode_threads":2}"#, // unknown key
             r#"[1,2,3]"#,                               // not an object
         ] {
             let json = parse_json(bad).unwrap();

@@ -6,6 +6,8 @@
 //! option before any simulation starts. Run `slicc --help` for the full
 //! option list.
 
+#![forbid(unsafe_code)]
+
 use slicc_cache::PolicyKind;
 use slicc_common::{atomic_write, install_sigint_cancel, sigint_count, FaultyIo};
 use slicc_sim::{
@@ -45,15 +47,6 @@ OPTIONS:
                           scheduling and report speedup
     --fuel-steps N        abort the run after N event-loop steps
                           (forward-progress watchdog)
-    --decode-threads N    worker threads used inside each point to
-                          pre-decode trace streams in parallel
-                          (default 1; never changes results)
-    --point-threads N|auto
-                          worker threads for one point's parallel
-                          event loop: a committer plus N-1 shard
-                          lanes (default 1; auto = simulated
-                          cores/8, clamped to the host; never
-                          changes results)
     --fuel-cycles N       abort the run once any core passes cycle N
     --deadline-ms N       abort any point still simulating after N
                           wall-clock milliseconds (reported with a
@@ -97,7 +90,7 @@ OPTIONS:
     --obs-summary         print the per-epoch table to stdout after the
                           metrics report
     --metrics-out PREFIX  capture the engine metrics registry (run totals,
-                          runner/cache counters, split-step lane profile)
+                          runner/cache counters, service gauges)
                           and write PREFIX.metrics.prom (Prometheus text)
                           and PREFIX.metrics.json; with --progress json
                           the snapshot is also emitted as a progress
@@ -110,13 +103,6 @@ stderr), 2 on a usage error, and 130 when interrupted by Ctrl-C. The
 first Ctrl-C cancels outstanding points cooperatively — completed
 points are flushed to the checkpoint and a resume hint is printed; a
 second Ctrl-C exits immediately.";
-
-/// Staged `--point-threads` value; `auto` resolves against the built
-/// config's core count and the host's parallelism.
-enum PointThreads {
-    Exact(usize),
-    Auto,
-}
 
 /// A rejected command line: which option went wrong, and why.
 #[derive(Debug)]
@@ -170,7 +156,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut obs_events: Option<usize> = None;
     let mut obs_sample: Option<u64> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut point_threads = None;
     let mut retries: u32 = 0;
     let mut inject: Option<InjectedFault> = None;
     let mut cache_bytes: Option<u64> = None;
@@ -244,17 +229,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--fuel-cycles" => {
                 builder = builder.watchdog_cycles(number(&opt, &value(args, &mut i, &opt)?)?)
             }
-            "--decode-threads" => {
-                builder = builder.decode_threads(number(&opt, &value(args, &mut i, &opt)?)?)
-            }
-            "--point-threads" => {
-                let raw = value(args, &mut i, &opt)?;
-                point_threads = Some(if raw == "auto" {
-                    PointThreads::Auto
-                } else {
-                    PointThreads::Exact(number(&opt, &raw)?)
-                });
-            }
             "--deadline-ms" => deadline_ms = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--retries" => retries = number(&opt, &value(args, &mut i, &opt)?)?,
             "--inject" => {
@@ -287,21 +261,10 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     // --mode is applied last: the PIF helpers default to baseline
     // scheduling, but an explicit (or default) --mode always wins, matching
     // the original CLI's behaviour.
-    let mut config = builder
+    let config = builder
         .mode(mode)
         .build()
         .map_err(|e| CliError::new("configuration", e.to_string()))?;
-    // `auto` scales lanes with the simulated machine (one committer per
-    // ~8 simulated cores) without oversubscribing the host.
-    match point_threads {
-        Some(PointThreads::Exact(n)) => config.point_threads = n,
-        Some(PointThreads::Auto) => {
-            let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-            config.point_threads = (config.cores / 8).clamp(1, host);
-        }
-        None => {}
-    }
-    config.try_validate().map_err(|e| CliError::new("configuration", e.to_string()))?;
     let mut request = RunRequest::new(workload, scale, config);
     if let Some(t) = tasks {
         request = request.with_tasks(t);
@@ -336,8 +299,7 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
         obs = obs.with_epochs(ObsConfig::DEFAULT_EPOCH_CYCLES);
     }
     // Metrics capture rides the same observation plumbing but is
-    // independent of events/epochs: it only turns on the registry and
-    // the split-step lane profiler.
+    // independent of events/epochs: it only turns on the registry.
     if metrics_out.is_some() {
         obs = obs.with_metrics();
     }
@@ -601,23 +563,17 @@ fn print_obs_summary(observation: &slicc_sim::Observation) {
 
 /// Populates a fresh registry from everything the batch produced: run
 /// totals (Merge-folded across completed points), runner/cache counters,
-/// the service pressure gauges, and every split-step lane profile.
+/// and the service pressure gauges.
 fn collect_metrics_snapshot(
     runner: &Runner,
     results: &[Result<RunResult, RunError>],
 ) -> slicc_sim::MetricsSnapshot {
     let registry = slicc_sim::MetricsRegistry::new();
-    let completed: Vec<&RunResult> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
-    let runs: Vec<&slicc_sim::RunMetrics> = completed.iter().map(|r| &r.metrics).collect();
+    let runs: Vec<&slicc_sim::RunMetrics> =
+        results.iter().filter_map(|r| r.as_ref().ok()).map(|r| &r.metrics).collect();
     slicc_sim::export_run_metrics(&registry, &runs);
     slicc_sim::export_runner_stats(&registry, &runner.stats());
     slicc_sim::export_service(&registry, &runner.pressure());
-    let profiles: Vec<&slicc_sim::LaneProfile> = completed
-        .iter()
-        .filter_map(|r| r.obs.as_ref())
-        .filter_map(|o| o.lane_profile.as_ref())
-        .collect();
-    slicc_sim::export_lane_profiles(&registry, &profiles);
     registry.snapshot()
 }
 
@@ -858,42 +814,14 @@ mod tests {
     }
 
     #[test]
-    fn decode_threads_reaches_the_config_and_rejects_zero() {
-        match parse(&["--decode-threads", "4"]).unwrap() {
-            Command::Run { request, .. } => {
-                assert_eq!(request.config.decode_threads, 4);
-            }
-            Command::Help => panic!("expected a run"),
+    fn removed_parallelism_knobs_are_unknown_options() {
+        // Parallelism is across points only (`--jobs` in `figures`); a
+        // point always runs on one thread. Every parse error exits 2.
+        for flag in ["--point-threads", "--decode-threads"] {
+            let err = parse(&[flag, "2"]).unwrap_err();
+            assert_eq!(err.option, flag);
+            assert_eq!(err.message, "unknown option");
         }
-        // The one-release deprecated pre-rename alias is gone (the ci.sh
-        // API-freeze grep pins the name out of the whole tree, so this
-        // test cannot spell it; any unknown option is rejected the same
-        // way).
-        let err = parse(&["--decode-threads", "0"]).unwrap_err();
-        assert!(err.message.contains("at least one"), "got {}", err.message);
-    }
-
-    #[test]
-    fn point_threads_parses_exact_auto_and_rejects_zero() {
-        match parse(&["--point-threads", "4"]).unwrap() {
-            Command::Run { request, .. } => {
-                assert_eq!(request.config.point_threads, 4);
-            }
-            Command::Help => panic!("expected a run"),
-        }
-        match parse(&["--point-threads", "auto"]).unwrap() {
-            Command::Run { request, .. } => {
-                let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-                // The default machine has 16 cores: auto asks for 2 lanes
-                // unless the host is smaller.
-                assert_eq!(request.config.point_threads, 2usize.min(host));
-            }
-            Command::Help => panic!("expected a run"),
-        }
-        let err = parse(&["--point-threads", "0"]).unwrap_err();
-        assert!(err.message.contains("committer"), "got {}", err.message);
-        let err = parse(&["--point-threads", "soon"]).unwrap_err();
-        assert_eq!(err.option, "--point-threads");
     }
 
     #[test]

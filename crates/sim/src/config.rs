@@ -395,20 +395,6 @@ pub struct SimConfig {
     pub watchdog: WatchdogConfig,
     /// Deterministic fault injection (none by default).
     pub fault_injection: Option<InjectedFault>,
-    /// Worker threads used *inside* one simulation point to pre-decode
-    /// independent threads' trace streams in parallel. Must be ≥ 1; the
-    /// default of 1 decodes lazily on the simulating thread. Never
-    /// changes simulated results, so it is excluded from the stable
-    /// run-cache key.
-    pub decode_threads: usize,
-    /// Worker threads used to parallelize one point's *event loop*:
-    /// 1 (the default) commits every split step inline; `P > 1` runs one
-    /// committer plus `P − 1` shard lanes that speculatively execute
-    /// private segments (see DESIGN §13). Must be ≥ 1. Never changes
-    /// simulated results — metrics are byte-identical for any value — so
-    /// it is excluded from the stable run-cache key. `exact_search`
-    /// forces the sequential schedule regardless of this knob.
-    pub point_threads: usize,
 }
 
 impl SimConfig {
@@ -457,8 +443,6 @@ impl SimConfig {
             seed: 0x5eed,
             watchdog: WatchdogConfig::disabled(),
             fault_injection: None,
-            decode_threads: 1,
-            point_threads: 1,
         }
     }
 
@@ -585,12 +569,6 @@ impl SimConfig {
         if self.bloom_bits < 1 {
             return Err(ConfigError::ZeroBloomBits);
         }
-        if self.decode_threads < 1 {
-            return Err(ConfigError::ZeroDecodeThreads);
-        }
-        if self.point_threads < 1 {
-            return Err(ConfigError::ZeroPointThreads);
-        }
         check_cache_shape("l1i", self.l1i_size, self.l1i_assoc)?;
         check_cache_shape("l1d", self.l1d_size, self.l1d_assoc)?;
         check_cache_shape("l2", self.l2_size, self.l2_assoc)?;
@@ -662,12 +640,6 @@ pub enum ConfigError {
     ZeroL2Banks,
     /// `bloom_bits` is zero: remote searches would have no signature.
     ZeroBloomBits,
-    /// `decode_threads` is zero: every point needs at least the
-    /// simulating thread itself.
-    ZeroDecodeThreads,
-    /// `point_threads` is zero: every point needs at least the committer
-    /// thread itself.
-    ZeroPointThreads,
     /// A cache is configured with zero ways.
     ZeroWayCache {
         /// Which cache field group (`l1i`, `l1d`, or `l2`).
@@ -724,12 +696,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroL2Banks => write!(f, "l2_banks: need at least one L2 bank"),
             ConfigError::ZeroBloomBits => {
                 write!(f, "bloom_bits: bloom signatures need at least one bit")
-            }
-            ConfigError::ZeroDecodeThreads => {
-                write!(f, "decode_threads: a point needs at least one decode worker thread")
-            }
-            ConfigError::ZeroPointThreads => {
-                write!(f, "point_threads: a point needs at least the committer thread")
             }
             ConfigError::ZeroWayCache { cache } => {
                 write!(f, "{cache}_assoc: zero-way caches cannot hold blocks")
@@ -808,15 +774,6 @@ impl StableHash for SimConfig {
         self.seed.stable_hash(h);
         self.watchdog.stable_hash(h);
         self.fault_injection.stable_hash(h);
-        // `decode_threads` is deliberately EXCLUDED: it only parallelizes
-        // trace pre-decoding, never the coherent event loop, so any worker
-        // count produces byte-identical metrics (asserted by the golden
-        // determinism test) and must share a run-cache slot.
-        // `point_threads` is EXCLUDED for the same reason: shard lanes
-        // only *speculate* deterministic segments whose commit order and
-        // inputs are fixed by the committer, so any worker count produces
-        // byte-identical metrics (asserted by the golden scaling test)
-        // and must share a run-cache slot.
     }
 }
 
@@ -1018,22 +975,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the worker-thread count for intra-point trace pre-decoding
-    /// (validated ≥ 1 by [`SimConfigBuilder::build`]; never changes
-    /// simulated results).
-    pub fn decode_threads(mut self, threads: usize) -> Self {
-        self.cfg.decode_threads = threads;
-        self
-    }
-
-    /// Sets the worker-thread count for one point's parallel event loop
-    /// (validated ≥ 1 by [`SimConfigBuilder::build`]; never changes
-    /// simulated results — see DESIGN §13).
-    pub fn point_threads(mut self, threads: usize) -> Self {
-        self.cfg.point_threads = threads;
-        self
-    }
-
     /// Sets the RNG seed for stochastic cache policies.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -1192,34 +1133,6 @@ mod tests {
         assert_ne!(stable_hash_of(&fueled), stable_hash_of(&cycles));
         let faulty = SimConfigBuilder::paper_baseline().inject_fault(InjectedFault::Panic).build().unwrap();
         assert_ne!(stable_hash_of(&base), stable_hash_of(&faulty));
-    }
-
-    #[test]
-    fn decode_threads_is_validated_and_excluded_from_the_stable_hash() {
-        use slicc_common::stable_hash_of;
-        let err = SimConfigBuilder::paper_baseline().decode_threads(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroDecodeThreads);
-        assert!(err.to_string().contains("decode_threads"), "got: {err}");
-        // Decode parallelism never changes results, so it must alias into
-        // the same run-cache slot as the single-threaded point.
-        let base = SimConfig::paper_baseline();
-        let wide = SimConfigBuilder::paper_baseline().decode_threads(8).build().unwrap();
-        assert_eq!(wide.decode_threads, 8);
-        assert_eq!(stable_hash_of(&base), stable_hash_of(&wide));
-    }
-
-    #[test]
-    fn point_threads_is_validated_and_excluded_from_the_stable_hash() {
-        use slicc_common::stable_hash_of;
-        let err = SimConfigBuilder::paper_baseline().point_threads(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroPointThreads);
-        assert!(err.to_string().contains("point_threads"), "got: {err}");
-        // Shard lanes only speculate committer-ordered segments, so any
-        // worker count shares the single-threaded point's cache slot.
-        let base = SimConfig::paper_baseline();
-        let wide = SimConfigBuilder::paper_baseline().point_threads(8).build().unwrap();
-        assert_eq!(wide.point_threads, 8);
-        assert_eq!(stable_hash_of(&base), stable_hash_of(&wide));
     }
 
     #[test]

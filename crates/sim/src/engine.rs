@@ -5,22 +5,14 @@
 //! of trace records, so cross-core cache interactions resolve in
 //! near-global time order while each thread's own accounting stays exact.
 //!
-//! # Split steps and intra-point parallelism (DESIGN §13)
+//! # Split steps (DESIGN §13)
 //!
 //! Every step is split into a **private segment** — records that provably
 //! touch only the core's own site, executed by [`crate::shard::run_segment`]
 //! — followed by at most one **blocking record** that needs shared state,
-//! executed inline by the committer through the full `System` paths.
-//! Cross-core coherence effects queue in per-core mailboxes and drain at
-//! step barriers (see [`crate::system`]). Because a core's site and its
-//! running thread's stream cannot change between that core's steps, the
-//! committer may *speculatively* dispatch a core's next segment to a
-//! shard lane (`point_threads > 1`) while committing other cores, pacing
-//! dispatch with a conservative quantum derived from the minimum
-//! cross-core interaction latency; collecting the result at the core's
-//! next pop yields byte-identical metrics to running it inline, for any
-//! worker count, partition, or quantum. `point_threads = 1` runs the
-//! exact same split-step semantics with every segment inline.
+//! executed through the full `System` paths. Cross-core coherence effects
+//! queue in per-core mailboxes and drain at step barriers (see
+//! [`crate::system`]). The whole point runs on the calling thread.
 //!
 //! The engine implements the four scheduling modes:
 //!
@@ -44,15 +36,13 @@
 use crate::config::{InjectedFault, SchedulerMode, SimConfig, WatchdogConfig};
 use crate::error::{HotThread, LivelockSnapshot, SimError};
 use crate::metrics::RunMetrics;
-use crate::shard::{
-    run_segment, CollectKind, LaneSet, ShutdownGuard, SpecTask, StopReason, ThreadStream,
-};
+use crate::shard::{run_segment, StopReason, ThreadStream};
 use crate::system::{SegmentParams, System};
 use slicc_cache::MissClass;
 use slicc_common::{BlockAddr, CancelToken, CoreId, Cycle, RingFifo, ThreadId, TxnTypeId};
 use slicc_obs::{
-    EventKind, EventSink, IntervalSampler, LaneProfile, MigrationReason, MissKind, MissLevel,
-    ObsConfig, ObsCounters, Observation, ThreeC,
+    EventKind, EventSink, IntervalSampler, MigrationReason, MissKind, MissLevel, ObsConfig,
+    Observation, ThreeC,
 };
 use slicc_core::{CoreMask, MigrationAdvice, ScoutHasher, TeamFormer, TeamKind, TypeRegistry};
 use slicc_trace::{Record, WorkloadSpec};
@@ -122,12 +112,11 @@ enum ThreadState {
 /// in its own dense array instead of one padded record per thread, and
 /// the hot arrays stay resident while the cold ones stay out of the way.
 struct Threads<'a> {
-    /// Per-thread record streams (decode ring over the lazy generator, or
-    /// the whole pre-decoded stream). A thread's unconsumed tail survives
-    /// migration: the stream is positional state, not a per-core cache.
-    /// `None` exactly while checked out to a speculated segment; streams
-    /// of completed threads stay in place so diagnostics can read them.
-    streams: Vec<Option<ThreadStream<'a>>>,
+    /// Per-thread record streams (decode ring over the lazy generator).
+    /// A thread's unconsumed tail survives migration: the stream is
+    /// positional state, not a per-core cache. Streams of completed
+    /// threads stay in place so diagnostics can read them.
+    streams: Vec<ThreadStream<'a>>,
     state: Vec<ThreadState>,
     /// Earliest cycle the thread may start at its queued core (migration
     /// arrival or scout completion).
@@ -152,27 +141,12 @@ impl<'a> Threads<'a> {
     /// The next record of thread `t`'s stream, consumed.
     #[inline]
     fn next_record(&mut self, t: usize) -> Option<Record> {
-        self.stream_mut(t).next()
+        self.streams[t].next()
     }
 
     /// Records thread `t` has executed so far (diagnostics).
     fn executed(&self, t: usize) -> u64 {
-        self.streams[t].as_ref().expect("thread stream is checked out").executed()
-    }
-
-    fn stream_mut(&mut self, t: usize) -> &mut ThreadStream<'a> {
-        self.streams[t].as_mut().expect("thread stream is checked out")
-    }
-
-    /// Lends thread `t`'s stream out for one speculated segment.
-    fn checkout_stream(&mut self, t: usize) -> ThreadStream<'a> {
-        self.streams[t].take().expect("thread stream double checkout")
-    }
-
-    /// Restores a stream lent by [`Threads::checkout_stream`].
-    fn checkin_stream(&mut self, t: usize, stream: ThreadStream<'a>) {
-        debug_assert!(self.streams[t].is_none(), "thread stream double checkin");
-        self.streams[t] = Some(stream);
+        self.streams[t].executed()
     }
 }
 
@@ -216,12 +190,6 @@ fn three_c(class: MissClass) -> ThreeC {
 /// The simulation engine. Most callers should use [`crate::RunSession`]
 /// (or the [`crate::Runner`] above it); the engine is public for tests
 /// and custom experiment loops that need intermediate state access.
-/// Dispatches per throttle measurement window.
-const SPEC_WINDOW: u32 = 256;
-/// Steps to run without priming after a starved window. Long relative
-/// to the window so a hopeless host spends ~1.5% of steps probing.
-const SPEC_PAUSE_STEPS: u32 = 16_384;
-
 pub struct Engine<'a> {
     sys: System,
     spec: &'a WorkloadSpec,
@@ -289,54 +257,8 @@ pub struct Engine<'a> {
     /// Interval-series sampler (`None` unless the run is observed with
     /// epoch sampling on).
     sampler: Option<IntervalSampler>,
-    /// Effective intra-point worker count: 1 means every segment runs
-    /// inline; `exact_search` forces 1 (remote searches read other cores'
-    /// L1-Is, which may be checked out under speculation).
-    point_threads: usize,
-    /// Speculation pacing quantum: a core may be primed while its clock
-    /// is within this many cycles of the heap floor. Defaults to the
-    /// minimum cross-core interaction latency (nearest NoC hop + L2 bank
-    /// hit), the soonest any other core's commit could affect this one.
-    quantum: Cycle,
-    /// Core → lane assignment for speculated segments; semantics never
-    /// depend on it (values are taken modulo the lane count).
-    partition: Vec<usize>,
     /// Precomputed constants private segments need.
     params: SegmentParams,
-    /// Whether each core currently has a speculated segment outstanding.
-    primed: Vec<bool>,
-    /// Cores whose priming was deferred by the quantum check, re-examined
-    /// against each new heap floor.
-    deferred_primes: CoreMask,
-    /// Mirror of each core's clock at its last step barrier, readable
-    /// while the core's site (and timer) is checked out to a lane.
-    committed_now: Vec<Cycle>,
-    /// Priming throttle: dispatches and genuinely-overlapped collects
-    /// in the current measurement window, and the remaining pause steps.
-    /// When a window shows almost no dispatch finishing ahead of the
-    /// committer (an oversubscribed host ping-ponging with its lanes),
-    /// speculation pauses — pure prefetch, so pacing never changes
-    /// results.
-    spec_window_dispatched: u32,
-    spec_window_overlapped: u32,
-    spec_pause: u32,
-    /// Whether the lane profiler is armed ([`slicc_obs::ObsConfig::metrics`]).
-    /// Counters below are cheap and run unconditionally; wall-clock
-    /// timing and histograms are gated on this flag. Profiling reads the
-    /// run, never steers it — digests are pinned either way.
-    profile: bool,
-    /// The accumulating lane-profile report (exported by
-    /// [`Engine::into_outcome`] when `profile` is set).
-    lane_profile: LaneProfile,
-    /// Cores currently primed (mirror of `primed`'s popcount) for the
-    /// commit-queue-depth histogram.
-    primed_outstanding: u64,
-    /// Mirror of the machine-wide [`System::obs_counters`] at the last
-    /// commit barrier, maintained incrementally so the interval sampler
-    /// never reads a checked-out site. Exact: private segments change
-    /// only instruction counts (reported per segment) and the inline
-    /// blocking record is accounted as it executes.
-    obs_cum: ObsCounters,
 }
 
 impl<'a> Engine<'a> {
@@ -358,16 +280,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Shared construction behind [`Engine::try_new`] and
-    /// [`RunSession::run`]: builds the system, decodes or stages every
-    /// thread trace, runs the scout phase (SLICC-Pp), and forms teams.
+    /// [`RunSession::run`]: builds the system, stages every thread trace,
+    /// runs the scout phase (SLICC-Pp), and forms teams.
     pub(crate) fn try_new_with(
         spec: &'a WorkloadSpec,
         cfg: &SimConfig,
         obs: &ObsConfig,
     ) -> Result<Self, SimError> {
         let mut sys = System::try_new(cfg)?;
-        // Mailbox semantics are the one semantics: sequential and sharded
-        // runs both defer cross-core effects to step barriers.
+        // The engine always defers cross-core effects to step barriers:
+        // the golden digests are defined by the mailbox semantics.
         sys.set_deferred_effects(true);
         let n = cfg.cores;
         let mode = cfg.mode;
@@ -379,20 +301,8 @@ impl<'a> Engine<'a> {
 
         let thread_ids: Vec<ThreadId> = spec.threads().collect();
         let total = thread_ids.len();
-        let streams: Vec<Option<ThreadStream<'a>>> = if cfg.decode_threads > 1 {
-            // Decode parallelism: independent threads' streams are pure
-            // functions of (spec, thread id), so pre-decoding them across
-            // workers is free of scheduling nondeterminism — any worker
-            // count yields byte-identical records.
-            slicc_common::parallel_map(total, cfg.decode_threads, |i| {
-                spec.thread_trace(thread_ids[i]).collect::<Vec<Record>>()
-            })
-            .into_iter()
-            .map(|records| Some(ThreadStream::decoded(records)))
-            .collect()
-        } else {
-            thread_ids.iter().map(|&t| Some(ThreadStream::lazy(spec.thread_trace(t)))).collect()
-        };
+        let streams: Vec<ThreadStream<'a>> =
+            thread_ids.iter().map(|&t| ThreadStream::lazy(spec.thread_trace(t))).collect();
         // Transactions arrive spaced out, not in lockstep.
         let arrivals: Vec<Cycle> =
             thread_ids.iter().map(|t| t.raw() as Cycle * cfg.arrival_stagger_cycles).collect();
@@ -417,20 +327,6 @@ impl<'a> Engine<'a> {
         let half_a: CoreMask = exec_list[..exec_list.len() / 2].iter().copied().collect();
         let half_b: CoreMask = exec_list[exec_list.len() / 2..].iter().copied().collect();
 
-        // Exact search reads other cores' L1-I contents, which may be
-        // checked out under speculation: force the sequential schedule
-        // (semantics are identical either way; this is purely a policy
-        // restriction).
-        let point_threads = if cfg.exact_search { 1 } else { cfg.point_threads.max(1) };
-        let lanes_n = point_threads.saturating_sub(1).max(1);
-        // The conservative quantum: the soonest a commit on any core can
-        // affect another is one nearest-neighbour NoC traversal plus an
-        // L2 bank hit.
-        let quantum = (1..n)
-            .map(|i| sys.noc().latency(CoreId::new(0), CoreId::new(i as u16)))
-            .min()
-            .unwrap_or(0)
-            + cfg.l2_hit_latency;
         let params = sys.segment_params(mode.uses_agents());
 
         let mut engine = Engine {
@@ -482,20 +378,7 @@ impl<'a> Engine<'a> {
                 EventSink::disabled()
             },
             sampler: obs.epoch_cycles.map(IntervalSampler::new),
-            point_threads,
-            quantum,
-            partition: (0..n).map(|c| c % lanes_n).collect(),
             params,
-            primed: vec![false; n],
-            deferred_primes: CoreMask::empty(),
-            spec_window_dispatched: 0,
-            spec_window_overlapped: 0,
-            spec_pause: 0,
-            profile: obs.metrics,
-            lane_profile: LaneProfile::default(),
-            primed_outstanding: 0,
-            committed_now: vec![0; n],
-            obs_cum: ObsCounters::default(),
         };
 
         match mode {
@@ -515,12 +398,6 @@ impl<'a> Engine<'a> {
                 engine.form_steps_groups(&types);
             }
         }
-        // Seed the clock and counter mirrors after formation (the scout
-        // phase advances its core's clock and counters).
-        for i in 0..n {
-            engine.committed_now[i] = engine.sys.timer(CoreId::new(i as u16)).now();
-        }
-        engine.obs_cum = engine.sys.obs_counters();
         Ok(engine)
     }
 
@@ -644,26 +521,6 @@ impl<'a> Engine<'a> {
         self.deadline = ctrl.deadline;
     }
 
-    /// Overrides the core → lane partition for speculated segments
-    /// (values are taken modulo the lane count). Public for tests: any
-    /// partition must yield byte-identical metrics, because priming is a
-    /// pure prefetch of deterministic work.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `partition` has one entry per core.
-    pub fn set_partition(&mut self, partition: Vec<usize>) {
-        assert_eq!(partition.len(), self.sys.num_cores(), "one lane assignment per core");
-        self.partition = partition;
-    }
-
-    /// Overrides the speculation pacing quantum. Public for tests: any
-    /// width must yield byte-identical metrics — the quantum only decides
-    /// *when* a segment is dispatched, never what it computes.
-    pub fn set_quantum(&mut self, quantum: Cycle) {
-        self.quantum = quantum;
-    }
-
     /// Lowers the run configuration into plain loop bounds (see
     /// [`EpochPlan`]).
     fn epoch_plan(&self) -> EpochPlan {
@@ -688,65 +545,27 @@ impl<'a> Engine<'a> {
         if let Some(InjectedFault::Panic) = self.fault {
             panic!("injected fault: panic on execute (SimConfig::fault_injection)");
         }
-        // Lane-profiler wall clock around the whole run (the committer's
-        // perspective). Profiling reads timing, never simulated state.
-        let profile_t0 = self.profile.then(Instant::now);
-        let result = self.execute_loop();
-        if let Some(t0) = profile_t0 {
-            self.lane_profile.committer_run_nanos += t0.elapsed().as_nanos() as u64;
-        }
-        result
-    }
-
-    fn execute_loop(&mut self) -> Result<(), SimError> {
         // Quiescent-mode specialization: each arm monomorphizes its own
         // loop body, so an uncontrolled session compiles to a loop with
         // no atomic loads, no clock reads, and no `Option` unwraps.
-        if self.point_threads <= 1 {
-            return if self.controlled {
-                self.run_loop::<true>(None)
-            } else {
-                self.run_loop::<false>(None)
-            };
+        if self.controlled {
+            self.run_loop::<true>()
+        } else {
+            self.run_loop::<false>()
         }
-        let lanes = LaneSet::new(self.sys.num_cores(), self.point_threads - 1, self.profile);
-        let spec = self.spec;
-        let params = self.params;
-        let result = slicc_common::pool::scope(|scope| {
-            let lanes = &lanes;
-            for lane in 0..lanes.lane_count() {
-                scope.spawn(move || lanes.drive(lane, spec, &params));
-            }
-            // Shut the lanes down even if the committer panics, so the
-            // pool scope's join barrier can never hang.
-            let _guard = ShutdownGuard(lanes);
-            if self.controlled {
-                self.run_loop::<true>(Some(lanes))
-            } else {
-                self.run_loop::<false>(Some(lanes))
-            }
-        });
-        if self.profile {
-            self.lane_profile.lanes = lanes.lane_stats();
-        }
-        result
     }
 
-    fn run_loop<const CONTROLLED: bool>(
-        &mut self,
-        lanes: Option<&LaneSet<'a>>,
-    ) -> Result<(), SimError> {
+    fn run_loop<const CONTROLLED: bool>(&mut self) -> Result<(), SimError> {
         let plan = self.epoch_plan();
         let total = self.threads.len();
         let mut heap_steps: u64 = 0;
         self.try_dispatch();
         while self.completed < total {
-            let Some((core, floor)) = self.pop_next_core() else {
+            let Some(core) = self.pop_next_core() else {
                 self.try_dispatch();
                 if self.pop_next_core_peek() {
                     continue;
                 }
-                self.settle_speculation(lanes);
                 return Err(SimError::Stalled {
                     completed: self.completed as u64,
                     total: total as u64,
@@ -756,11 +575,9 @@ impl<'a> Engine<'a> {
             heap_steps += 1;
             // Watchdog fuel: a heap-step budget of N admits exactly N
             // steps (so zero trips immediately); the cycle cap compares
-            // the popped core's committed clock, which is the global
-            // progress floor under the min-heap discipline (and readable
-            // even while the core's site is speculated out).
-            if heap_steps >= plan.fuel_trip || self.committed_now[core.index()] > plan.cycle_cap {
-                self.settle_speculation(lanes);
+            // the popped core's clock, which is the global progress floor
+            // under the min-heap discipline.
+            if heap_steps >= plan.fuel_trip || self.sys.timer(core).now() > plan.cycle_cap {
                 if self.sink.is_enabled() {
                     let now = self.sys.timer(core).now();
                     self.sink.record(core, now, EventKind::WatchdogFired { heap_steps });
@@ -769,14 +586,12 @@ impl<'a> Engine<'a> {
             }
             if CONTROLLED && heap_steps & CONTROL_CHECK_MASK == 1 {
                 if self.cancel.is_cancelled() {
-                    self.settle_speculation(lanes);
                     return Err(SimError::Cancelled(Box::new(
                         self.livelock_snapshot(heap_steps, core),
                     )));
                 }
                 if let Some(deadline) = self.deadline {
                     if Instant::now() >= deadline {
-                        self.settle_speculation(lanes);
                         return Err(SimError::DeadlineExceeded(Box::new(
                             self.livelock_snapshot(heap_steps, core),
                         )));
@@ -787,29 +602,23 @@ impl<'a> Engine<'a> {
                 // Injected stall: re-queue the core at its current time
                 // without executing, so the loop spins until the
                 // watchdog or a deadline puts it down.
-                let now = self.committed_now[core.index()];
+                let now = self.sys.timer(core).now();
                 self.push_core(core, now);
                 continue;
             }
-            self.step(core, lanes);
+            self.step(core);
             // Epoch sampling off the popped core's clock: under the
             // min-heap discipline it is the global progress floor, so
-            // every epoch closes at an honest machine-wide time. The
-            // counters come from the committed mirror, which is exact at
-            // step barriers — identical under any point_threads.
+            // every epoch closes at an honest machine-wide time, with the
+            // machine's counters as of this step barrier.
             if self.sampler.as_ref().is_some_and(|s| s.due(self.sys.timer(core).now())) {
                 let now = self.sys.timer(core).now();
-                let mut cum = self.obs_cum;
+                let mut cum = self.sys.obs_counters();
                 cum.migrations = self.migrations;
                 self.sampler.as_mut().expect("sampler checked above").sample(now, cum);
             }
             self.try_dispatch();
-            if let Some(lanes) = lanes {
-                self.prime_due_cores(lanes, floor);
-                self.try_prime(core, lanes, floor);
-            }
         }
-        self.lane_profile.steps += heap_steps;
         Ok(())
     }
 
@@ -844,33 +653,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Reclaims every outstanding speculation before an error-path exit:
-    /// queued tasks come back unrun (their state is exactly the last
-    /// commit barrier), running ones are waited out. After this, all
-    /// sites, streams, and sink rings are back in place and every state
-    /// accessor is coherent.
-    fn settle_speculation(&mut self, lanes: Option<&LaneSet<'a>>) {
-        let Some(lanes) = lanes else {
-            return;
-        };
-        for (task, _report) in lanes.settle() {
-            let c = task.core.index();
-            debug_assert!(self.primed[c], "settled a task for an unprimed core");
-            self.primed[c] = false;
-            self.sys.checkin_site(task.core, task.site);
-            self.threads.checkin_stream(task.thread.index(), task.stream);
-            self.sink.put_core(task.core, task.sink);
-        }
-        self.deferred_primes = CoreMask::empty();
-        self.primed_outstanding = 0;
-    }
-
-    fn pop_next_core(&mut self) -> Option<(CoreId, Cycle)> {
-        while let Some(Reverse((at, stamp, core))) = self.heap.pop() {
+    fn pop_next_core(&mut self) -> Option<CoreId> {
+        while let Some(Reverse((_, stamp, core))) = self.heap.pop() {
             if self.stamps[core] == stamp {
                 self.in_heap[core] = false;
                 self.live_heap -= 1;
-                return Some((CoreId::new(core as u16), at));
+                return Some(CoreId::new(core as u16));
             }
         }
         None
@@ -922,64 +710,33 @@ impl<'a> Engine<'a> {
     }
 
     /// Advances one core by one split step: start a queued thread if
-    /// idle, run (or collect) one private segment, execute the trailing
-    /// blocking record inline if the segment stopped on one, then drain
-    /// the core's effect mailbox and refresh the commit mirrors. The
-    /// mailbox drains at the end of *every* step — including empty ones —
-    /// so deferred effects land at the same barriers under any
-    /// `point_threads`.
-    fn step(&mut self, core: CoreId, lanes: Option<&LaneSet<'a>>) {
+    /// idle, run one private segment, execute the trailing blocking
+    /// record if the segment stopped on one, then drain the core's effect
+    /// mailbox. The mailbox drains at the end of *every* step — including
+    /// empty ones — so deferred effects land at the step barriers that
+    /// define the golden digests.
+    fn step(&mut self, core: CoreId) {
         let c = core.index();
-        // A pop supersedes any pending prime decision for this core.
-        self.deferred_primes.remove(core);
-        let report = if self.primed[c] {
-            self.primed[c] = false;
-            self.primed_outstanding -= 1;
-            let lanes = lanes.expect("a core was primed without lanes");
-            let collect_t0 = self.profile.then(Instant::now);
-            let (task, report, kind) = lanes.collect(c, self.spec, &self.params);
-            self.spec_window_overlapped += u32::from(kind == CollectKind::Overlapped);
-            match kind {
-                CollectKind::Overlapped => self.lane_profile.overlapped += 1,
-                CollectKind::Waited => self.lane_profile.waited += 1,
-                CollectKind::Stolen => self.lane_profile.stolen += 1,
-            }
-            if let Some(t0) = collect_t0 {
-                if kind == CollectKind::Waited {
-                    let stall = t0.elapsed().as_nanos() as u64;
-                    self.lane_profile.committer_wait_nanos += stall;
-                    self.lane_profile.wait_nanos.record(stall);
-                }
-            }
-            self.sys.checkin_site(core, task.site);
-            self.threads.checkin_stream(task.thread.index(), task.stream);
-            self.sink.put_core(core, task.sink);
-            report
-        } else {
-            if self.running[c].is_none() && !self.start_next_thread(core) {
-                self.sys.drain_mailbox(core);
-                return; // nothing to do; dispatcher will wake us
-            }
-            let tid = self.running[c].expect("core has a running thread");
-            let mut site = self.sys.checkout_site(core);
-            let mut stream = self.threads.checkout_stream(tid.index());
-            let mut sink = self.sink.take_core(core);
-            let report =
-                run_segment(&mut site, &mut stream, &mut sink, core, tid, self.spec, &self.params);
-            self.sys.checkin_site(core, site);
-            self.threads.checkin_stream(tid.index(), stream);
-            self.sink.put_core(core, sink);
-            report
-        };
+        if self.running[c].is_none() && !self.start_next_thread(core) {
+            self.sys.drain_mailbox(core);
+            return; // nothing to do; dispatcher will wake us
+        }
         let tid = self.running[c].expect("core has a running thread");
-        self.obs_cum.instructions += report.records as u64;
-        match report.stop {
+        let stop = run_segment(
+            self.sys.core_site_mut(core),
+            &mut self.threads.streams[tid.index()],
+            &mut self.sink,
+            core,
+            tid,
+            self.spec,
+            &self.params,
+        );
+        match stop {
             StopReason::Exhausted => self.complete_thread(core, tid),
             StopReason::Blocking => self.exec_blocking_record(core, tid),
             StopReason::BatchCap => {}
         }
         self.sys.drain_mailbox(core);
-        self.committed_now[c] = self.sys.timer(core).now();
         self.push_core_if_work(core);
     }
 
@@ -989,12 +746,9 @@ impl<'a> Engine<'a> {
     /// context-switch reaction to an L1-I miss. Mirrors the sequential
     /// per-record body exactly.
     fn exec_blocking_record(&mut self, core: CoreId, tid: ThreadId) {
-        let rec = self
-            .threads
-            .stream_mut(tid.index())
+        let rec = self.threads.streams[tid.index()]
             .next()
             .expect("segment stopped on a blocking record");
-        self.obs_cum.instructions += 1;
         self.sys.timer_mut(core).retire_instruction();
         let block = rec.pc.block_default();
         // Fetch-buffer model: instructions within the current block are
@@ -1019,9 +773,6 @@ impl<'a> Engine<'a> {
                     self.sys.core_site_mut(core).agent.on_fetch(false, mask);
                 }
             }
-            if !hit {
-                self.obs_cum.i_misses += 1;
-            }
             if self.sink.is_enabled() {
                 self.observe_fetch(core, tid, block, hit, fetch_start);
             }
@@ -1029,18 +780,15 @@ impl<'a> Engine<'a> {
 
         if let Some(d) = rec.data {
             let d_hit = self.sys.data_access(core, d.addr.block_default(), d.is_store);
-            if !d_hit {
-                self.obs_cum.d_misses += 1;
-                if self.sink.is_enabled() {
-                    let kind = if d.is_store { MissKind::Store } else { MissKind::Load };
-                    let class = self.sys.last_d_miss_class().map(three_c);
-                    let now = self.sys.timer(core).now();
-                    self.sink.record_sampled(
-                        core,
-                        now,
-                        EventKind::Miss { level: MissLevel::L1D, kind, class },
-                    );
-                }
+            if !d_hit && self.sink.is_enabled() {
+                let kind = if d.is_store { MissKind::Store } else { MissKind::Load };
+                let class = self.sys.last_d_miss_class().map(three_c);
+                let now = self.sys.timer(core).now();
+                self.sink.record_sampled(
+                    core,
+                    now,
+                    EventKind::Miss { level: MissLevel::L1D, kind, class },
+                );
             }
         }
 
@@ -1306,8 +1054,6 @@ impl<'a> Engine<'a> {
         self.refresh_core_sets(from);
         self.refresh_core_sets(to);
 
-        // Reading the target's clock is only safe when it cannot be
-        // primed: a core with nothing running never speculates.
         if self.running[to.index()].is_none() && self.queues[to.index()].len() == 1 {
             let wake = self.sys.timer(to).now().max(ready);
             self.push_core(to, wake);
@@ -1363,8 +1109,8 @@ impl<'a> Engine<'a> {
                 }
                 // §4.3.2: when a team completes, reset all MCs, MTQs,
                 // MSVs (STEPS groups are per-core: reset only theirs).
-                // Other cores' resets ride the mailboxes so they land at
-                // the same step barrier under any point_threads.
+                // Other cores' resets ride the mailboxes and land at their
+                // next step barrier.
                 if self.mode == SchedulerMode::Steps {
                     self.sys.core_site_mut(core).agent.reset_all();
                 } else {
@@ -1392,78 +1138,6 @@ impl<'a> Engine<'a> {
         } else if self.queues[core.index()].len() > 1 {
             // Surplus work exists: idle cores may steal it.
             self.wake_idle_cores(ready);
-        }
-    }
-
-    /// Speculatively dispatches the just-stepped core's next segment if
-    /// its clock is within the quantum of the heap floor; defers it for
-    /// later floors otherwise. Priming is pure prefetch — the segment's
-    /// input state is fixed at this barrier — so the pacing policy can
-    /// never change results, only overlap.
-    fn try_prime(&mut self, core: CoreId, lanes: &LaneSet<'a>, floor: Cycle) {
-        if self.spec_pause > 0 {
-            self.spec_pause -= 1;
-            self.lane_profile.paused_steps += 1;
-            return;
-        }
-        let c = core.index();
-        if self.primed[c] || self.running[c].is_none() {
-            return;
-        }
-        if self.committed_now[c] <= floor.saturating_add(self.quantum) {
-            self.dispatch_prime(core, lanes);
-        } else {
-            self.deferred_primes.insert(core);
-        }
-    }
-
-    /// Re-examines deferred primes against a new heap floor.
-    fn prime_due_cores(&mut self, lanes: &LaneSet<'a>, floor: Cycle) {
-        if self.spec_pause > 0 || self.deferred_primes.is_empty() {
-            return;
-        }
-        let horizon = floor.saturating_add(self.quantum);
-        let due: Vec<CoreId> = self
-            .deferred_primes
-            .iter()
-            .filter(|&cc| self.committed_now[cc.index()] <= horizon)
-            .collect();
-        for cc in due {
-            self.deferred_primes.remove(cc);
-            self.dispatch_prime(cc, lanes);
-        }
-    }
-
-    fn dispatch_prime(&mut self, core: CoreId, lanes: &LaneSet<'a>) {
-        let c = core.index();
-        let tid = self.running[c].expect("primed cores have a running thread");
-        let task = SpecTask {
-            core,
-            thread: tid,
-            site: self.sys.checkout_site(core),
-            stream: self.threads.checkout_stream(tid.index()),
-            sink: self.sink.take_core(core),
-        };
-        lanes.dispatch(c, self.partition[c] % lanes.lane_count(), task);
-        self.primed[c] = true;
-        self.primed_outstanding += 1;
-        self.lane_profile.dispatched += 1;
-        if self.profile {
-            self.lane_profile.spec_depth.record(self.primed_outstanding);
-        }
-        self.spec_window_dispatched += 1;
-        if self.spec_window_dispatched >= SPEC_WINDOW {
-            // Only collects that found the segment already finished
-            // bought any wall-clock; a window where under 1/4 did (an
-            // oversubscribed host ping-ponging with its lanes) means the
-            // dispatch + wake overhead is pure loss — commit inline for
-            // a while instead.
-            if self.spec_window_overlapped < SPEC_WINDOW / 4 {
-                self.spec_pause = SPEC_PAUSE_STEPS;
-                self.lane_profile.pause_transitions += 1;
-            }
-            self.spec_window_dispatched = 0;
-            self.spec_window_overlapped = 0;
         }
     }
 
@@ -1667,11 +1341,6 @@ impl<'a> Engine<'a> {
             dropped_events: self.sink.dropped(),
             events: self.sink.drain(),
             series,
-            lane_profile: if self.profile {
-                Some(std::mem::take(&mut self.lane_profile))
-            } else {
-                None
-            },
         }
     }
 

@@ -56,6 +56,8 @@
 //! (`RunSession::new(&spec, &cfg)?.run()`), the single engine entry
 //! point that composes control and observation at the boundary.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod engine;
@@ -82,16 +84,14 @@ pub use service::{
 };
 pub use session::{RunOutcome, RunSession};
 pub use system::System;
-pub use telemetry::{
-    export_lane_profiles, export_run_metrics, export_runner_stats, export_service,
-};
+pub use telemetry::{export_run_metrics, export_runner_stats, export_service};
 
 // The observability vocabulary, re-exported so binaries and tests reach
 // everything through `slicc_sim` (see the `slicc-obs` crate docs; the
 // `obs-capture` default feature compile-time-gates event recording).
 pub use slicc_obs::{
-    chrome_trace_json, Epoch, EventKind, IntervalSeries, JsonLinesReporter, LaneProfile, LaneStat,
-    MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot, MigrationReason, MissKind,
-    MissLevel, ObsConfig, Observation, PlainReporter, ProgressEvent, ProgressKind, QuietReporter,
-    Reporter, ThreeC, TraceEvent, TraceMeta, WarningsOnlyReporter,
+    chrome_trace_json, Epoch, EventKind, IntervalSeries, JsonLinesReporter, MetricSample,
+    MetricValue, MetricsRegistry, MetricsSnapshot, MigrationReason, MissKind, MissLevel, ObsConfig,
+    Observation, PlainReporter, ProgressEvent, ProgressKind, QuietReporter, Reporter, ThreeC,
+    TraceEvent, TraceMeta, WarningsOnlyReporter,
 };

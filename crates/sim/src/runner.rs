@@ -436,12 +436,6 @@ pub struct RunnerStats {
     /// Total CPU time spent inside fresh simulations (sums across worker
     /// threads, so it can exceed wall-clock time).
     pub busy_nanos: u64,
-    /// OS threads ever spawned by the process-global worker pool
-    /// ([`slicc_common::pool`]) that backs `parallel_map` pre-decode and
-    /// the engine's intra-point shard lanes. Threads are parked and
-    /// reused, so a steady workload converges to a constant here no
-    /// matter how many points it runs.
-    pub pool_spinups: u64,
 }
 
 impl RunnerStats {
@@ -505,10 +499,6 @@ pub struct Runner {
     spec_builds: AtomicU64,
     simulated_instructions: AtomicU64,
     busy_nanos: AtomicU64,
-    /// Aggregate of every completed profiled point's lane profile
-    /// (requests that set [`slicc_obs::ObsConfig::metrics`]). Purely
-    /// derived telemetry — see [`Runner::lane_profile`].
-    lane_profile: Mutex<slicc_obs::LaneProfile>,
 }
 
 /// One batch's deduplicated fresh points, keyed by stable key, in
@@ -538,7 +528,6 @@ impl Runner {
             spec_builds: AtomicU64::new(0),
             simulated_instructions: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
-            lane_profile: Mutex::new(slicc_obs::LaneProfile::default()),
         }
     }
 
@@ -934,18 +923,7 @@ impl Runner {
             spec_builds: self.spec_builds.load(Ordering::Relaxed),
             simulated_instructions: self.simulated_instructions.load(Ordering::Relaxed),
             busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
-            pool_spinups: slicc_common::pool::spinups(),
         }
-    }
-
-    /// The aggregate split-step lane profile across every profiled point
-    /// this runner completed fresh (requests that enabled
-    /// [`slicc_obs::ObsConfig::metrics`]); `None` until one lands.
-    /// Cache/checkpoint hits contribute nothing — they did no engine
-    /// work here.
-    pub fn lane_profile(&self) -> Option<slicc_obs::LaneProfile> {
-        let profile = lock_unpoisoned(&self.lane_profile);
-        (profile.steps > 0).then(|| profile.clone())
     }
 
     /// Points currently memoized (including any seeded from a
@@ -1001,10 +979,6 @@ impl Runner {
             match self.execute_attempt(req, &spec, attempt, &policy) {
                 Ok(mut result) => {
                     result.attempts = attempt;
-                    if let Some(profile) = result.obs.as_ref().and_then(|o| o.lane_profile.as_ref())
-                    {
-                        lock_unpoisoned(&self.lane_profile).merge(profile);
-                    }
                     return Ok(result);
                 }
                 Err(error) => {

@@ -68,10 +68,6 @@ pub fn result_weight(result: &RunResult) -> u64 {
         if let Some(series) = &obs.series {
             weight += (series.epochs.len() * std::mem::size_of::<Epoch>()) as u64;
         }
-        if let Some(profile) = &obs.lane_profile {
-            weight += std::mem::size_of::<slicc_obs::LaneProfile>() as u64
-                + (profile.lanes.len() * std::mem::size_of::<slicc_obs::LaneStat>()) as u64;
-        }
     }
     weight
 }
@@ -634,7 +630,6 @@ mod tests {
             events: vec![event; 100],
             dropped_events: 0,
             series: None,
-            lane_profile: None,
         });
         assert!(
             result_weight(&observed)

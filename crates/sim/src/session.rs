@@ -136,9 +136,9 @@ mod tests {
     fn invalid_configurations_fail_at_the_boundary() {
         let (spec, _) = tiny();
         let mut cfg = SimConfig::tiny_test();
-        cfg.decode_threads = 0;
+        cfg.thread_queue_capacity = 0;
         match RunSession::new(&spec, &cfg) {
-            Err(SimError::Config(ConfigError::ZeroDecodeThreads)) => {}
+            Err(SimError::Config(ConfigError::ZeroThreadQueue)) => {}
             other => panic!("expected a boundary config error, got {:?}", other.err()),
         }
     }

@@ -10,24 +10,19 @@
 //!
 //! # Site split and deferred cross-core effects (DESIGN §13)
 //!
-//! Per-core state lives in a [`CoreSite`] box that the engine can check
-//! out ([`System::checkout_site`]) and hand to a shard lane for the
-//! duration of one speculated private segment. Everything that is not
-//! per-core — the NoC, the L2 NUCA + directory, DRAM, and the bloom
-//! signatures (read cross-core by `remote_search`) — stays behind
-//! `&mut System` and is only ever touched by the committer thread.
+//! Per-core state lives in a [`CoreSite`], which the engine's private
+//! segments borrow alone. Everything that is not per-core — the NoC, the
+//! L2 NUCA + directory, DRAM, and the bloom signatures (read cross-core by
+//! `remote_search`) — is touched only through the full `System` paths.
 //!
 //! In deferred mode ([`System::set_deferred_effects`], which the engine
-//! always enables for both `point_threads = 1` and `> 1` so the two are
-//! identical by construction), cross-core coherence side effects do not
-//! mutate the victim core directly. They are queued as typed
-//! [`CrossEffect`] messages in a per-core mailbox and applied by
-//! [`System::drain_mailbox`] at the end of every step of the target core
-//! — the quantum barrier of the conservative parallel schedule. Effects
-//! whose target is the requesting core itself apply immediately (its site
-//! is in hand). The L2 directory tolerates the stale window this opens:
-//! an eviction notice for a block the directory no longer tracks is a
-//! no-op.
+//! always enables), cross-core coherence side effects do not mutate the
+//! victim core directly. They are queued as typed [`CrossEffect`]
+//! messages in a per-core mailbox and applied by
+//! [`System::drain_mailbox`] at the end of every step of the target core.
+//! Effects whose target is the requesting core itself apply immediately.
+//! The L2 directory tolerates the stale window this opens: an eviction
+//! notice for a block the directory no longer tracks is a no-op.
 
 use crate::config::SimConfig;
 use crate::metrics::RunMetrics;
@@ -41,14 +36,12 @@ use slicc_cpu::{CoreStats, CoreTimer, Tlb};
 use slicc_mem::{Dram, L2AccessKind, L2Nuca, L2Response};
 use slicc_noc::{NocStats, Torus};
 
-/// Per-core hardware state, boxed so the engine can lend it to a shard
-/// lane for one speculated private segment and take it back unchanged.
+/// Per-core hardware state: everything a private segment may touch.
 ///
 /// The SLICC agent and the engine's fetch-block/segment cursors ride in
 /// the site because a private segment advances them; the bloom signature
-/// does *not* — remote searches read every core's bloom from the
-/// committer thread, and private segments (all L1-I hits) never change
-/// bloom contents.
+/// does *not* — remote searches read every core's bloom, and private
+/// segments (all L1-I hits) never change bloom contents.
 pub(crate) struct CoreSite {
     pub(crate) l1i: Cache,
     pub(crate) l1d: Cache,
@@ -68,7 +61,7 @@ pub(crate) struct CoreSite {
 }
 
 /// The per-segment constants a private segment needs from the config,
-/// precomputed once so shard lanes never read `SimConfig`.
+/// precomputed once so segments never read `SimConfig`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SegmentParams {
     pub(crate) tlb_walk_cycles: Cycle,
@@ -117,7 +110,7 @@ impl CoreSite {
 }
 
 /// One cross-core coherence side effect, queued in the victim core's
-/// mailbox and applied when that core's site is next in hand.
+/// mailbox and applied at that core's next step barrier.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum CrossEffect {
     /// Inclusive back-invalidation of an L1-I copy. Bloom upkeep rides
@@ -138,10 +131,9 @@ pub struct System {
     noc_stats: NocStats,
     l2: L2Nuca,
     dram: Dram,
-    sites: Vec<Option<Box<CoreSite>>>,
+    sites: Vec<CoreSite>,
     /// Bloom signatures live outside the sites: `remote_search` reads
-    /// every core's signature from the committer thread while sites may
-    /// be checked out, and private segments never touch them.
+    /// every core's signature, and private segments never touch them.
     blooms: Vec<BloomSignature>,
     /// Deferred cross-core effects, drained at each core's step barrier.
     mailboxes: Vec<Vec<CrossEffect>>,
@@ -181,7 +173,7 @@ impl System {
         let l1d_geom = cfg.l1d_geometry();
         let sites = (0..cfg.cores)
             .map(|i| {
-                Some(Box::new(CoreSite {
+                CoreSite {
                     l1i: Cache::new(l1i_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1),
                     l1d: Cache::new(l1d_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1 ^ 1),
                     timer: CoreTimer::new(cfg.timing),
@@ -198,7 +190,7 @@ impl System {
                     agent: SliccAgent::new(CoreId::new(i as u16), cfg.slicc),
                     last_iblock: None,
                     last_segment: None,
-                }))
+                }
             })
             .collect();
         Ok(System {
@@ -241,38 +233,19 @@ impl System {
         self.sites.len()
     }
 
-    fn site(&self, i: usize) -> &CoreSite {
-        self.sites[i].as_deref().expect("core site is checked out to a shard lane")
-    }
-
-    fn site_mut(&mut self, i: usize) -> &mut CoreSite {
-        self.sites[i].as_deref_mut().expect("core site is checked out to a shard lane")
-    }
-
     /// The core's per-core hardware state (engine internal).
     pub(crate) fn core_site(&self, core: CoreId) -> &CoreSite {
-        self.site(core.index())
+        &self.sites[core.index()]
     }
 
     /// Mutable per-core hardware state (engine internal).
     pub(crate) fn core_site_mut(&mut self, core: CoreId) -> &mut CoreSite {
-        self.site_mut(core.index())
-    }
-
-    /// Lends a core's site out for one speculated private segment.
-    pub(crate) fn checkout_site(&mut self, core: CoreId) -> Box<CoreSite> {
-        self.sites[core.index()].take().expect("core site double checkout")
-    }
-
-    /// Restores a site lent by [`System::checkout_site`].
-    pub(crate) fn checkin_site(&mut self, core: CoreId, site: Box<CoreSite>) {
-        debug_assert!(self.sites[core.index()].is_none(), "core site double checkin");
-        self.sites[core.index()] = Some(site);
+        &mut self.sites[core.index()]
     }
 
     /// Switches cross-core coherence effects from immediate application
     /// to per-core mailboxes drained at step barriers. The engine always
-    /// turns this on — sequential and sharded runs share one semantics.
+    /// turns this on; the golden digests are defined by it.
     pub(crate) fn set_deferred_effects(&mut self, deferred: bool) {
         self.deferred = deferred;
     }
@@ -290,9 +263,8 @@ impl System {
     }
 
     /// Applies every queued cross-core effect for `core`, in arrival
-    /// order (= canonical commit order: effects are queued by the
-    /// committer as it retires blocking records). Called at the end of
-    /// every step of `core`, with its site in place.
+    /// order (= the order blocking records retired). Called at the end of
+    /// every step of `core`.
     pub(crate) fn drain_mailbox(&mut self, core: CoreId) {
         if self.mailboxes[core.index()].is_empty() {
             return;
@@ -302,49 +274,48 @@ impl System {
             match effect {
                 CrossEffect::InvalI(block) => self.apply_inval_i(core, block),
                 CrossEffect::InvalD(block) => {
-                    self.site_mut(core.index()).l1d.invalidate(block);
+                    self.sites[core.index()].l1d.invalidate(block);
                 }
                 CrossEffect::CleanD(block) => {
-                    self.site_mut(core.index()).l1d.clean(block);
+                    self.sites[core.index()].l1d.clean(block);
                 }
-                CrossEffect::AgentReset => self.site_mut(core.index()).agent.reset_all(),
+                CrossEffect::AgentReset => self.sites[core.index()].agent.reset_all(),
             }
         }
-        // Hand the drained buffer back to reuse its allocation; drains
-        // run on the committer thread, so nothing raced new effects in.
+        // Hand the drained buffer back to reuse its allocation: applying
+        // an effect never queues a new one for the same core.
         self.mailboxes[core.index()] = pending;
     }
 
-    /// Resets `core`'s SLICC agent: immediately when its site is in hand
-    /// (it is the stepping core, or effects are immediate), deferred to
-    /// its mailbox otherwise.
+    /// Resets `core`'s SLICC agent: immediately when it is the stepping
+    /// core (or effects are immediate), deferred to its mailbox otherwise.
     pub(crate) fn reset_agent(&mut self, core: CoreId, stepping: CoreId) {
         if self.deferred && core != stepping {
             self.mailboxes[core.index()].push(CrossEffect::AgentReset);
         } else {
-            self.site_mut(core.index()).agent.reset_all();
+            self.sites[core.index()].agent.reset_all();
         }
     }
 
     /// The core's local clock.
     pub fn timer(&self, core: CoreId) -> &CoreTimer {
-        &self.site(core.index()).timer
+        &self.sites[core.index()].timer
     }
 
     /// Mutable access to the core's local clock (the engine charges
     /// migration, idling, and instruction retirement through this).
     pub fn timer_mut(&mut self, core: CoreId) -> &mut CoreTimer {
-        &mut self.site_mut(core.index()).timer
+        &mut self.sites[core.index()].timer
     }
 
     /// Read access to a core's L1-I (tests, diagnostics).
     pub fn l1i(&self, core: CoreId) -> &Cache {
-        &self.site(core.index()).l1i
+        &self.sites[core.index()].l1i
     }
 
     /// Read access to a core's L1-D (tests, diagnostics).
     pub fn l1d(&self, core: CoreId) -> &Cache {
-        &self.site(core.index()).l1d
+        &self.sites[core.index()].l1d
     }
 
     /// Read access to a core's bloom signature (tests, diagnostics).
@@ -365,7 +336,7 @@ impl System {
         // Address translation precedes the cache.
         {
             let walk = self.cfg.tlb_walk_cycles;
-            let site = self.site_mut(i);
+            let site = &mut self.sites[i];
             if !site.itlb.access(block.base_addr(64)) {
                 site.timer.tlb_walk(walk, true);
             }
@@ -374,7 +345,7 @@ impl System {
         if self.cfg.measure_bloom_accuracy {
             // §5.3's accuracy metric: does the signature agree with the
             // cache on hit/miss, for every access?
-            let holds = self.site(i).l1i.contains(block);
+            let holds = self.sites[i].l1i.contains(block);
             self.bloom_accuracy.record(self.blooms[i].maybe_contains(block), holds);
         }
 
@@ -384,7 +355,7 @@ impl System {
         let mut evictions = std::mem::take(&mut self.evict_scratch);
         evictions.clear();
         let result = {
-            let site = self.sites[i].as_deref_mut().expect("core site is checked out");
+            let site = &mut self.sites[i];
             let bloom = &mut self.blooms[i];
             let result = match &mut site.prefetcher {
                 Some(pf) => {
@@ -424,7 +395,7 @@ impl System {
         // streams prefetch fills into the L1-I (same scratch, drained).
         evictions.clear();
         {
-            let site = self.site_mut(i);
+            let site = &mut self.sites[i];
             if let Some(pif) = &mut site.pif {
                 pif.on_fetch_into(&mut site.l1i, block, result.is_hit(), &mut evictions);
             }
@@ -436,16 +407,16 @@ impl System {
 
         if result.is_hit() {
             let latency = self.l1i_latency;
-            self.site_mut(i).timer.ifetch_hit(latency);
+            self.sites[i].timer.ifetch_hit(latency);
             return true;
         }
 
         // Miss path: request to the home L2 bank over the torus.
-        let now = self.site(i).timer.now();
+        let now = self.sites[i].timer.now();
         let (resp, round_trip) = self.l2_request(core, block, L2AccessKind::IFetch, now);
         self.apply_back_invalidations(core, &resp);
         self.blooms[i].insert(block);
-        self.site_mut(i).timer.ifetch_miss(round_trip);
+        self.sites[i].timer.ifetch_miss(round_trip);
         false
     }
 
@@ -457,14 +428,14 @@ impl System {
 
         {
             let walk = self.cfg.tlb_walk_cycles;
-            let site = self.site_mut(i);
+            let site = &mut self.sites[i];
             if !site.dtlb.access(block.base_addr(64)) {
                 site.timer.tlb_walk(walk, false);
             }
         }
 
         let (result, was_dirty) = {
-            let site = self.site_mut(i);
+            let site = &mut self.sites[i];
             let was_dirty = site.l1d.contains_dirty(block);
             let result = site.l1d.access(block, kind);
             if let Some(c) = &mut site.d_classifier {
@@ -491,16 +462,16 @@ impl System {
             // A store to a clean (potentially shared) line needs
             // exclusivity: an upgrade transaction at the directory.
             if is_store && !was_dirty {
-                let now = self.site(i).timer.now();
+                let now = self.sites[i].timer.now();
                 let (resp, round_trip) = self.l2_request(core, block, L2AccessKind::DataWrite, now);
                 self.apply_coherence(core, block, &resp);
                 self.apply_back_invalidations(core, &resp);
-                self.site_mut(i).timer.data_miss(block, round_trip, true);
+                self.sites[i].timer.data_miss(block, round_trip, true);
             }
             return true;
         }
 
-        let now = self.site(i).timer.now();
+        let now = self.sites[i].timer.now();
         let l2_kind = if is_store { L2AccessKind::DataWrite } else { L2AccessKind::DataRead };
         let (resp, mut round_trip) = self.l2_request(core, block, l2_kind, now);
         // A dirty remote copy must be downgraded before the data returns.
@@ -511,7 +482,7 @@ impl System {
         }
         self.apply_coherence(core, block, &resp);
         self.apply_back_invalidations(core, &resp);
-        self.site_mut(i).timer.data_miss(block, round_trip, is_store);
+        self.sites[i].timer.data_miss(block, round_trip, is_store);
         false
     }
 
@@ -522,9 +493,8 @@ impl System {
         let mut mask = CoreMask::empty();
         for i in 0..self.sites.len() {
             let holds = if self.cfg.exact_search {
-                // Exact search reads other cores' L1-Is directly, which
-                // is why the engine forces point_threads = 1 for it.
-                self.site(i).l1i.contains(block)
+                // Exact search reads other cores' L1-Is directly.
+                self.sites[i].l1i.contains(block)
             } else {
                 self.blooms[i].maybe_contains(block)
             };
@@ -586,7 +556,7 @@ impl System {
             if self.deferred {
                 self.mailboxes[victim.index()].push(CrossEffect::InvalD(block));
             } else {
-                self.site_mut(victim.index()).l1d.invalidate(block);
+                self.sites[victim.index()].l1d.invalidate(block);
             }
             self.noc_stats.record_unicast(self.noc.hops(requester, victim));
         }
@@ -594,13 +564,13 @@ impl System {
             if self.deferred && owner != requester {
                 self.mailboxes[owner.index()].push(CrossEffect::CleanD(block));
             } else {
-                self.site_mut(owner.index()).l1d.clean(block);
+                self.sites[owner.index()].l1d.clean(block);
             }
         }
     }
 
     /// Applies inclusive-L2 back-invalidations to all L1 copies. The
-    /// requester's own copy (its site is in hand) applies immediately;
+    /// requester's own copy applies immediately;
     /// other sharers defer to their mailboxes in deferred mode.
     fn apply_back_invalidations(&mut self, requester: CoreId, resp: &L2Response) {
         if let Some(bi) = resp.back_invalidate {
@@ -615,16 +585,16 @@ impl System {
                 if self.deferred && c != requester {
                     self.mailboxes[c.index()].push(CrossEffect::InvalD(bi.block));
                 } else {
-                    self.site_mut(c.index()).l1d.invalidate(bi.block);
+                    self.sites[c.index()].l1d.invalidate(bi.block);
                 }
             }
         }
     }
 
-    /// Invalidates an L1-I copy with bloom upkeep (needs the victim's
-    /// site in hand: bloom removal reads the L1-I set contents).
+    /// Invalidates an L1-I copy with bloom upkeep (bloom removal reads the
+    /// victim's L1-I set contents).
     fn apply_inval_i(&mut self, core: CoreId, block: BlockAddr) {
-        if self.site_mut(core.index()).l1i.invalidate(block).is_some() {
+        if self.sites[core.index()].l1i.invalidate(block).is_some() {
             self.remove_from_bloom(core, block);
         }
     }
@@ -636,14 +606,14 @@ impl System {
     }
 
     fn remove_from_bloom(&mut self, core: CoreId, block: BlockAddr) {
-        let site = self.sites[core.index()].as_deref().expect("core site is checked out");
+        let site = &self.sites[core.index()];
         let set = site.l1i.geometry().set_index(block);
         self.blooms[core.index()].remove(block, site.l1i.blocks_in_set(set));
     }
 
     /// The completion time of the machine: the latest core clock.
     pub fn makespan(&self) -> Cycle {
-        (0..self.sites.len()).map(|i| self.site(i).timer.now()).max().unwrap_or(0)
+        self.sites.iter().map(|site| site.timer.now()).max().unwrap_or(0)
     }
 
     /// 3C class of the most recent L1-I miss, if 3C classification is on.
@@ -660,8 +630,7 @@ impl System {
     /// `migrations` is owned by the engine and left zero here.
     pub fn obs_counters(&self) -> slicc_obs::ObsCounters {
         let mut cum = slicc_obs::ObsCounters::default();
-        for i in 0..self.sites.len() {
-            let site = self.site(i);
+        for site in &self.sites {
             cum.instructions += site.timer.stats().instructions;
             cum.i_misses += site.l1i.stats().misses;
             cum.d_misses += site.l1d.stats().misses;
@@ -675,8 +644,7 @@ impl System {
         let mut core_stats = CoreStats::default();
         let mut i_bd = MissBreakdown::default();
         let mut d_bd = MissBreakdown::default();
-        for i in 0..self.sites.len() {
-            let site = self.site(i);
+        for site in &self.sites {
             out.i_tlb_misses += site.itlb.misses();
             out.d_tlb_misses += site.dtlb.misses();
             out.instructions += site.timer.stats().instructions;

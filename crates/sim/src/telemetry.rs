@@ -2,10 +2,9 @@
 //! structs into a [`MetricsRegistry`] snapshot.
 //!
 //! The simulator's layers each keep their own typed counters —
-//! [`RunMetrics`] per run, [`RunnerStats`] for the batch runner,
-//! [`PressureSnapshot`] for the service's governance surface, and the
-//! engine's [`LaneProfile`] for the split-step lanes. This module maps
-//! them all into one registry namespace at *snapshot time*: the structs
+//! [`RunMetrics`] per run, [`RunnerStats`] for the batch runner, and
+//! [`PressureSnapshot`] for the service's governance surface. This module
+//! maps them all into one registry namespace at *snapshot time*: the structs
 //! stay the single source of truth, the registry is a read-only
 //! projection of them, and the reconciliation tests below pin that every
 //! exported total equals the struct field it came from, exactly.
@@ -22,7 +21,7 @@ use slicc_common::Merge;
 use slicc_cpu::CoreStats;
 use slicc_mem::{DramStats, L2Stats};
 use slicc_noc::NocStats;
-use slicc_obs::{LaneProfile, MetricsRegistry};
+use slicc_obs::MetricsRegistry;
 
 /// Exports machine-wide run totals, folding a sweep's per-point
 /// [`RunMetrics`] together first. Counter names carry the `sim_` /
@@ -88,7 +87,7 @@ pub fn export_run_metrics(reg: &MetricsRegistry, runs: &[&RunMetrics]) {
 }
 
 /// Exports the batch runner's governance and throughput counters
-/// (`runner_` / `pool_` prefixes).
+/// (`runner_` prefix).
 pub fn export_runner_stats(reg: &MetricsRegistry, stats: &RunnerStats) {
     let counters: [(&str, &str, u64); 10] = [
         ("runner_cache_hits_total", "requests served from the run cache", stats.cache_hits),
@@ -107,8 +106,6 @@ pub fn export_runner_stats(reg: &MetricsRegistry, stats: &RunnerStats) {
     }
     reg.gauge("runner_cache_resident_bytes", "bytes resident in the run cache")
         .set(stats.cache_bytes);
-    reg.counter("pool_thread_spinups_total", "worker-pool OS threads ever spawned")
-        .add(stats.pool_spinups);
 }
 
 /// Exports the service's admission/governance surface (`service_`
@@ -125,58 +122,10 @@ pub fn export_service(reg: &MetricsRegistry, snap: &PressureSnapshot) {
     reg.counter("service_shed_total", "submissions shed by admission control").add(snap.shed);
 }
 
-/// Exports the split-step engine's lane profile (`engine_` prefix),
-/// folding a sweep's per-point profiles together first.
-pub fn export_lane_profiles(reg: &MetricsRegistry, profiles: &[&LaneProfile]) {
-    let sum = |f: fn(&LaneProfile) -> u64| profiles.iter().map(|p| f(p)).sum::<u64>();
-    let counters: [(&str, &str, u64); 9] = [
-        ("engine_steps_total", "committer event-loop steps", sum(|p| p.steps)),
-        ("engine_spec_dispatched_total", "segments dispatched to lanes", sum(|p| p.dispatched)),
-        ("engine_spec_overlapped_total", "collects that fully overlapped", sum(|p| p.overlapped)),
-        ("engine_spec_waited_total", "collects that blocked on a lane", sum(|p| p.waited)),
-        ("engine_spec_stolen_total", "collects stolen back inline", sum(|p| p.stolen)),
-        ("engine_throttle_pauses_total", "dispatch-throttle pause transitions", sum(|p| p.pause_transitions)),
-        ("engine_throttle_paused_steps_total", "steps skipped while paused", sum(|p| p.paused_steps)),
-        ("engine_committer_wait_nanos_total", "committer nanoseconds blocked on lanes", sum(|p| p.committer_wait_nanos)),
-        ("engine_committer_run_nanos_total", "committer nanoseconds for the whole run", sum(|p| p.committer_run_nanos)),
-    ];
-    for (name, help, v) in counters {
-        reg.counter(name, help).add(v);
-    }
-    let waits = reg.histogram("engine_commit_wait_nanos", "per-collect committer wait (ns)");
-    let depth = reg.histogram("engine_spec_depth", "outstanding primes at each dispatch");
-    for p in profiles {
-        waits.absorb(&p.wait_nanos);
-        depth.absorb(&p.spec_depth);
-    }
-    // Per-lane accounting: lanes are few (point_threads - 1), so flat
-    // per-lane names beat a label system the registry doesn't need.
-    let mut lane_totals: Vec<slicc_obs::LaneStat> = Vec::new();
-    for p in profiles {
-        for (i, lane) in p.lanes.iter().enumerate() {
-            if i >= lane_totals.len() {
-                lane_totals.resize(i + 1, slicc_obs::LaneStat::default());
-            }
-            lane_totals[i].tasks += lane.tasks;
-            lane_totals[i].busy_nanos += lane.busy_nanos;
-            lane_totals[i].idle_nanos += lane.idle_nanos;
-        }
-    }
-    for (i, lane) in lane_totals.iter().enumerate() {
-        reg.counter(&format!("engine_lane{i}_tasks_total"), "segments run by this lane")
-            .add(lane.tasks);
-        reg.counter(&format!("engine_lane{i}_busy_nanos_total"), "lane nanoseconds running")
-            .add(lane.busy_nanos);
-        reg.counter(&format!("engine_lane{i}_idle_nanos_total"), "lane nanoseconds waiting")
-            .add(lane.idle_nanos);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{RunRequest, Runner, SimConfig};
-    use slicc_obs::{Log2Hist, MetricValue, ObsConfig};
     use slicc_trace::{TraceScale, Workload};
 
     fn synthetic_metrics(seed: u64) -> RunMetrics {
@@ -247,50 +196,10 @@ mod tests {
             snap.value("runner_simulated_instructions_total"),
             Some(stats.simulated_instructions)
         );
-        assert_eq!(snap.value("pool_thread_spinups_total"), Some(stats.pool_spinups));
         let p = runner.pressure();
         assert_eq!(snap.value("service_cache_resident_bytes"), Some(p.cache_bytes));
         assert_eq!(snap.value("service_cache_entries"), Some(p.cache_entries as u64));
         assert_eq!(snap.value("service_shed_total"), Some(p.shed));
-    }
-
-    #[test]
-    fn lane_profile_export_reconciles_and_folds_lanes() {
-        let mut wait = Log2Hist::new();
-        wait.record(100);
-        wait.record(900);
-        let a = LaneProfile {
-            steps: 10,
-            dispatched: 4,
-            overlapped: 2,
-            waited: 1,
-            stolen: 1,
-            pause_transitions: 1,
-            paused_steps: 3,
-            committer_wait_nanos: 1_000,
-            committer_run_nanos: 5_000,
-            wait_nanos: wait,
-            spec_depth: Log2Hist::new(),
-            lanes: vec![slicc_obs::LaneStat { tasks: 3, busy_nanos: 30, idle_nanos: 70 }],
-        };
-        let mut b = a.clone();
-        b.lanes.push(slicc_obs::LaneStat { tasks: 1, busy_nanos: 5, idle_nanos: 5 });
-        let reg = MetricsRegistry::new();
-        export_lane_profiles(&reg, &[&a, &b]);
-        let snap = reg.snapshot();
-        assert_eq!(snap.value("engine_steps_total"), Some(20));
-        assert_eq!(snap.value("engine_spec_dispatched_total"), Some(8));
-        assert_eq!(snap.value("engine_spec_overlapped_total"), Some(4));
-        assert_eq!(snap.value("engine_committer_wait_nanos_total"), Some(2_000));
-        assert_eq!(snap.value("engine_lane0_tasks_total"), Some(6));
-        assert_eq!(snap.value("engine_lane1_tasks_total"), Some(1));
-        match snap.get("engine_commit_wait_nanos") {
-            Some(MetricValue::Histogram(h)) => {
-                assert_eq!(h.count, 4);
-                assert_eq!(h.sum, 2_000);
-            }
-            other => panic!("expected a histogram, got {other:?}"),
-        }
     }
 
     #[test]
@@ -313,51 +222,8 @@ mod tests {
                 shed: 0,
             },
         );
-        export_lane_profiles(&reg, &[&LaneProfile::default()]);
         for s in &reg.snapshot().samples {
             assert!(!s.name.contains("pressure"), "metric {} collides with the event grep", s.name);
         }
-    }
-
-    #[test]
-    fn profiled_parallel_run_reports_lane_activity() {
-        let runner = Runner::new(1);
-        let mut cfg = SimConfig::tiny_test();
-        cfg.point_threads = 4;
-        let req = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), cfg)
-            .with_obs(ObsConfig::disabled().with_metrics());
-        let result = runner.run(&req).expect("tiny profiled run succeeds");
-        let obs = result.obs.expect("metrics capture attaches an observation");
-        let profile = obs.lane_profile.expect("profile present when metrics are on");
-        assert!(profile.steps > 0, "the committer stepped");
-        assert_eq!(profile.lanes.len(), 3, "point_threads 4 means 3 worker lanes");
-        assert_eq!(
-            profile.collected(),
-            profile.dispatched,
-            "every dispatch is collected exactly once"
-        );
-        assert!(profile.committer_run_nanos > 0, "the run wall clock was timed");
-        // Ratios are well-defined probabilities.
-        for r in [
-            profile.overlap_fraction(),
-            profile.throttle_duty_cycle(),
-            profile.committer_stall_share(),
-        ] {
-            assert!((0.0..=1.0).contains(&r), "ratio {r} out of range");
-        }
-    }
-
-    #[test]
-    fn sequential_profiled_run_has_no_lane_activity_but_a_wall_clock() {
-        let runner = Runner::new(1);
-        let req = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test())
-            .with_obs(ObsConfig::disabled().with_metrics());
-        let result = runner.run(&req).expect("tiny profiled run succeeds");
-        let profile =
-            result.obs.expect("observation").lane_profile.expect("profile present");
-        assert!(profile.steps > 0);
-        assert_eq!(profile.dispatched, 0, "sequential runs never dispatch");
-        assert!(profile.lanes.is_empty(), "sequential runs have no lanes");
-        assert!(profile.committer_run_nanos > 0);
     }
 }

@@ -35,6 +35,8 @@
 //! assert_eq!(trace.len(), again.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod builder;
 pub mod codec;

@@ -8,23 +8,6 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
-# API-freeze lane: the PR-6 engine shims are gone — the removed entry
-# points may not exist anywhere in-tree, by any name, even as a
-# definition. Migrate to RunSession (or the Runner/SimService above it).
-if grep -rnE '\b(try_run_observed|try_run_controlled|try_new_observed|set_control)\b' \
-    --include='*.rs' crates tests examples; then
-    echo "removed engine entry points resurfaced in-tree: use RunSession" >&2
-    exit 1
-fi
-# The PR-8 rename is complete: the one-release `threads_per_point`
-# deprecation shims (builder alias + CLI flag) are deleted. The name may
-# not reappear anywhere, under any spelling.
-if grep -rnE 'threads_per_point|threads-per-point' --include='*.rs' crates tests examples; then
-    echo "threads_per_point is deleted: use decode_threads" >&2
-    exit 1
-fi
-echo "API-freeze lane ok (removed entry points stay removed)"
-
 # Obs-off lane: with event capture compiled out the golden digests must
 # still be byte-identical — observability is zero-cost AND zero-effect.
 cargo test -p slicc-sim --no-default-features --test golden -q
@@ -47,13 +30,13 @@ print(f"obs artifacts ok ({len(trace['traceEvents'])} trace events, "
       f"{len(rows)} epochs)")
 EOF
 
-# Metrics smoke: a profiled parallel run must write a Prometheus text
+# Metrics smoke: a metrics-capturing run must write a Prometheus text
 # exposition that parses line-by-line, a JSON snapshot that validates,
 # and (on --progress json) one metrics progress event embedding the
 # same snapshot.
 metrics_prefix="$(mktemp -u /tmp/slicc-ci-metrics.XXXXXX)"
 metrics_log="$(mktemp /tmp/slicc-ci-metrics-log.XXXXXX)"
-./target/release/slicc --scale tiny --point-threads 4 --progress json \
+./target/release/slicc --scale tiny --progress json \
     --metrics-out "$metrics_prefix" > /dev/null 2> "$metrics_log"
 python3 - "$metrics_prefix" "$metrics_log" <<'EOF'
 import json, re, sys
@@ -90,8 +73,7 @@ assert samples > 0, "empty Prometheus exposition"
 doc = json.load(open(prefix + ".metrics.json"))
 names = {m["name"] for m in doc["metrics"]}
 for want in ("sim_instructions_total", "core_base_cycles_total",
-             "runner_cache_misses_total", "pool_thread_spinups_total",
-             "engine_steps_total", "engine_commit_wait_nanos"):
+             "runner_cache_misses_total"):
     assert want in names, f"JSON snapshot lacks {want}"
 assert not any("pressure" in n for n in names), \
     "metric names must not collide with the pressure-event grep"
@@ -282,24 +264,6 @@ grep -q "point(s) loaded" "$resume_log" || {
 echo "SIGINT-resume smoke ok (interrupt exit $sweep_status)"
 rm -f "$ckpt" "$resume_log"
 
-# Scaling smoke: the parallel point must be report-identical to the
-# sequential one end to end — same CLI, same stdout, only the wall
-# clock (the one "sim throughput" line, dropped below) may differ. Any
-# other diff means the lanes changed simulated results, which the whole
-# DESIGN.md §13 contract forbids.
-p1_out="$(mktemp /tmp/slicc-ci-p1.XXXXXX)"
-p4_out="$(mktemp /tmp/slicc-ci-p4.XXXXXX)"
-./target/release/slicc --scale tiny --progress quiet --point-threads 1 \
-    | grep -v 'sim throughput' > "$p1_out"
-./target/release/slicc --scale tiny --progress quiet --point-threads 4 \
-    | grep -v 'sim throughput' > "$p4_out"
-diff -u "$p1_out" "$p4_out" || {
-    echo "scaling smoke: --point-threads 4 changed the simulated report" >&2
-    exit 1
-}
-echo "scaling smoke ok (point-threads 1 and 4 reports identical)"
-rm -f "$p1_out" "$p4_out"
-
 # Bench smoke + rolling-baseline gate: one sample per point keeps the
 # fresh measurement cheap while proving the harness runs end to end.
 # The checked-in BENCH_history.json is append-only — one row per
@@ -309,11 +273,7 @@ rm -f "$p1_out" "$p4_out"
 #   1. fresh aggregate sim-ips >= 90% of the rolling median,
 #   2. the hot-path row — cache/access/LRU — at or under its
 #      35 ns/iter budget (the pre-resilience level),
-#   3. the recorded scaling row must show speedup-p4 >= 1.5x, but only
-#      when it was recorded on a host with >= 4 CPUs — on starved CI
-#      runners (this gate prints the waiver) parallel lanes have no
-#      cores to run on and the recorded number is an honest <= 1x,
-#   4. full observation (event trace + epochs + metrics registry) must
+#   3. full observation (event trace + epochs + metrics registry) must
 #      cost <= 1.15x of the bare tiny engine run — the obs-overhead
 #      gate on the engine/tiny/SLICC(+obs) micro pair.
 bench_now="$(mktemp /tmp/slicc-ci-bench.XXXXXX.json)"
@@ -360,18 +320,6 @@ elif observed > bare * 1.15:
     failures.append(
         f"obs overhead {observed / bare:.3f}x over the 1.15x budget "
         f"({observed / 1e6:.2f} vs {bare / 1e6:.2f} ms/iter)")
-
-last = history[-1]
-speedup = value(last, "scaling/speedup-p4")
-if speedup is None:
-    failures.append("latest history row lacks scaling/speedup-p4")
-elif last["host_cpus"] >= 4:
-    if speedup < 1.5:
-        failures.append(
-            f"scaling/speedup-p4 {speedup}x < 1.5x on a {last['host_cpus']}-CPU host")
-else:
-    print(f"scaling gate waived: recorded on a {last['host_cpus']}-CPU host "
-          f"(speedup-p4 {speedup}x is an oversubscription number)")
 
 if failures:
     print("bench gate failed:", file=sys.stderr)

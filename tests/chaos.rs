@@ -343,75 +343,6 @@ fn run_session_cancel_and_deadline_drills_abort_cleanly_and_are_contained() {
     assert_eq!(again, reference, "an aborted session must not change later runs");
 }
 
-/// Mid-quantum drill: the same cancel/deadline/livelock matrix with
-/// shard lanes live (`point_threads = 4`). An abort can land while
-/// speculated segments are outstanding on worker threads; the engine
-/// must settle them back — sites, streams, and event rings checked in —
-/// before producing the snapshot, and the abort must stay contained:
-/// parallel and sequential reruns both still produce the healthy digest.
-#[test]
-fn parallel_point_aborts_mid_quantum_settle_speculation_and_stay_contained() {
-    use slicc_common::CancelToken;
-    use slicc_sim::{RunControl, RunSession, SimError};
-    use std::time::Instant;
-
-    let spec = Workload::TpcC1.spec(TraceScale::tiny());
-    let cfg = SimConfigBuilder::tiny_test()
-        .mode(SchedulerMode::SliccSw)
-        .point_threads(4)
-        .build()
-        .expect("parallel config is valid");
-    let reference =
-        RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
-
-    // Cancel drill: trips on a control check between steps, with lanes
-    // holding primed segments that must be settled for the snapshot.
-    let cancel = CancelToken::new();
-    cancel.cancel();
-    let ctrl = RunControl { cancel, deadline: None };
-    match RunSession::new(&spec, &cfg).unwrap().control(ctrl).run() {
-        Err(SimError::Cancelled(snap)) => {
-            assert!(snap.heap_steps > 0, "the snapshot must show where it stopped");
-        }
-        other => panic!("expected Cancelled, got {:?}", other.err()),
-    }
-
-    // Deadline drill: an already-expired deadline aborts the same way.
-    let ctrl = RunControl { cancel: CancelToken::new(), deadline: Some(Instant::now()) };
-    match RunSession::new(&spec, &cfg).unwrap().control(ctrl).run() {
-        Err(SimError::DeadlineExceeded(snap)) => {
-            assert!(snap.heap_steps > 0, "the snapshot must show where it stopped");
-        }
-        other => panic!("expected DeadlineExceeded, got {:?}", other.err()),
-    }
-
-    // Livelock drill: a stalled event loop under lanes still trips the
-    // watchdog, and the snapshot's thread table is coherent (streams
-    // were checked back in, so per-thread progress is readable).
-    let stalled = SimConfigBuilder::tiny_test()
-        .mode(SchedulerMode::SliccSw)
-        .point_threads(4)
-        .inject_fault(InjectedFault::StallAt { step: 40 })
-        .watchdog_steps(500)
-        .build()
-        .expect("stall config is valid");
-    match RunSession::new(&spec, &stalled).unwrap().run() {
-        Err(SimError::Livelock(snap)) => {
-            assert!(snap.heap_steps >= 500, "the watchdog must have burned its fuel");
-            assert!(snap.hottest_thread.is_some(), "snapshot names the hottest thread");
-        }
-        other => panic!("expected Livelock, got {:?}", other.err()),
-    }
-
-    // Containment: aborted parallel runs leave no residue, sequentially
-    // or in parallel.
-    let seq = SimConfig::tiny_test().with_mode(SchedulerMode::SliccSw);
-    let again_par = RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
-    let again_seq = RunSession::new(&spec, &seq).unwrap().run().unwrap().metrics.digest();
-    assert_eq!(again_par, reference, "aborted parallel runs must not change later runs");
-    assert_eq!(again_seq, reference, "parallel aborts must not leak into sequential runs");
-}
-
 // ---------------------------------------------------------------------
 // Service drills: cache thrash, stampede storms, overload shedding —
 // the ISSUE-7 resource-governance half of the matrix. The invariant

@@ -51,10 +51,14 @@ fn help_exits_zero_and_lists_options() {
 
 #[test]
 fn unknown_option_exits_two_and_names_it() {
-    let out = slicc().arg("--frobnicate").output().expect("failed to spawn slicc");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--frobnicate"), "stderr must name the option, got: {stderr}");
+    // The removed per-point parallelism knobs are plain unknown options.
+    for args in [&["--frobnicate"][..], &["--point-threads", "2"], &["--decode-threads", "2"]] {
+        let out = slicc().args(args).output().expect("failed to spawn slicc");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[0]), "stderr must name the option, got: {stderr}");
+        assert!(stderr.contains("unknown option"), "got: {stderr}");
+    }
 }
 
 #[test]

@@ -15,8 +15,7 @@ use slicc_trace::{TraceScale, Workload};
 /// TPC-C-1 workload under `SimConfig::tiny_test()`. Re-captured once for
 /// the split-step engine (DESIGN.md §13): deferring cross-core coherence
 /// effects to step barriers is a deliberate, uniformly-applied model
-/// change, so the digests moved exactly once — and are now required to be
-/// identical for every `point_threads` value.
+/// change, so the digests moved exactly once.
 const GOLDEN: [(SchedulerMode, u64); 5] = [
     (SchedulerMode::Baseline, 0xbd28ed3fc9c55726),
     (SchedulerMode::Slicc, 0x33c3295a1792268b),
@@ -123,75 +122,25 @@ fn governed_runners_reproduce_the_golden_digests() {
     assert!(runner.stats().cache_bytes <= 64, "the byte budget must hold");
 }
 
-/// `decode_threads` parallelizes trace *decoding*, never the
-/// simulation itself: a multi-threaded point must be byte-identical to
-/// its single-threaded twin (and to the golden capture) in every mode.
-#[test]
-fn decode_threads_never_change_simulated_results() {
-    for (mode, want) in GOLDEN {
-        let spec = Workload::TpcC1.spec(TraceScale::tiny());
-        let mut cfg = SimConfig::tiny_test().with_mode(mode);
-        cfg.decode_threads = 4;
-        let wide = RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
-        assert_eq!(wide, want, "{mode:?}: 4 decode threads drifted from the golden digest");
-    }
-}
-
-/// `point_threads` parallelizes the event loop *within* one point, and
-/// the shard lanes only ever *speculate* segments whose inputs and
-/// commit order the committer fixes — so every worker count must land on
-/// the golden digest exactly, in every mode (DESIGN.md §13).
-#[test]
-fn point_threads_never_change_simulated_results() {
-    for (mode, want) in GOLDEN {
-        for threads in [1usize, 2, 4, 8] {
-            let spec = Workload::TpcC1.spec(TraceScale::tiny());
-            let mut cfg = SimConfig::tiny_test().with_mode(mode);
-            cfg.point_threads = threads;
-            let got = RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
-            assert_eq!(
-                got, want,
-                "{mode:?}: point_threads={threads} drifted from the golden digest"
-            );
-        }
-    }
-}
-
-/// Metrics capture (the registry snapshot + split-step lane profiler)
-/// observes a run's timing and counters; it must never touch what is
-/// simulated. Every mode, profiled and unprofiled, sequential and
-/// parallel, lands on the golden digest byte-for-byte — and the profiled
-/// runs actually carry a profile, so this is not vacuous.
+/// Metrics capture (the registry snapshot) observes a run's counters; it
+/// must never touch what is simulated. Every mode with capture on lands
+/// on the golden digest byte-for-byte — and the captured runs actually
+/// carry an observation, so this is not vacuous.
 #[test]
 fn metrics_capture_never_changes_simulated_results() {
     for (mode, want) in GOLDEN {
-        for threads in [1usize, 2, 4] {
-            let spec = Workload::TpcC1.spec(TraceScale::tiny());
-            let mut cfg = SimConfig::tiny_test().with_mode(mode);
-            cfg.point_threads = threads;
-            let outcome = RunSession::new(&spec, &cfg)
-                .unwrap()
-                .observe(ObsConfig::disabled().with_metrics())
-                .run()
-                .unwrap();
-            assert_eq!(
-                outcome.metrics.digest(),
-                want,
-                "{mode:?}: metrics capture at point_threads={threads} drifted from the golden digest"
-            );
-            let profile = outcome
-                .obs
-                .as_ref()
-                .and_then(|o| o.lane_profile.as_ref())
-                .expect("metrics capture must attach a lane profile");
-            assert!(profile.steps > 0, "{mode:?}: the profiler must have counted steps");
-            if threads > 1 {
-                assert_eq!(
-                    profile.collected(),
-                    profile.dispatched,
-                    "{mode:?}: p={threads}: every dispatch must be collected"
-                );
-            }
-        }
+        let spec = Workload::TpcC1.spec(TraceScale::tiny());
+        let cfg = SimConfig::tiny_test().with_mode(mode);
+        let outcome = RunSession::new(&spec, &cfg)
+            .unwrap()
+            .observe(ObsConfig::disabled().with_metrics())
+            .run()
+            .unwrap();
+        assert_eq!(
+            outcome.metrics.digest(),
+            want,
+            "{mode:?}: metrics capture drifted from the golden digest"
+        );
+        assert!(outcome.obs.is_some(), "{mode:?}: metrics capture must attach an observation");
     }
 }

@@ -75,35 +75,6 @@ fn interval_series_reconciles_exactly_with_run_metrics() {
     }
 }
 
-/// The same exact-decomposition contract with shard lanes live: under
-/// `point_threads > 1` the sampler reads the committer's counter mirror
-/// (speculated segments are not yet committed when epochs close), and
-/// the finish flush reconciles the mirror against the live counters —
-/// totals must still match `RunMetrics` with no drift, and the epochs
-/// must still tile the makespan.
-#[test]
-fn interval_series_reconciles_exactly_under_point_threads() {
-    for mode in [SchedulerMode::Baseline, SchedulerMode::SliccSw] {
-        let cfg = SimConfigBuilder::tiny_test().mode(mode).point_threads(4).build().unwrap();
-        let req = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), cfg)
-            .with_obs(ObsConfig::disabled().with_events().with_epochs(5_000));
-        let result = req.try_execute().expect("point completes");
-        let series = result.obs.as_ref().and_then(|o| o.series.as_ref()).expect("series present");
-        let totals = series.totals();
-        let m = &result.metrics;
-        assert_eq!(totals.instructions, m.instructions, "[{mode:?}] instructions");
-        assert_eq!(totals.i_misses, m.i_misses, "[{mode:?}] L1-I misses");
-        assert_eq!(totals.d_misses, m.d_misses, "[{mode:?}] L1-D misses");
-        assert_eq!(totals.migrations, m.migrations, "[{mode:?}] migrations");
-        let mut prev = 0;
-        for e in &series.epochs {
-            assert_eq!(e.start_cycle, prev, "[{mode:?}] epochs must be contiguous");
-            prev = e.end_cycle;
-        }
-        assert_eq!(prev, m.cycles, "[{mode:?}] the final epoch closes at the makespan");
-    }
-}
-
 #[test]
 fn chrome_trace_renders_deterministically_and_well_formed() {
     let render = || {
