@@ -1,8 +1,8 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [EXPERIMENT ...] [--scale small|paper] [--jobs N] [--checkpoint PATH]
-//!         [--progress quiet|plain|json] [--deadline-ms N] [--retries N]
+//! figures [EXPERIMENT ...] [--scale small|paper] [--jobs N]
+//!         [--progress quiet|plain|json] [--deadline-ms N]
 //!         [--cache-bytes N] [--queue-limit N] [--out PATH]
 //!
 //! EXPERIMENT: fig1 fig2 fig3 fig7 fig8 fig9 fig10 fig11
@@ -22,30 +22,27 @@
 //! so points repeated between figures — every figure's baselines — are
 //! simulated once and served from the run cache afterwards.
 //!
-//! `--checkpoint PATH` persists every completed point to PATH as it
-//! finishes; rerunning with the same path after an interruption
-//! re-simulates only the points that are not in the file yet. Ctrl-C
-//! interrupts cooperatively: in-flight points are cancelled at their
-//! next engine step, completed ones stay checkpointed, and the process
-//! exits 130 with a resume hint. `--deadline-ms` bounds each point's
-//! wall-clock time; `--retries` re-attempts transient failures with an
-//! escalating fuel budget. `--cache-bytes` bounds the shared run cache
-//! (LRU eviction by serialized size; results never change) and
-//! `--queue-limit` sheds submissions beyond the worker pool's backlog
-//! with a typed overload error — see DESIGN.md §12.
+//! Ctrl-C interrupts cooperatively: in-flight points are cancelled at
+//! their next engine step, no report is written, and the process exits
+//! 130. A paper-scale `all` takes minutes, so an interrupted run is
+//! simply started again. `--deadline-ms` bounds each point's wall-clock
+//! time. `--cache-bytes` bounds the shared run cache (LRU eviction by
+//! result weight; results never change) and `--queue-limit` sheds
+//! submissions beyond the worker pool's backlog with a typed overload
+//! error — see DESIGN.md §12.
 
 #![forbid(unsafe_code)]
 
 use slicc_bench::{Experiment, ExperimentScale};
 use slicc_common::{atomic_write, install_sigint_cancel, sigint_count};
-use slicc_sim::{ProgressEvent, ProgressKind, RetryPolicy, Runner};
+use slicc_sim::{ProgressEvent, ProgressKind, Runner};
 use std::fmt::Write as _;
 use std::panic::{self, AssertUnwindSafe};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [EXPERIMENT ...] [--scale small|paper] [--jobs N] [--checkpoint PATH] \
-         [--progress quiet|plain|json] [--deadline-ms N] [--retries N] \
+        "usage: figures [EXPERIMENT ...] [--scale small|paper] [--jobs N] \
+         [--progress quiet|plain|json] [--deadline-ms N] \
          [--cache-bytes N] [--queue-limit N] [--out PATH]"
     );
     eprintln!("experiments:");
@@ -60,10 +57,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = ExperimentScale::Paper;
     let mut jobs = Runner::default_parallelism();
-    let mut checkpoint: Option<std::path::PathBuf> = None;
     let mut progress = ProgressKind::Plain;
     let mut deadline_ms: Option<u64> = None;
-    let mut retries: u32 = 0;
     let mut cache_bytes: Option<u64> = None;
     let mut queue_limit: Option<usize> = None;
     let mut out: Option<std::path::PathBuf> = None;
@@ -86,13 +81,6 @@ fn main() {
                     _ => usage(),
                 };
             }
-            "--checkpoint" => {
-                i += 1;
-                checkpoint = match args.get(i) {
-                    Some(p) if !p.is_empty() => Some(std::path::PathBuf::from(p)),
-                    _ => usage(),
-                };
-            }
             "--progress" => {
                 i += 1;
                 progress = match args.get(i).and_then(|v| ProgressKind::parse(v)) {
@@ -104,13 +92,6 @@ fn main() {
                 i += 1;
                 deadline_ms = match args.get(i).and_then(|v| v.parse().ok()) {
                     Some(ms) => Some(ms),
-                    None => usage(),
-                };
-            }
-            "--retries" => {
-                i += 1;
-                retries = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
                     None => usage(),
                 };
             }
@@ -153,12 +134,6 @@ fn main() {
     if let Some(ms) = deadline_ms {
         runner.set_default_deadline(Some(std::time::Duration::from_millis(ms)));
     }
-    if retries > 0 {
-        runner.set_retry_policy(RetryPolicy {
-            max_attempts: retries.saturating_add(1),
-            ..RetryPolicy::standard()
-        });
-    }
     if let Some(bytes) = cache_bytes {
         runner.set_cache_bytes(bytes);
     }
@@ -166,38 +141,6 @@ fn main() {
         runner.set_queue_limit(Some(limit));
     }
     install_sigint_cancel(&runner.cancel_token());
-    if let Some(path) = &checkpoint {
-        match runner.attach_checkpoint(path) {
-            Ok(load) => {
-                if load.quarantined {
-                    reporter.report(ProgressEvent::Warning {
-                        message: format!(
-                            "checkpoint {} was not a readable checkpoint; quarantined to \
-                             {}.corrupt and starting fresh",
-                            path.display(),
-                            path.display(),
-                        ),
-                    });
-                }
-                reporter.report(ProgressEvent::Note {
-                    message: format!(
-                        "checkpoint {}: {} completed point(s) loaded{}",
-                        path.display(),
-                        load.loaded,
-                        if load.truncated() {
-                            format!(" ({} corrupt tail byte(s) dropped)", load.dropped_bytes)
-                        } else {
-                            String::new()
-                        },
-                    ),
-                });
-            }
-            Err(e) => {
-                eprintln!("error: cannot use checkpoint {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        }
-    }
     let mut report = String::new();
     let _ = writeln!(report, "# SLICC reproduction — experiment output");
     let _ = writeln!(report);
@@ -208,8 +151,8 @@ fn main() {
         let start = std::time::Instant::now();
         // Experiments panic on a failed point (a figure with a hole is
         // not a figure). A Ctrl-C surfaces as exactly such a failure —
-        // catch it here so the interrupt exits 130 with a hint instead
-        // of a panic trace; genuine failures keep unwinding.
+        // catch it here so the interrupt exits 130 instead of printing a
+        // panic trace; genuine failures keep unwinding.
         match panic::catch_unwind(AssertUnwindSafe(|| e.run(scale, &runner))) {
             Ok(section) => {
                 let _ = writeln!(report, "{section}");
@@ -262,15 +205,7 @@ fn main() {
         });
     }
     if interrupted {
-        match &checkpoint {
-            Some(path) => eprintln!(
-                "interrupted: completed points are saved; resume with --checkpoint {}",
-                path.display()
-            ),
-            None => eprintln!(
-                "interrupted: nothing persisted; re-run with --checkpoint PATH for resumable sweeps"
-            ),
-        }
+        eprintln!("interrupted: no report written");
         std::process::exit(130);
     }
 }

@@ -431,8 +431,9 @@ fn fig10(scale: ExperimentScale, runner: &Runner) -> String {
     out
 }
 
-/// Figure 11: overall performance per workload and configuration.
-fn fig11(scale: ExperimentScale, runner: &Runner) -> String {
+/// Figure 11's points: per workload, the six columns Base, Next-Line,
+/// SLICC, SLICC-Pp, SLICC-SW and PIF, in that order.
+fn fig11_requests(scale: ExperimentScale) -> Vec<RunRequest> {
     let variants = |w: Workload| -> Vec<RunRequest> {
         vec![
             req(w, scale, base_cfg()),
@@ -443,8 +444,12 @@ fn fig11(scale: ExperimentScale, runner: &Runner) -> String {
             req(w, scale, base_cfg().with_pif_model()),
         ]
     };
-    let reqs: Vec<RunRequest> = Workload::ALL.iter().flat_map(|&w| variants(w)).collect();
-    let results = runner.run_metrics(&reqs);
+    Workload::ALL.iter().flat_map(|&w| variants(w)).collect()
+}
+
+/// Figure 11: overall performance per workload and configuration.
+fn fig11(scale: ExperimentScale, runner: &Runner) -> String {
+    let results = runner.run_metrics(&fig11_requests(scale));
     let mut chunks = results.chunks(6);
 
     let mut out = String::from("## Figure 11 — performance (speedup over baseline)\n\n");
@@ -763,6 +768,22 @@ mod tests {
             assert_eq!(Experiment::parse(e.name()), Some(e));
         }
         assert_eq!(Experiment::parse("fig99"), None);
+    }
+
+    #[test]
+    fn fig11_points_with_distinct_keys_have_distinct_labels() {
+        let reqs = fig11_requests(ExperimentScale::Small);
+        for (i, a) in reqs.iter().enumerate() {
+            for b in &reqs[i + 1..] {
+                if a.stable_key() != b.stable_key() {
+                    assert_ne!(a.label(), b.label(), "progress events could not tell these apart");
+                }
+            }
+        }
+        let tpcc: Vec<String> = reqs[..6].iter().map(RunRequest::label).collect();
+        assert_eq!(tpcc[0], "TPC-C-1 [Base] tasks=48 seed=20940");
+        assert!(tpcc[1].contains("[Base next-line=1]"), "got {}", tpcc[1]);
+        assert!(tpcc[5].contains("[Base l1i=512KiB/3cyc]"), "got {}", tpcc[5]);
     }
 
     #[test]

@@ -1,24 +1,14 @@
-//! Crash-safe artifact I/O: atomic whole-file writes and an injectable
-//! I/O layer for chaos testing.
+//! Crash-safe artifact I/O: atomic whole-file writes.
 //!
-//! Everything the workspace emits — checkpoint records, observability
-//! JSON/CSV, figure reports — goes through this module so two properties
-//! hold everywhere:
-//!
-//! - **No torn artifacts.** [`atomic_write`] stages the bytes in a
-//!   `path.tmp` sibling, syncs, then renames over the destination. A
-//!   crash mid-write leaves either the old file or the new one, never a
-//!   half-written hybrid.
-//! - **Every failure path is drillable.** The [`ArtifactIo`] trait is the
-//!   seam between writers and the filesystem. Production code uses
-//!   [`StdIo`]; chaos tests swap in [`FaultyIo`] to fail the nth write or
-//!   tear record tails deterministically, so recovery code is exercised
-//!   end-to-end instead of trusted on faith.
+//! Every file the workspace emits — observability JSON/CSV, metrics
+//! exposition, figure reports — goes through [`atomic_write`], so there
+//! are no torn artifacts: the bytes are staged in a `path.tmp` sibling,
+//! synced, then renamed over the destination. A crash mid-write leaves
+//! either the old file or the new one, never a half-written hybrid.
 
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The staging sibling [`atomic_write`] uses: `path` with `.tmp` appended
 /// to the file name (not replacing the extension, so `a.json` stages as
@@ -51,120 +41,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// The seam between artifact writers and the filesystem. Production code
-/// uses [`StdIo`]; chaos tests inject [`FaultyIo`] to exercise every
-/// recovery path deterministically.
-pub trait ArtifactIo: Send + Sync {
-    /// Writes one logical chunk (a checkpoint record, a whole artifact)
-    /// to an open file.
-    fn write_chunk(&self, file: &mut File, bytes: &[u8]) -> io::Result<()>;
-
-    /// Flushes file *data* to the device (durability for appends).
-    fn sync_data(&self, file: &File) -> io::Result<()>;
-
-    /// Flushes data and metadata to the device (durability for creates).
-    fn sync_all(&self, file: &File) -> io::Result<()>;
-
-    /// [`atomic_write`], routed through the layer so whole-file artifact
-    /// emission is fault-injectable too.
-    fn atomic_write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-}
-
-/// The production [`ArtifactIo`]: plain std::fs operations.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StdIo;
-
-impl ArtifactIo for StdIo {
-    fn write_chunk(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
-        file.write_all(bytes)
-    }
-
-    fn sync_data(&self, file: &File) -> io::Result<()> {
-        file.sync_data()
-    }
-
-    fn sync_all(&self, file: &File) -> io::Result<()> {
-        file.sync_all()
-    }
-
-    fn atomic_write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        atomic_write(path, bytes)
-    }
-}
-
-/// What a [`FaultyIo`] does to the write stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoFault {
-    /// The nth write (1-based, counting chunks and atomic writes) fails
-    /// with an injected [`io::Error`]; every other write succeeds.
-    FailOnNth(u64),
-    /// Every chunk lands with its final byte flipped, modelling a crash
-    /// mid-append: integrity hashes over the payload no longer match, so
-    /// readers must treat the data as a torn tail.
-    CorruptTail,
-}
-
-/// A deterministic fault-injecting [`ArtifactIo`] for chaos tests.
-#[derive(Debug)]
-pub struct FaultyIo {
-    fault: IoFault,
-    writes: AtomicU64,
-}
-
-impl FaultyIo {
-    /// An I/O layer exhibiting `fault`.
-    pub fn new(fault: IoFault) -> Self {
-        FaultyIo { fault, writes: AtomicU64::new(0) }
-    }
-
-    /// Writes attempted so far (failed ones included).
-    pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Counts one write; true if this one must fail.
-    fn next_write_fails(&self) -> bool {
-        let nth = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
-        matches!(self.fault, IoFault::FailOnNth(n) if n == nth)
-    }
-
-    fn injected_error() -> io::Error {
-        io::Error::other("injected I/O fault (FaultyIo)")
-    }
-}
-
-impl ArtifactIo for FaultyIo {
-    fn write_chunk(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
-        if self.next_write_fails() {
-            return Err(FaultyIo::injected_error());
-        }
-        if self.fault == IoFault::CorruptTail && !bytes.is_empty() {
-            let mut torn = bytes.to_vec();
-            *torn.last_mut().expect("non-empty") ^= 0x01;
-            return file.write_all(&torn);
-        }
-        file.write_all(bytes)
-    }
-
-    fn sync_data(&self, file: &File) -> io::Result<()> {
-        file.sync_data()
-    }
-
-    fn sync_all(&self, file: &File) -> io::Result<()> {
-        file.sync_all()
-    }
-
-    fn atomic_write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        if self.next_write_fails() {
-            return Err(FaultyIo::injected_error());
-        }
-        atomic_write(path, bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -187,33 +67,13 @@ mod tests {
     fn atomic_write_failure_keeps_the_old_contents() {
         let path = temp_path("atomic-fail");
         atomic_write(&path, b"keep me").unwrap();
-        let io = FaultyIo::new(IoFault::FailOnNth(1));
-        assert!(io.atomic_write(&path, b"torn").is_err());
+        // A directory squatting on the staging name makes the staged
+        // write fail before the destination is touched.
+        let staging = atomic_write_staging_path(&path);
+        std::fs::create_dir(&staging).unwrap();
+        assert!(atomic_write(&path, b"torn").is_err());
         assert_eq!(std::fs::read(&path).unwrap(), b"keep me", "a failed write must not tear");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn faulty_io_fails_exactly_the_nth_write() {
-        let path = temp_path("nth");
-        let io = FaultyIo::new(IoFault::FailOnNth(2));
-        let mut file = File::create(&path).unwrap();
-        io.write_chunk(&mut file, b"one").unwrap();
-        assert!(io.write_chunk(&mut file, b"two").is_err(), "second write must fail");
-        io.write_chunk(&mut file, b"three").unwrap();
-        assert_eq!(io.writes(), 3);
-        assert_eq!(std::fs::read(&path).unwrap(), b"onethree");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_tail_flips_the_final_byte_of_each_chunk() {
-        let path = temp_path("tail");
-        let io = FaultyIo::new(IoFault::CorruptTail);
-        let mut file = File::create(&path).unwrap();
-        io.write_chunk(&mut file, b"ab").unwrap();
-        drop(file);
-        assert_eq!(std::fs::read(&path).unwrap(), vec![b'a', b'b' ^ 0x01]);
+        std::fs::remove_dir(&staging).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 }

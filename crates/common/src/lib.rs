@@ -20,8 +20,7 @@
 //! - poison-recovering mutex access ([`lock_unpoisoned`]), cooperative
 //!   cancellation ([`CancelToken`]) and SIGINT/SIGTERM wiring — see
 //!   [`sync`];
-//! - crash-safe artifact emission ([`atomic_write`]) and the injectable
-//!   [`ArtifactIo`] layer for chaos testing — see [`io`];
+//! - crash-safe artifact emission ([`atomic_write`]) — see [`io`];
 //! - the [`Merge`] trait unifying statistics aggregation — see [`merge`].
 //!
 //! # Example
@@ -68,7 +67,7 @@ pub use fifo::RingFifo;
 pub use geometry::CacheGeometry;
 pub use hash::{stable_hash_of, StableHash, StableHasher};
 pub use ids::{CoreId, ThreadId, TxnTypeId};
-pub use io::{atomic_write, ArtifactIo, FaultyIo, IoFault, StdIo};
+pub use io::atomic_write;
 pub use json::{json_f64, json_str, parse_json, push_json_str, JsonError, JsonValue};
 pub use latency::{l1_latency_for_size, LatencyTable};
 pub use mask::CoreMask;

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Locks `m`, recovering the guard if a previous holder panicked.
 ///
 /// The shared state guarded this way in the workspace (the runner's
-/// memoized run cache, its checkpoint writer, the worker-pool job queue)
+/// memoized run cache, its spec memo, the worker-pool job queue)
 /// consists of maps and counters whose individual updates are atomic with
 /// respect to the lock: a panic mid-simulation cannot leave them
 /// half-written in a way a later reader would misinterpret. Poisoning is
@@ -70,7 +70,7 @@ pub fn sigint_count() -> u32 {
 }
 
 /// Routes SIGINT into `token`: the first Ctrl-C cancels the token so
-/// in-flight work can wind down cooperatively (checkpoints keep only
+/// in-flight work can wind down cooperatively (the run cache keeps only
 /// completed points); the second hard-exits with status 130 for runs that
 /// refuse to die. Returns false (and installs nothing) on non-Unix
 /// targets.

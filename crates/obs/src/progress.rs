@@ -7,7 +7,7 @@
 //!
 //! - [`QuietReporter`] — drops everything; stderr stays byte-clean.
 //! - [`WarningsOnlyReporter`] — the library default: warnings still
-//!   reach stderr (a silently disabled checkpoint would be worse), all
+//!   reach stderr (a silently missing artifact would be worse), all
 //!   narration is dropped.
 //! - [`PlainReporter`] — human progress lines with per-point timing and
 //!   an ETA extrapolated from completed points.
@@ -63,16 +63,6 @@ pub enum ProgressEvent {
         /// Human point label.
         label: String,
         /// The rendered error.
-        error: String,
-    },
-    /// A fresh point failed transiently and is being re-attempted under
-    /// the runner's retry policy.
-    PointRetried {
-        /// Human point label.
-        label: String,
-        /// The attempt about to run (2 = first retry).
-        attempt: u32,
-        /// The rendered error that triggered the retry.
         error: String,
     },
     /// A fresh point was abandoned by cooperative cancellation (Ctrl-C
@@ -140,13 +130,13 @@ pub enum ProgressEvent {
         /// Human detail (bind address, drain cause, final counts).
         detail: String,
     },
-    /// Informational narration (checkpoint loaded, file written, ...).
+    /// Informational narration (file written, figure done, ...).
     Note {
         /// The message.
         message: String,
     },
-    /// Something degraded but the run continues (checkpoint write
-    /// failure, missing obs data, ...).
+    /// Something degraded but the run continues (missing obs data,
+    /// ...).
     Warning {
         /// The message.
         message: String,
@@ -259,9 +249,6 @@ impl Reporter for PlainReporter {
                 let done = s.done;
                 let _ = writeln!(s.out, "[{done}/{total}] {label}: FAILED: {error}");
             }
-            ProgressEvent::PointRetried { label, attempt, error } => {
-                let _ = writeln!(s.out, "{label}: retrying (attempt {attempt}): {error}");
-            }
             ProgressEvent::PointCancelled { total, label, .. } => {
                 s.done += 1;
                 let done = s.done;
@@ -340,14 +327,6 @@ impl Reporter for JsonLinesReporter {
             }
             ProgressEvent::PointFailed { index, total, label, error } => {
                 line.push_str(&format!("\"point_failed\", \"index\": {index}, \"total\": {total}, \"label\": "));
-                push_json_str(&mut line, label);
-                line.push_str(", \"error\": ");
-                push_json_str(&mut line, error);
-            }
-            ProgressEvent::PointRetried { label, attempt, error } => {
-                line.push_str("\"point_retried\", \"attempt\": ");
-                line.push_str(&attempt.to_string());
-                line.push_str(", \"label\": ");
                 push_json_str(&mut line, label);
                 line.push_str(", \"error\": ");
                 push_json_str(&mut line, error);
@@ -531,23 +510,20 @@ mod tests {
     }
 
     #[test]
-    fn retry_and_cancel_events_render_on_both_verbose_reporters() {
+    fn cancel_events_render_on_both_verbose_reporters() {
         let (w, buf) = capture();
         let r = PlainReporter::to_writer(Box::new(w));
-        r.report(ProgressEvent::PointRetried { label: "p1".into(), attempt: 2, error: "livelock".into() });
         r.report(ProgressEvent::PointCancelled { index: 1, total: 2, label: "p1".into() });
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert!(out.contains("p1: retrying (attempt 2): livelock"), "got: {out}");
         assert!(out.contains("[1/2] p1: cancelled"), "got: {out}");
 
         let (w, buf) = capture();
         let r = JsonLinesReporter::to_writer(Box::new(w));
-        r.report(ProgressEvent::PointRetried { label: "p1".into(), attempt: 2, error: "livelock".into() });
         r.report(ProgressEvent::PointCancelled { index: 1, total: 2, label: "p1".into() });
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
-        assert!(lines[0].starts_with("{\"event\": \"point_retried\", \"attempt\": 2"), "got: {out}");
-        assert!(lines[1].starts_with("{\"event\": \"point_cancelled\", \"index\": 1"), "got: {out}");
+        assert_eq!(lines.len(), 1, "got: {out}");
+        assert!(lines[0].starts_with("{\"event\": \"point_cancelled\", \"index\": 1"), "got: {out}");
     }
 
     #[test]

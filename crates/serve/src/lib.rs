@@ -8,8 +8,7 @@
 //!   [`ProtocolError`]; nothing panics.
 //! - [`transport`] — the byte-stream seam: TCP in production,
 //!   deterministic scripted/fault-injecting transports in the chaos
-//!   tests (the [`slicc_common::ArtifactIo`] pattern, applied to
-//!   sockets).
+//!   tests.
 //! - [`server`] — the accept loop, per-connection deadlines
 //!   (slow-loris defense), connection cap, overload → `RETRY-AFTER`
 //!   mapping, graceful SIGTERM/SIGINT drain, and `srv_*` metrics.

@@ -478,7 +478,6 @@ fn result_json(key: u64, req: &RunRequest, result: &RunResult) -> JsonValue {
         // Digests exceed 2^53; hex strings survive every JSON consumer.
         ("digest", JsonValue::String(format!("{:016x}", result.metrics.digest()))),
         ("from_cache", JsonValue::Bool(result.from_cache)),
-        ("attempts", JsonValue::Number(f64::from(result.attempts))),
         ("workload", JsonValue::String(req.workload.to_string())),
         ("mode", JsonValue::String(req.config.mode.to_string())),
         ("sim_ips", JsonValue::Number(result.sim_ips)),

@@ -1,6 +1,6 @@
 //! The byte-transport seam under the server: real TCP in production,
 //! scripted in-memory streams and a fault-injecting wrapper in the chaos
-//! tests — the same pattern as [`slicc_common::ArtifactIo`] for files.
+//! tests.
 //!
 //! The server's connection handler is written against [`Transport`]
 //! alone, so every hostile-client behavior (torn frames, short reads and

@@ -9,11 +9,10 @@
 #![forbid(unsafe_code)]
 
 use slicc_cache::PolicyKind;
-use slicc_common::{atomic_write, install_sigint_cancel, sigint_count, FaultyIo};
+use slicc_common::{atomic_write, install_sigint_cancel, sigint_count};
 use slicc_sim::{
     chrome_trace_json, DeadlineConfig, InjectedFault, ObsConfig, ProgressEvent, ProgressKind,
-    RunError, RunRequest, RunResult, Runner, RetryPolicy, SchedulerMode, SimConfigBuilder,
-    TraceMeta,
+    RunError, RunRequest, RunResult, Runner, SchedulerMode, SimConfigBuilder, TraceMeta,
 };
 use slicc_trace::{TraceScale, Workload};
 use std::path::{Path, PathBuf};
@@ -51,15 +50,11 @@ OPTIONS:
     --deadline-ms N       abort any point still simulating after N
                           wall-clock milliseconds (reported with a
                           diagnostic snapshot, like the watchdog)
-    --retries N           re-attempt transient failures (livelocks,
-                          checkpoint write errors) up to N extra times,
-                          escalating the fuel budget per retry
-                          (default 0)
-    --inject panic|stall:STEP|io-error:N|corrupt-tail
+    --inject panic|stall:STEP|slow-consumer:MS
                           deterministic fault injection for resilience
                           drills: panic mid-run, stall the event loop at
-                          STEP, fail the Nth artifact write, or tear
-                          every checkpoint record's final byte
+                          STEP, or hold the finished result for MS
+                          milliseconds before releasing it
     --cache-bytes N       byte budget for the memoized run cache
                           (default 64 MiB); least-recently-used
                           results are evicted, never altered
@@ -67,10 +62,6 @@ OPTIONS:
                           already waiting behind the worker pool
                           (typed 'overloaded' failure with a
                           retry-after hint; default unlimited)
-    --checkpoint PATH     load completed points from PATH and append
-                          each newly completed point to it; an
-                          unreadable file is quarantined to PATH.corrupt
-                          and the sweep restarts fresh
     --keep-going          on failure, still run the remaining points
                           before exiting
     --progress quiet|plain|json
@@ -100,9 +91,8 @@ OPTIONS:
 Exit status is 0 on success, 1 if any simulation point fails (the
 failing point's workload/scale/seed and stable key are printed to
 stderr), 2 on a usage error, and 130 when interrupted by Ctrl-C. The
-first Ctrl-C cancels outstanding points cooperatively — completed
-points are flushed to the checkpoint and a resume hint is printed; a
-second Ctrl-C exits immediately.";
+first Ctrl-C cancels outstanding points cooperatively and reports what
+completed; a second Ctrl-C exits immediately.";
 
 /// A rejected command line: which option went wrong, and why.
 #[derive(Debug)]
@@ -126,13 +116,10 @@ enum Command {
         request: Box<RunRequest>,
         compare: bool,
         keep_going: bool,
-        checkpoint: Option<PathBuf>,
         progress: ProgressKind,
         obs_out: Option<PathBuf>,
         obs_summary: bool,
         metrics_out: Option<PathBuf>,
-        retries: u32,
-        inject: Option<InjectedFault>,
         cache_bytes: Option<u64>,
         queue_limit: Option<usize>,
     },
@@ -147,7 +134,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut builder = SimConfigBuilder::paper_baseline();
     let mut compare = false;
     let mut keep_going = false;
-    let mut checkpoint: Option<PathBuf> = None;
     let mut progress = ProgressKind::Plain;
     let mut obs_out: Option<PathBuf> = None;
     let mut obs_summary = false;
@@ -156,8 +142,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut obs_events: Option<usize> = None;
     let mut obs_sample: Option<u64> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut retries: u32 = 0;
-    let mut inject: Option<InjectedFault> = None;
     let mut cache_bytes: Option<u64> = None;
     let mut queue_limit: Option<usize> = None;
 
@@ -230,17 +214,14 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 builder = builder.watchdog_cycles(number(&opt, &value(args, &mut i, &opt)?)?)
             }
             "--deadline-ms" => deadline_ms = Some(number(&opt, &value(args, &mut i, &opt)?)?),
-            "--retries" => retries = number(&opt, &value(args, &mut i, &opt)?)?,
             "--inject" => {
                 let spec = value(args, &mut i, &opt)?;
                 let fault = InjectedFault::parse(&spec)
                     .ok_or_else(|| CliError::new(&opt, format!("unknown fault spec '{spec}'")))?;
                 builder = builder.inject_fault(fault);
-                inject = Some(fault);
             }
             "--cache-bytes" => cache_bytes = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--queue-limit" => queue_limit = Some(number(&opt, &value(args, &mut i, &opt)?)?),
-            "--checkpoint" => checkpoint = Some(PathBuf::from(value(args, &mut i, &opt)?)),
             "--keep-going" => keep_going = true,
             "--progress" => {
                 let p = value(args, &mut i, &opt)?;
@@ -309,13 +290,10 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
         request: Box::new(request),
         compare,
         keep_going,
-        checkpoint,
         progress,
         obs_out,
         obs_summary,
         metrics_out,
-        retries,
-        inject,
         cache_bytes,
         queue_limit,
     })
@@ -368,13 +346,10 @@ fn main() {
         request,
         compare,
         keep_going,
-        checkpoint,
         progress,
         obs_out,
         obs_summary,
         metrics_out,
-        retries,
-        inject,
         cache_bytes,
         queue_limit,
     } = command
@@ -389,12 +364,6 @@ fn main() {
     let runner = Runner::with_default_parallelism();
     let reporter = progress.reporter();
     runner.set_reporter(Arc::clone(&reporter));
-    if retries > 0 {
-        runner.set_retry_policy(RetryPolicy {
-            max_attempts: retries.saturating_add(1),
-            ..RetryPolicy::standard()
-        });
-    }
     // Resource governance (DESIGN.md §12): a byte budget on the memoized
     // run cache and an admission limit on fresh work. Neither changes what
     // a completed run computes.
@@ -407,46 +376,6 @@ fn main() {
     // The first Ctrl-C cancels in-flight points cooperatively; the second
     // hard-exits from the handler itself.
     install_sigint_cancel(&runner.cancel_token());
-    if let Some(path) = &checkpoint {
-        // I/O fault injection reaches the checkpoint through the same
-        // seam the chaos tests use.
-        let attached = match inject.and_then(|f| f.artifact_fault()) {
-            Some(fault) => runner.attach_checkpoint_with_io(path, Arc::new(FaultyIo::new(fault))),
-            None => runner.attach_checkpoint(path),
-        };
-        match attached {
-            Ok(load) => {
-                if load.quarantined {
-                    reporter.report(ProgressEvent::Warning {
-                        message: format!(
-                            "checkpoint: {} was not a readable checkpoint; quarantined to \
-                             {}.corrupt and starting fresh",
-                            path.display(),
-                            path.display(),
-                        ),
-                    });
-                }
-                if load.loaded > 0 || load.truncated() {
-                    reporter.report(ProgressEvent::Note {
-                        message: format!(
-                            "checkpoint: {} point(s) loaded from {}{}",
-                            load.loaded,
-                            path.display(),
-                            if load.truncated() {
-                                format!(" ({} corrupt tail bytes discarded)", load.dropped_bytes)
-                            } else {
-                                String::new()
-                            },
-                        ),
-                    });
-                }
-            }
-            Err(e) => {
-                eprintln!("error: --checkpoint: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
 
     let mut points = vec![request.clone()];
     if compare {
@@ -489,11 +418,11 @@ fn main() {
                     }
                 }
                 None => {
-                    // The only unobserved path to a first result is a
-                    // checkpoint/cache hit: artifacts are not persisted.
+                    // Only a run-cache hit from an unobserved twin comes
+                    // back without artifacts; a fresh run always has them.
                     reporter.report(ProgressEvent::Warning {
-                        message: "observation requested but the point was served from a \
-                                  checkpoint; re-run without --checkpoint to capture artifacts"
+                        message: "observation requested but the point was served from the \
+                                  run cache without artifacts"
                             .to_string(),
                     });
                 }
@@ -517,15 +446,8 @@ fn main() {
     // An interrupt trumps the failure exit: the cancelled points are not
     // wrong, merely unfinished, and the user asked for the stop.
     if sigint_count() > 0 {
-        match &checkpoint {
-            Some(path) => eprintln!(
-                "interrupted: completed points are saved; resume with --checkpoint {}",
-                path.display()
-            ),
-            None => eprintln!(
-                "interrupted: nothing persisted; re-run with --checkpoint PATH for resumable sweeps"
-            ),
-        }
+        let done = results.iter().filter(|r| r.is_ok()).count();
+        eprintln!("interrupted: {done} of {} point(s) completed", points.len());
         std::process::exit(130);
     }
     if failed {
@@ -660,13 +582,10 @@ mod tests {
                 request,
                 compare,
                 keep_going,
-                checkpoint,
                 progress,
                 obs_out,
                 obs_summary,
                 metrics_out,
-                retries,
-                inject,
                 cache_bytes,
                 queue_limit,
             } => {
@@ -674,13 +593,11 @@ mod tests {
                 assert_eq!(request.mode(), SchedulerMode::SliccSw);
                 assert!(!compare);
                 assert!(!keep_going);
-                assert!(checkpoint.is_none());
                 assert_eq!(progress, ProgressKind::Plain);
                 assert!(obs_out.is_none());
                 assert!(!obs_summary);
                 assert!(metrics_out.is_none(), "metrics capture must be opt-in");
-                assert_eq!(retries, 0, "retries must be opt-in");
-                assert!(inject.is_none());
+                assert!(request.config.fault_injection.is_none());
                 assert!(cache_bytes.is_none(), "default budget lives in the runner");
                 assert!(queue_limit.is_none(), "admission is unlimited unless asked");
                 assert!(!request.deadline.is_enabled(), "no deadline unless asked");
@@ -692,16 +609,10 @@ mod tests {
 
     #[test]
     fn resilience_flags_reach_the_request_and_runner_knobs() {
-        match parse(&["--deadline-ms", "250", "--retries", "2", "--inject", "stall:40"]).unwrap() {
-            Command::Run { request, retries, inject, .. } => {
+        match parse(&["--deadline-ms", "250", "--inject", "stall:40"]).unwrap() {
+            Command::Run { request, .. } => {
                 assert_eq!(request.deadline.budget(), Some(std::time::Duration::from_millis(250)));
-                assert_eq!(retries, 2);
-                assert_eq!(inject, Some(InjectedFault::StallAt { step: 40 }));
-                assert_eq!(
-                    request.config.fault_injection,
-                    Some(InjectedFault::StallAt { step: 40 }),
-                    "the engine-visible fault must reach the config too"
-                );
+                assert_eq!(request.config.fault_injection, Some(InjectedFault::StallAt { step: 40 }));
             }
             Command::Help => panic!("expected a run"),
         }
@@ -800,14 +711,11 @@ mod tests {
 
     #[test]
     fn fault_isolation_flags_reach_the_config() {
-        match parse(&["--fuel-steps", "5", "--fuel-cycles", "100", "--keep-going", "--checkpoint", "/tmp/ck.bin"])
-            .unwrap()
-        {
-            Command::Run { request, keep_going, checkpoint, .. } => {
+        match parse(&["--fuel-steps", "5", "--fuel-cycles", "100", "--keep-going"]).unwrap() {
+            Command::Run { request, keep_going, .. } => {
                 assert_eq!(request.config.watchdog.max_heap_steps, Some(5));
                 assert_eq!(request.config.watchdog.max_cycles, Some(100));
                 assert!(keep_going);
-                assert_eq!(checkpoint.as_deref(), Some(std::path::Path::new("/tmp/ck.bin")));
             }
             Command::Help => panic!("expected a run"),
         }
@@ -828,8 +736,8 @@ mod tests {
     fn fuel_flags_reject_garbage() {
         let err = parse(&["--fuel-steps", "plenty"]).unwrap_err();
         assert_eq!(err.option, "--fuel-steps");
-        let err = parse(&["--checkpoint"]).unwrap_err();
-        assert_eq!(err.option, "--checkpoint");
+        let err = parse(&["--fuel-cycles"]).unwrap_err();
+        assert_eq!(err.option, "--fuel-cycles");
         assert!(err.message.contains("missing"));
     }
 

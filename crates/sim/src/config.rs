@@ -145,19 +145,6 @@ pub enum InjectedFault {
         /// First heap step at which progress stops (0 stalls immediately).
         step: u64,
     },
-    /// Fail the nth artifact write (1-based) issued through the runner's
-    /// injectable I/O layer. The engine ignores this variant: it is the
-    /// typed vocabulary chaos harnesses translate into a
-    /// [`slicc_common::FaultyIo`] attached to the checkpoint or artifact
-    /// writers (see [`InjectedFault::artifact_fault`]).
-    IoErrorOnNthWrite {
-        /// Which write fails, 1-based.
-        n: u64,
-    },
-    /// Tear the tail of every checkpoint record written while armed (the
-    /// final hash byte lands flipped), modelling a crash mid-append. Also
-    /// I/O-layer-only, like [`InjectedFault::IoErrorOnNthWrite`].
-    CorruptCheckpointTail,
     /// Hold the completed result for `delay_ms` wall-clock milliseconds
     /// before releasing it, modelling a client that drains results slowly
     /// (a stalled socket, a saturated downstream). Runner-layer-only: the
@@ -169,62 +156,26 @@ pub enum InjectedFault {
         /// How long the result is held after completion, in milliseconds.
         delay_ms: u64,
     },
-    /// Allocate and touch `mib` MiB of host scratch memory for the
-    /// duration of the attempt, modelling allocator pressure from an
-    /// oversized neighbour. Runner-layer-only like
-    /// [`InjectedFault::SlowConsumer`]: the simulation itself is
-    /// untouched and its metrics byte-identical.
-    AllocPressure {
-        /// Scratch allocation held across the attempt, in MiB.
-        mib: u64,
-    },
 }
 
 impl InjectedFault {
     /// Every variant, for exhaustive chaos matrices.
-    pub const ALL: [InjectedFault; 6] = [
+    pub const ALL: [InjectedFault; 3] = [
         InjectedFault::Panic,
         InjectedFault::StallAt { step: 0 },
-        InjectedFault::IoErrorOnNthWrite { n: 1 },
-        InjectedFault::CorruptCheckpointTail,
         InjectedFault::SlowConsumer { delay_ms: 10 },
-        InjectedFault::AllocPressure { mib: 1 },
     ];
 
-    /// The I/O-layer translation of this fault, if it is an I/O fault.
-    /// Engine-level faults (panic, stall) and runner-layer faults
-    /// (slow-consumer, alloc-pressure) return `None`.
-    pub fn artifact_fault(&self) -> Option<slicc_common::IoFault> {
-        match *self {
-            InjectedFault::Panic
-            | InjectedFault::StallAt { .. }
-            | InjectedFault::SlowConsumer { .. }
-            | InjectedFault::AllocPressure { .. } => None,
-            InjectedFault::IoErrorOnNthWrite { n } => Some(slicc_common::IoFault::FailOnNth(n)),
-            InjectedFault::CorruptCheckpointTail => Some(slicc_common::IoFault::CorruptTail),
-        }
-    }
-
-    /// Parses the CLI spelling: `panic`, `stall:STEP`, `io-error:N`,
-    /// `corrupt-tail`, `slow-consumer:MS`, `alloc-pressure:MIB`.
+    /// Parses the CLI spelling: `panic`, `stall:STEP`, `slow-consumer:MS`.
     pub fn parse(s: &str) -> Option<InjectedFault> {
         if s == "panic" {
             return Some(InjectedFault::Panic);
         }
-        if s == "corrupt-tail" {
-            return Some(InjectedFault::CorruptCheckpointTail);
-        }
         if let Some(step) = s.strip_prefix("stall:") {
             return step.parse().ok().map(|step| InjectedFault::StallAt { step });
         }
-        if let Some(n) = s.strip_prefix("io-error:") {
-            return n.parse().ok().map(|n| InjectedFault::IoErrorOnNthWrite { n });
-        }
         if let Some(ms) = s.strip_prefix("slow-consumer:") {
             return ms.parse().ok().map(|delay_ms| InjectedFault::SlowConsumer { delay_ms });
-        }
-        if let Some(mib) = s.strip_prefix("alloc-pressure:") {
-            return mib.parse().ok().map(|mib| InjectedFault::AllocPressure { mib });
         }
         None
     }
@@ -232,22 +183,19 @@ impl InjectedFault {
 
 impl StableHash for InjectedFault {
     fn stable_hash(&self, h: &mut StableHasher) {
-        // Explicit ordinals so run-cache keys survive declaration reorder.
+        // Explicit ordinals so run-cache keys survive declaration reorder
+        // and deletion: 2, 3 and 5 belonged to retired variants and stay
+        // unused, so no surviving key moves.
         let ordinal: u64 = match self {
             InjectedFault::Panic => 0,
             InjectedFault::StallAt { .. } => 1,
-            InjectedFault::IoErrorOnNthWrite { .. } => 2,
-            InjectedFault::CorruptCheckpointTail => 3,
             InjectedFault::SlowConsumer { .. } => 4,
-            InjectedFault::AllocPressure { .. } => 5,
         };
         ordinal.stable_hash(h);
         match self {
-            InjectedFault::Panic | InjectedFault::CorruptCheckpointTail => {}
+            InjectedFault::Panic => {}
             InjectedFault::StallAt { step } => step.stable_hash(h),
-            InjectedFault::IoErrorOnNthWrite { n } => n.stable_hash(h),
             InjectedFault::SlowConsumer { delay_ms } => delay_ms.stable_hash(h),
-            InjectedFault::AllocPressure { mib } => mib.stable_hash(h),
         }
     }
 }
@@ -260,9 +208,9 @@ impl StableHash for InjectedFault {
 /// plus a diagnostic snapshot once the budget is spent. Deliberately
 /// **excluded** from the run-cache key, like observation config: a
 /// deadline never alters the metrics of a run it does not abort, and
-/// aborted runs are errors, which are never cached or checkpointed — so a
-/// resumed sweep may tighten or relax its deadline and still reuse every
-/// completed point.
+/// aborted runs are errors, which are never cached — so a later batch
+/// may tighten or relax its deadline and still reuse every completed
+/// point.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeadlineConfig {
     /// Wall-clock budget in milliseconds; `None` disables the deadline.
@@ -1123,7 +1071,7 @@ mod tests {
     fn watchdog_and_fault_injection_change_the_stable_hash() {
         // Both knobs change the *outcome* of a run (abort vs. success), so
         // leaving them out of the key would alias a livelocking point with
-        // its healthy twin and corrupt checkpoint resume.
+        // its healthy twin in the run cache.
         use slicc_common::stable_hash_of;
         let base = SimConfig::paper_baseline();
         let fueled = SimConfigBuilder::paper_baseline().watchdog_steps(10).build().unwrap();
@@ -1155,19 +1103,7 @@ mod tests {
         ));
         keys.push(stable_hash_of(
             &SimConfigBuilder::paper_baseline()
-                .inject_fault(InjectedFault::IoErrorOnNthWrite { n: 7 })
-                .build()
-                .unwrap(),
-        ));
-        keys.push(stable_hash_of(
-            &SimConfigBuilder::paper_baseline()
                 .inject_fault(InjectedFault::SlowConsumer { delay_ms: 77 })
-                .build()
-                .unwrap(),
-        ));
-        keys.push(stable_hash_of(
-            &SimConfigBuilder::paper_baseline()
-                .inject_fault(InjectedFault::AllocPressure { mib: 77 })
                 .build()
                 .unwrap(),
         ));
@@ -1180,40 +1116,22 @@ mod tests {
         assert_eq!(InjectedFault::parse("panic"), Some(InjectedFault::Panic));
         assert_eq!(InjectedFault::parse("stall:42"), Some(InjectedFault::StallAt { step: 42 }));
         assert_eq!(
-            InjectedFault::parse("io-error:3"),
-            Some(InjectedFault::IoErrorOnNthWrite { n: 3 })
-        );
-        assert_eq!(InjectedFault::parse("corrupt-tail"), Some(InjectedFault::CorruptCheckpointTail));
-        assert_eq!(
             InjectedFault::parse("slow-consumer:25"),
             Some(InjectedFault::SlowConsumer { delay_ms: 25 })
         );
-        assert_eq!(
-            InjectedFault::parse("alloc-pressure:8"),
-            Some(InjectedFault::AllocPressure { mib: 8 })
-        );
-        for bad in
-            ["", "stall", "stall:", "stall:x", "io-error:", "panic!", "slow-consumer:", "alloc-pressure:x"]
-        {
+        for bad in [
+            "",
+            "stall",
+            "stall:",
+            "stall:x",
+            "panic!",
+            "slow-consumer:",
+            "io-error:1",
+            "corrupt-tail",
+            "alloc-pressure:8",
+        ] {
             assert_eq!(InjectedFault::parse(bad), None, "{bad:?} must not parse");
         }
-    }
-
-    #[test]
-    fn only_io_faults_translate_to_the_artifact_layer() {
-        use slicc_common::IoFault;
-        assert_eq!(InjectedFault::Panic.artifact_fault(), None);
-        assert_eq!(InjectedFault::StallAt { step: 1 }.artifact_fault(), None);
-        assert_eq!(
-            InjectedFault::IoErrorOnNthWrite { n: 2 }.artifact_fault(),
-            Some(IoFault::FailOnNth(2))
-        );
-        assert_eq!(
-            InjectedFault::CorruptCheckpointTail.artifact_fault(),
-            Some(IoFault::CorruptTail)
-        );
-        assert_eq!(InjectedFault::SlowConsumer { delay_ms: 5 }.artifact_fault(), None);
-        assert_eq!(InjectedFault::AllocPressure { mib: 2 }.artifact_fault(), None);
     }
 
     #[test]

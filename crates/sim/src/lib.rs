@@ -38,9 +38,8 @@
 //! Each point is fault-isolated: `run_all` returns one
 //! `Result<RunResult, RunError>` per request, so a panicking or
 //! livelocking point (see [`WatchdogConfig`]) reports a typed [`RunError`]
-//! while the rest of the batch completes, and
-//! [`Runner::attach_checkpoint`] persists completed points incrementally
-//! so interrupted sweeps resume where they left off.
+//! while the rest of the batch completes. A failed point runs once and is
+//! never cached.
 //!
 //! Long-lived embeddings front the runner with a [`SimService`]: the
 //! run cache is byte-bounded and LRU-evicting ([`Runner::set_cache_bytes`]),
@@ -58,7 +57,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -70,7 +68,6 @@ mod shard;
 pub mod system;
 pub mod telemetry;
 
-pub use checkpoint::{Checkpoint, CheckpointError, CheckpointLoad, OpenedCheckpoint};
 pub use config::{
     ConfigError, DeadlineConfig, InjectedFault, SchedulerMode, SimConfig, SimConfigBuilder,
     WatchdogConfig,
@@ -78,7 +75,7 @@ pub use config::{
 pub use engine::{Engine, MigrationEvent, RunControl};
 pub use error::{HotThread, LivelockSnapshot, PointSummary, RunError, SimError};
 pub use metrics::RunMetrics;
-pub use runner::{RetryPolicy, RunRequest, RunResult, Runner, RunnerStats};
+pub use runner::{RunRequest, RunResult, Runner, RunnerStats};
 pub use service::{
     BoundedResultCache, PressureSnapshot, ServiceConfig, SimService, DEFAULT_CACHE_BYTES,
 };

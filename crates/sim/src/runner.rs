@@ -25,10 +25,8 @@
 //! Failures are contained per point: each worker runs its simulation
 //! under `catch_unwind`, so a panicking or livelocking point becomes a
 //! typed [`RunError`] in that point's slot of the batch while every other
-//! point completes normally. Attaching a checkpoint file
-//! ([`Runner::attach_checkpoint`]) persists each completed point as it
-//! finishes, so an interrupted or partially-failed sweep resumes with
-//! only the missing points re-simulated.
+//! point completes normally. A failed point runs once and is never
+//! cached, so a later batch that names it simulates it again.
 //!
 //! The pool is plain `std::thread::scope` + `std::sync::mpsc` — the
 //! workspace builds with no external dependencies (DESIGN.md §5), and a
@@ -55,20 +53,18 @@
 //! println!("SLICC speedup: {speedup:.2}x over {:.0} sim-insn/s", slicc.sim_ips);
 //! ```
 
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointLoad};
 use crate::config::{DeadlineConfig, InjectedFault, SchedulerMode, SimConfig};
 use crate::engine::RunControl;
 use crate::error::{PointSummary, RunError, SimError};
 use crate::metrics::RunMetrics;
 use crate::service::{BoundedResultCache, PressureSnapshot, DEFAULT_CACHE_BYTES};
 use crate::session::{RunOutcome, RunSession};
-use slicc_common::{lock_unpoisoned, ArtifactIo, CancelToken, StableHash, StableHasher};
+use slicc_common::{lock_unpoisoned, CancelToken, StableHash, StableHasher};
 use slicc_obs::{ObsConfig, Observation, ProgressEvent, Reporter, WarningsOnlyReporter};
 use slicc_trace::{TraceScale, Workload, WorkloadSpec};
 use std::collections::HashMap;
 use std::collections::hash_map::Entry;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -97,9 +93,9 @@ pub struct RunRequest {
     /// Wall-clock budget for this point. Also excluded from
     /// [`RunRequest::stable_key`], for the same shape of reason: a
     /// deadline never changes the metrics of a run it does not abort, and
-    /// an aborted run is an error, which is never cached or checkpointed
-    /// — so a resumed sweep may change its deadline and still reuse every
-    /// completed point.
+    /// an aborted run is an error, which is never cached — so a later
+    /// batch may change its deadline and still reuse every completed
+    /// point.
     pub deadline: DeadlineConfig,
 }
 
@@ -184,14 +180,39 @@ impl RunRequest {
     /// The run-cache key: a stable hash of everything that can influence
     /// the outcome — including the watchdog fuel budget and any injected
     /// fault, so an aborted point never aliases its healthy twin in the
-    /// cache or a checkpoint file. Identical on every host and in every
-    /// process.
+    /// cache. Identical on every host and in every process.
     pub fn stable_key(&self) -> u64 {
         let mut h = StableHasher::new();
         self.workload.stable_hash(&mut h);
         self.effective_scale().stable_hash(&mut h);
         self.config.stable_hash(&mut h);
         h.finish()
+    }
+
+    /// Human label for progress lines: enough to recognize the point
+    /// without the full reproduction key. Besides the workload, scheduler
+    /// mode, tasks and seed it names the machine variant when there is
+    /// one — a next-line degree, the real PIF prefetcher, or an L1 size or
+    /// L1-I latency off the paper baseline — so Figure 11's Next-Line and
+    /// PIF columns and Figure 1's cache sweeps do not all read `[Base]`.
+    pub fn label(&self) -> String {
+        let cfg = &self.config;
+        let paper = SimConfig::paper_baseline();
+        let mut variant = cfg.mode.name().to_string();
+        if let Some(degree) = cfg.next_line_prefetch {
+            variant.push_str(&format!(" next-line={degree}"));
+        }
+        if cfg.pif_prefetch.is_some() {
+            variant.push_str(" pif");
+        }
+        if cfg.l1i_size != paper.l1i_size || cfg.l1i_latency_override.is_some() {
+            variant.push_str(&format!(" l1i={}KiB/{}cyc", cfg.l1i_size / 1024, cfg.l1i_latency()));
+        }
+        if cfg.l1d_size != paper.l1d_size {
+            variant.push_str(&format!(" l1d={}KiB", cfg.l1d_size / 1024));
+        }
+        let scale = self.effective_scale();
+        format!("{} [{variant}] tasks={} seed={}", self.workload.name(), scale.tasks, scale.seed)
     }
 
     /// Runs this point now, on the calling thread, bypassing any cache.
@@ -267,20 +288,14 @@ pub struct RunResult {
     pub from_cache: bool,
     /// Observation artifacts (event trace, interval series), when the
     /// request asked for any ([`RunRequest::obs`]). `None` for unobserved
-    /// runs and for results decoded from a checkpoint file (the format
-    /// persists metrics, not traces).
+    /// runs.
     pub obs: Option<Observation>,
-    /// How many attempts this result took (1 = first try; >1 means the
-    /// [`RetryPolicy`] re-ran a transient failure). Transient metadata
-    /// like [`RunResult::from_cache`]: not persisted by the checkpoint
-    /// codec — decoded results report 1.
-    pub attempts: u32,
 }
 
 impl RunResult {
     /// Wraps a freshly-run session outcome with the runner-level
     /// bookkeeping: wall time since `started`, derived sim-ips, and the
-    /// fresh-run defaults for cache/attempt metadata.
+    /// fresh-run cache flag.
     fn of(outcome: RunOutcome, started: Instant) -> RunResult {
         let wall = started.elapsed();
         let sim_ips = if wall.as_secs_f64() > 0.0 {
@@ -294,104 +309,7 @@ impl RunResult {
             sim_ips,
             from_cache: false,
             obs: outcome.obs,
-            attempts: 1,
         }
-    }
-}
-
-/// How the [`Runner`] re-attempts failed points.
-///
-/// Failures split into *transient* (worth re-attempting with more
-/// resources) and *permanent* (deterministic; retrying reproduces them):
-///
-/// | [`RunError`]         | class     | retry strategy                      |
-/// |----------------------|-----------|-------------------------------------|
-/// | `Livelock`           | transient | escalate watchdog fuel by
-///                                      [`RetryPolicy::fuel_escalation`]^n,
-///                                      capped at `max_fuel_factor`       |
-/// | checkpoint I/O error | transient | deterministic bounded backoff
-///                                      ([`RetryPolicy::io_backoff_ms`],
-///                                      doubling per attempt)             |
-/// | `Panicked`           | permanent | —                                   |
-/// | `Stalled`            | permanent | —                                   |
-/// | `Config`             | permanent | —                                   |
-/// | `Lost`               | permanent | —                                   |
-/// | `Cancelled`          | permanent | the caller asked it to stop         |
-/// | `DeadlineExceeded`   | permanent | the budget is already spent         |
-/// | `Overloaded`         | permanent | nothing ran; the *caller* should back
-///                                      off per the error's retry-after hint
-///                                      and resubmit                        |
-///
-/// A fuel-escalated retry runs a *modified* config, but its result is
-/// cached and checkpointed under the original request's key — safe
-/// because the watchdog never alters the metrics of a run it does not
-/// abort; it only decides how long to wait before giving up.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per point (1 = no retries; clamped to at least 1).
-    pub max_attempts: u32,
-    /// Watchdog fuel multiplier applied per livelock retry (attempt n
-    /// runs with `fuel_escalation^(n-1)` times the budget).
-    pub fuel_escalation: u64,
-    /// Upper bound on the cumulative fuel multiplier.
-    pub max_fuel_factor: u64,
-    /// Base backoff before re-attempting a failed checkpoint write, in
-    /// milliseconds; doubles per attempt. Deterministic: no jitter.
-    pub io_backoff_ms: u64,
-}
-
-impl RetryPolicy {
-    /// No retries (the runner default): every failure surfaces on the
-    /// first attempt, preserving the exact semantics of un-retried runs.
-    pub const fn none() -> Self {
-        RetryPolicy { max_attempts: 1, fuel_escalation: 1, max_fuel_factor: 1, io_backoff_ms: 0 }
-    }
-
-    /// The recommended campaign policy: three attempts, 8× fuel per
-    /// livelock retry (64× cap), 25 ms base I/O backoff.
-    pub const fn standard() -> Self {
-        RetryPolicy { max_attempts: 3, fuel_escalation: 8, max_fuel_factor: 64, io_backoff_ms: 25 }
-    }
-
-    /// Whether `error` is worth re-attempting under this policy (see the
-    /// classification table on [`RetryPolicy`]).
-    pub fn is_transient(&self, error: &RunError) -> bool {
-        matches!(error, RunError::Livelock { .. })
-    }
-
-    /// The fuel multiplier for attempt `attempt` (1-based; attempt 1 is
-    /// the un-escalated run).
-    pub fn fuel_factor(&self, attempt: u32) -> u64 {
-        self.fuel_escalation
-            .max(1)
-            .saturating_pow(attempt.saturating_sub(1))
-            .clamp(1, self.max_fuel_factor.max(1))
-    }
-
-    /// The deterministic backoff before I/O retry `attempt` (1-based).
-    pub fn io_backoff(&self, attempt: u32) -> Duration {
-        let doubled = self.io_backoff_ms.saturating_mul(1u64 << attempt.saturating_sub(1).min(16));
-        Duration::from_millis(doubled)
-    }
-
-    /// `req` with its watchdog fuel budget escalated for `attempt`.
-    fn escalated(&self, req: &RunRequest, attempt: u32) -> RunRequest {
-        let factor = self.fuel_factor(attempt);
-        let mut req = req.clone();
-        let w = &mut req.config.watchdog;
-        if let Some(steps) = w.max_heap_steps {
-            w.max_heap_steps = Some(steps.saturating_mul(factor));
-        }
-        if let Some(cycles) = w.max_cycles {
-            w.max_cycles = Some(cycles.saturating_mul(factor));
-        }
-        req
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
     }
 }
 
@@ -399,7 +317,7 @@ impl Default for RetryPolicy {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunnerStats {
     /// Requests served from a result that was already memoized when the
-    /// request arrived (including points seeded from a checkpoint file).
+    /// request arrived.
     /// Duplicates that piggy-back on an in-flight simulation are counted
     /// separately as [`RunnerStats::coalesced_hits`].
     pub cache_hits: u64,
@@ -425,9 +343,6 @@ pub struct RunnerStats {
     /// points are never cached, so they are re-attempted by every batch
     /// that names them.
     pub failed_points: u64,
-    /// Extra simulation attempts spent by the [`RetryPolicy`] on
-    /// transient failures (a point that succeeds on attempt 3 adds 2).
-    pub retried_attempts: u64,
     /// Distinct [`WorkloadSpec`]s materialized. With the spec memo, a
     /// five-mode figure column costs one build, not five.
     pub spec_builds: u64,
@@ -471,7 +386,6 @@ pub struct Runner {
     /// Materialized traces keyed by [`RunRequest::spec_key`]: every mode
     /// variant of a (workload, scale) point shares one spec build.
     specs: Mutex<HashMap<u64, Arc<WorkloadSpec>>>,
-    checkpoint: Mutex<Option<Checkpoint>>,
     /// Telemetry sink for progress events. Defaults to
     /// [`WarningsOnlyReporter`] so embedding code keeps a quiet stderr
     /// while degradation warnings still surface; the binaries swap in the
@@ -481,7 +395,6 @@ pub struct Runner {
     /// binaries hand it to [`slicc_common::install_sigint_cancel`] so the
     /// first Ctrl-C drains the pool gracefully.
     cancel: CancelToken,
-    retry: Mutex<RetryPolicy>,
     /// Deadline applied to requests that do not carry their own
     /// [`RunRequest::deadline`]; the per-request value wins.
     default_deadline: Mutex<Option<Duration>>,
@@ -494,7 +407,6 @@ pub struct Runner {
     coalesced: AtomicU64,
     misses: AtomicU64,
     failures: AtomicU64,
-    retries: AtomicU64,
     shed: AtomicU64,
     spec_builds: AtomicU64,
     simulated_instructions: AtomicU64,
@@ -512,10 +424,8 @@ impl Runner {
             jobs: jobs.max(1),
             cache: Mutex::new(BoundedResultCache::new(DEFAULT_CACHE_BYTES)),
             specs: Mutex::new(HashMap::new()),
-            checkpoint: Mutex::new(None),
             reporter: Mutex::new(Arc::new(WarningsOnlyReporter::stderr())),
             cancel: CancelToken::new(),
-            retry: Mutex::new(RetryPolicy::none()),
             default_deadline: Mutex::new(None),
             queue_limit: Mutex::new(None),
             inflight: AtomicUsize::new(0),
@@ -523,7 +433,6 @@ impl Runner {
             coalesced: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             spec_builds: AtomicU64::new(0),
             simulated_instructions: AtomicU64::new(0),
@@ -559,25 +468,14 @@ impl Runner {
     /// The runner's cancellation token. Cancelling it makes every
     /// in-flight simulation abort with [`RunError::Cancelled`] at its
     /// next engine step, and every not-yet-started point fail fast
-    /// without simulating. Completed points keep their results (and
-    /// their checkpoint records).
+    /// without simulating. Completed points keep their cached results.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
 
-    /// Replaces the retry policy (default: [`RetryPolicy::none`]).
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *lock_unpoisoned(&self.retry) = policy;
-    }
-
-    /// The current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *lock_unpoisoned(&self.retry)
-    }
-
     /// Sets the wall-clock deadline applied to every request that does
     /// not carry its own [`RunRequest::deadline`]. `None` disables it.
-    /// The budget is per point, measured from the attempt's start.
+    /// The budget is per point, measured from the point's start.
     pub fn set_default_deadline(&self, budget: Option<Duration>) {
         *lock_unpoisoned(&self.default_deadline) = budget;
     }
@@ -678,35 +576,6 @@ impl Runner {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Attaches a checkpoint file: previously completed points are seeded
-    /// into the run cache (they will be served as cache hits), and every
-    /// point completed from now on is appended to the file as it
-    /// finishes. A corrupt tail in an existing file is discarded — see
-    /// [`Checkpoint::open`]. Attach before the first `run_all` call:
-    /// points that are already memoized are not retroactively written.
-    pub fn attach_checkpoint(&self, path: impl AsRef<Path>) -> Result<CheckpointLoad, CheckpointError> {
-        self.attach_checkpoint_with_io(path, Arc::new(slicc_common::StdIo))
-    }
-
-    /// [`Runner::attach_checkpoint`] with an explicit [`ArtifactIo`]
-    /// backend — the fault-injection seam the chaos tests drive with
-    /// [`slicc_common::FaultyIo`].
-    pub fn attach_checkpoint_with_io(
-        &self,
-        path: impl AsRef<Path>,
-        io: Arc<dyn ArtifactIo>,
-    ) -> Result<CheckpointLoad, CheckpointError> {
-        let (ckpt, entries, load) = Checkpoint::open_with_io(path.as_ref(), io)?;
-        {
-            let mut cache = lock_unpoisoned(&self.cache);
-            for (key, result) in entries {
-                cache.insert_if_absent(key, result);
-            }
-        }
-        *lock_unpoisoned(&self.checkpoint) = Some(ckpt);
-        Ok(load)
-    }
-
     /// Runs one point, serving it from the run cache when possible.
     pub fn run(&self, req: &RunRequest) -> Result<RunResult, RunError> {
         self.run_all(std::slice::from_ref(req)).pop().expect("one request yields one result")
@@ -720,9 +589,8 @@ impl Runner {
     ///
     /// Failures are per point: a panicking, livelocking, or misconfigured
     /// point yields a [`RunError`] in its slot while the rest of the
-    /// batch completes. Failed points are not cached (and not
-    /// checkpointed), so a later batch — e.g. a resumed sweep — attempts
-    /// them again.
+    /// batch completes. Failed points are not cached, so a later batch
+    /// attempts them again.
     pub fn run_all(&self, reqs: &[RunRequest]) -> Vec<Result<RunResult, RunError>> {
         let keys: Vec<u64> = reqs.iter().map(RunRequest::stable_key).collect();
 
@@ -828,7 +696,7 @@ impl Runner {
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
                     }
                     cached_served += 1;
-                    reporter.report(ProgressEvent::PointCached { label: point_label(req) });
+                    reporter.report(ProgressEvent::PointCached { label: req.label() });
                 }
                 result.from_cache = !fresh_now;
                 Ok(result)
@@ -919,15 +787,13 @@ impl Runner {
             cache_bytes,
             shed_points: self.shed.load(Ordering::Relaxed),
             failed_points: self.failures.load(Ordering::Relaxed),
-            retried_attempts: self.retries.load(Ordering::Relaxed),
             spec_builds: self.spec_builds.load(Ordering::Relaxed),
             simulated_instructions: self.simulated_instructions.load(Ordering::Relaxed),
             busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
         }
     }
 
-    /// Points currently memoized (including any seeded from a
-    /// checkpoint).
+    /// Points currently memoized.
     pub fn cached_points(&self) -> usize {
         lock_unpoisoned(&self.cache).len()
     }
@@ -947,18 +813,10 @@ impl Runner {
         }
     }
 
-    /// Executes one point with panic containment: a panic anywhere in the
-    /// simulation (or an engine-level [`SimError`]) becomes a [`RunError`]
-    /// carrying the point's identity, instead of unwinding into the pool.
-    ///
-    /// Transient failures are re-attempted per the [`RetryPolicy`]; the
-    /// returned result's [`RunResult::attempts`] records how many tries
-    /// it took. A cancelled runner fails the point fast, before any
-    /// simulation work.
     /// Runs `req` now, on the calling thread, bypassing the run cache and
     /// admission control entirely: nothing is looked up, banked, shed, or
-    /// counted toward hit/miss stats. The spec memo, retry policy, default
-    /// deadline, and cancellation token still apply, so the result is
+    /// counted toward hit/miss stats. The spec memo, default deadline,
+    /// and cancellation token still apply, so the result is
     /// digest-identical to what a cached [`Runner::run`] of the same
     /// request would compute — which is exactly what the governance
     /// invariance tests use it for (a reference run untouched by cache
@@ -967,80 +825,26 @@ impl Runner {
         self.execute_point(req)
     }
 
+    /// Executes one point with panic containment: a panic anywhere in the
+    /// simulation (or an engine-level [`SimError`]) becomes a [`RunError`]
+    /// carrying the point's identity, instead of unwinding into the pool.
+    /// A point runs once: a deterministic simulation that failed would
+    /// fail the same way again. A cancelled runner fails the point fast,
+    /// before any simulation work.
     fn execute_point(&self, req: &RunRequest) -> Result<RunResult, RunError> {
+        let point = PointSummary::of(req);
         if self.cancel.is_cancelled() {
             // heap_steps = 0 reads as "cancelled before it started".
-            return Err(RunError::Cancelled { point: PointSummary::of(req), snapshot: Box::default() });
+            return Err(RunError::Cancelled { point, snapshot: Box::default() });
         }
         let spec = self.spec_for(req);
-        let policy = self.retry_policy();
-        let mut attempt = 1u32;
-        loop {
-            match self.execute_attempt(req, &spec, attempt, &policy) {
-                Ok(mut result) => {
-                    result.attempts = attempt;
-                    return Ok(result);
-                }
-                Err(error) => {
-                    let retry = attempt < policy.max_attempts.max(1)
-                        && policy.is_transient(&error)
-                        && !self.cancel.is_cancelled();
-                    if !retry {
-                        return Err(error);
-                    }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    attempt += 1;
-                    self.reporter().report(ProgressEvent::PointRetried {
-                        label: point_label(req),
-                        attempt,
-                        error: error.to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// One containment-wrapped simulation attempt. Attempts after the
-    /// first run a fuel-escalated copy of the request
-    /// ([`RetryPolicy::fuel_factor`]); the point's identity — and with it
-    /// the cache and checkpoint key — stays the original's, which is
-    /// sound because the watchdog budget never changes the metrics of a
-    /// run it does not abort.
-    fn execute_attempt(
-        &self,
-        req: &RunRequest,
-        spec: &WorkloadSpec,
-        attempt: u32,
-        policy: &RetryPolicy,
-    ) -> Result<RunResult, RunError> {
-        let point = PointSummary::of(req);
-        let escalated;
-        let run_req = if attempt > 1 {
-            escalated = policy.escalated(req, attempt);
-            &escalated
-        } else {
-            req
-        };
-        let budget = run_req.deadline.budget().or_else(|| self.default_deadline());
+        let budget = req.deadline.budget().or_else(|| self.default_deadline());
         let ctrl = RunControl {
             cancel: self.cancel.clone(),
             deadline: budget.map(|b| Instant::now() + b),
         };
-        // Runner-layer fault injection: AllocPressure holds a touched
-        // ballast allocation across the attempt (the engine never sees
-        // it), stressing the host the way an obs-heavy neighbour would.
-        let _ballast = match run_req.config.fault_injection {
-            Some(InjectedFault::AllocPressure { mib }) => {
-                let mut ballast = vec![0u8; (mib as usize) << 20];
-                for page in ballast.chunks_mut(4096) {
-                    page[0] = 1;
-                }
-                Some(ballast)
-            }
-            _ => None,
-        };
         let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
-            run_req.try_execute_controlled(spec, &ctrl)
+            req.try_execute_controlled(&spec, &ctrl)
         })) {
             Ok(Ok(result)) => Ok(result),
             Ok(Err(sim_error)) => Err(RunError::from_sim(point, sim_error)),
@@ -1054,7 +858,7 @@ impl Runner {
         // slot) before releasing it — the deterministic way the chaos
         // drills keep an admission slot occupied. The metrics are already
         // computed, so they stay byte-identical to the healthy run.
-        if let Some(InjectedFault::SlowConsumer { delay_ms }) = run_req.config.fault_injection {
+        if let Some(InjectedFault::SlowConsumer { delay_ms }) = req.config.fault_injection {
             if outcome.is_ok() {
                 std::thread::sleep(Duration::from_millis(delay_ms));
             }
@@ -1062,49 +866,9 @@ impl Runner {
         outcome
     }
 
-    /// Appends a completed point to the attached checkpoint, if any.
-    /// Write failures are transient per the [`RetryPolicy`]: each failed
-    /// append is retried after a deterministic bounded backoff (the log
-    /// rewinds on failure, so a retry extends a clean file). Only after
-    /// the final attempt fails is checkpointing disabled for the rest of
-    /// the process (with one warning) rather than failing the batch: the
-    /// results in memory are still good.
-    fn checkpoint_store(&self, key: u64, result: &RunResult) {
-        let policy = self.retry_policy();
-        let mut guard = lock_unpoisoned(&self.checkpoint);
-        let Some(ckpt) = guard.as_mut() else { return };
-        for attempt in 1..=policy.max_attempts.max(1) {
-            let Err(e) = ckpt.append(key, result) else { return };
-            if attempt < policy.max_attempts.max(1) {
-                let backoff = policy.io_backoff(attempt);
-                self.reporter().report(ProgressEvent::Warning {
-                    message: format!(
-                        "checkpoint write to {} failed ({e}); retrying in {} ms \
-                         (attempt {attempt} of {})",
-                        ckpt.path().display(),
-                        backoff.as_millis(),
-                        policy.max_attempts,
-                    ),
-                });
-                std::thread::sleep(backoff);
-            } else {
-                self.reporter().report(ProgressEvent::Warning {
-                    message: format!(
-                        "checkpoint write to {} failed ({e}); checkpointing disabled",
-                        ckpt.path().display()
-                    ),
-                });
-                *guard = None;
-                return;
-            }
-        }
-    }
-
     /// Simulates the given distinct points, returning outcomes in the
     /// same order. Runs inline for one worker, otherwise fans out over an
-    /// mpsc work queue shared by `min(jobs, points)` threads. Each
-    /// completed point is checkpointed as it finishes, not at batch end,
-    /// so an interrupted sweep keeps its completed prefix.
+    /// mpsc work queue shared by `min(jobs, points)` threads.
     fn simulate_batch(&self, fresh: &[(u64, &RunRequest)]) -> Vec<Result<RunResult, RunError>> {
         let workers = self.jobs.min(fresh.len());
         let reporter = self.reporter();
@@ -1113,13 +877,10 @@ impl Runner {
             return fresh
                 .iter()
                 .enumerate()
-                .map(|(i, &(key, req))| {
+                .map(|(i, &(_, req))| {
                     report_point_start(&*reporter, i + 1, total, req);
                     let outcome = self.execute_point(req);
                     report_point_end(&*reporter, i + 1, total, req, &outcome);
-                    if let Ok(result) = &outcome {
-                        self.checkpoint_store(key, result);
-                    }
                     outcome
                 })
                 .collect();
@@ -1158,12 +919,8 @@ impl Runner {
                 });
             }
             drop(result_tx);
-            // Reassemble in submission order as workers finish,
-            // checkpointing each success immediately.
+            // Reassemble in submission order as workers finish.
             for (idx, outcome) in result_rx {
-                if let Ok(result) = &outcome {
-                    self.checkpoint_store(fresh[idx].0, result);
-                }
                 results[idx] = Some(outcome);
             }
         });
@@ -1179,21 +936,8 @@ impl Runner {
     }
 }
 
-/// Human label for progress lines: enough to recognize the point without
-/// the full reproduction key.
-fn point_label(req: &RunRequest) -> String {
-    let scale = req.effective_scale();
-    format!(
-        "{} [{}] tasks={} seed={}",
-        req.workload.name(),
-        req.mode().name(),
-        scale.tasks,
-        scale.seed
-    )
-}
-
 fn report_point_start(reporter: &dyn Reporter, index: usize, total: usize, req: &RunRequest) {
-    reporter.report(ProgressEvent::PointStarted { index, total, label: point_label(req) });
+    reporter.report(ProgressEvent::PointStarted { index, total, label: req.label() });
 }
 
 fn report_point_end(
@@ -1203,7 +947,7 @@ fn report_point_end(
     req: &RunRequest,
     outcome: &Result<RunResult, RunError>,
 ) {
-    let label = point_label(req);
+    let label = req.label();
     let event = match outcome {
         Ok(result) => ProgressEvent::PointFinished {
             index,
@@ -1465,75 +1209,21 @@ mod tests {
         assert_eq!(runner.stats().failed_points, 1);
     }
 
-    /// A request whose 1-step fuel budget livelocks on the first attempt
-    /// but completes once the retry policy escalates it.
-    fn starved_request() -> RunRequest {
+    #[test]
+    fn without_retries_a_starved_point_fails_on_the_first_attempt() {
+        // A 1-step fuel budget livelocks. The point runs once: more fuel
+        // is a watchdog setting, not something the runner retries.
         let config = SimConfigBuilder::tiny_test()
             .watchdog_steps(1)
             .build()
             .expect("tiny config with a 1-step fuel budget is valid");
-        RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config)
-    }
-
-    #[test]
-    fn retry_policy_classifies_and_escalates() {
-        let p = RetryPolicy::standard();
-        let livelock = RunError::Livelock {
-            point: PointSummary::of(&tiny_request()),
-            snapshot: Box::default(),
-        };
-        let cancelled = RunError::Cancelled {
-            point: PointSummary::of(&tiny_request()),
-            snapshot: Box::default(),
-        };
-        assert!(p.is_transient(&livelock));
-        assert!(!p.is_transient(&cancelled), "a cancelled point must stay cancelled");
-        assert_eq!(p.fuel_factor(1), 1, "the first attempt runs unescalated");
-        assert_eq!(p.fuel_factor(2), 8);
-        assert_eq!(p.fuel_factor(3), 64);
-        assert_eq!(p.fuel_factor(4), 64, "escalation clamps at max_fuel_factor");
-        assert_eq!(p.io_backoff(1), Duration::from_millis(25));
-        assert_eq!(p.io_backoff(2), Duration::from_millis(50));
-        assert_eq!(RetryPolicy::none().fuel_factor(9), 1);
-        assert_eq!(RetryPolicy::default(), RetryPolicy::none());
-    }
-
-    #[test]
-    fn without_retries_a_starved_point_fails_on_the_first_attempt() {
+        let starved = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config);
         let runner = Runner::new(1);
-        let err = runner.run(&starved_request()).expect_err("1 step of fuel must livelock");
+        let err = runner.run(&starved).expect_err("1 step of fuel must livelock");
         assert!(matches!(err, RunError::Livelock { .. }), "got {err}");
-        assert_eq!(runner.stats().retried_attempts, 0);
-    }
-
-    #[test]
-    fn livelock_retries_escalate_fuel_and_cache_under_the_original_key() {
-        let runner = Runner::new(1);
-        runner.set_retry_policy(RetryPolicy {
-            max_attempts: 8,
-            fuel_escalation: 1024,
-            max_fuel_factor: u64::MAX,
-            io_backoff_ms: 0,
-        });
-        let req = starved_request();
-        let result = expect_ok(runner.run(&req));
-        assert!(result.attempts > 1, "the 1-step budget cannot succeed first try");
-        assert_eq!(runner.stats().retried_attempts, u64::from(result.attempts) - 1);
-        assert_eq!(runner.stats().failed_points, 0, "a retried success is not a failure");
-        // The escalated run answers for the *original* request: cached
-        // under its key, with the metrics an unstarved run produces.
-        let again = expect_ok(runner.run(&req));
-        assert!(again.from_cache);
-        let unstarved = expect_ok(Runner::new(1).run(&tiny_request()));
-        assert_eq!(result.metrics.digest(), unstarved.metrics.digest());
-    }
-
-    #[test]
-    fn permanent_failures_are_not_retried() {
-        let runner = Runner::new(1);
-        runner.set_retry_policy(RetryPolicy::standard());
-        assert!(runner.run(&panicking_request()).is_err());
-        assert_eq!(runner.stats().retried_attempts, 0, "a panic is deterministic");
+        let stats = runner.stats();
+        assert_eq!(stats.cache_misses, 1, "one point, one attempt");
+        assert_eq!(stats.failed_points, 1);
     }
 
     #[test]

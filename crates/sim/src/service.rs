@@ -8,9 +8,9 @@
 //! independently, and "too much work" has no answer but collapse. This
 //! module supplies the three governing policies:
 //!
-//! - [`BoundedResultCache`] — the run cache itself, now weighted by each
-//!   entry's serialized size (the checkpoint codec's encoding, plus any
-//!   in-memory observation payload) and bounded by a configurable byte
+//! - [`BoundedResultCache`] — the run cache itself, weighted by each
+//!   entry's [`result_weight`] (a closed-form byte count of its metrics,
+//!   plus any in-memory observation payload) and bounded by a configurable byte
 //!   budget ([`Runner::set_cache_bytes`], `--cache-bytes`). Inserting
 //!   past the budget evicts least-recently-used entries; the budget is
 //!   never exceeded.
@@ -33,8 +33,8 @@
 //! *when* a result is served from memory, never *what* a finished run
 //! computed. The golden-digest suite pins that invariant.
 
-use crate::checkpoint::encoded_size;
 use crate::error::{PointSummary, RunError};
+use crate::metrics::RunMetrics;
 use crate::runner::{Runner, RunRequest, RunResult};
 use slicc_common::lock_unpoisoned;
 use slicc_obs::{Epoch, ProgressEvent, TraceEvent};
@@ -49,20 +49,38 @@ use std::time::Duration;
 /// `--cache-bytes`.
 pub const DEFAULT_CACHE_BYTES: u64 = 64 << 20;
 
-/// Per-record framing overhead charged on top of the payload encoding
-/// (mirrors the checkpoint record: tag + key + len + hash), so an
-/// entry's weight is "what this result costs to keep", not zero for an
-/// empty payload.
+/// Per-entry overhead charged on top of the metrics bytes (a tag, the
+/// 8-byte key, a 4-byte length and an 8-byte hash), so an entry's weight
+/// is "what this result costs to keep", not zero for empty metrics.
 const ENTRY_OVERHEAD: u64 = 1 + 8 + 4 + 8;
 
-/// The byte weight of one cached result: its serialized payload size in
-/// the checkpoint codec plus the in-memory footprint of any observation
+/// The fixed part of [`metrics_bytes`]: wall time and sim-ips (8 + 8),
+/// the two string length prefixes (4 + 4), 36 counters at 8 bytes each
+/// (15 run totals, 8 core-stat, 3 NoC, 5 L2 and 5 DRAM counters), the
+/// presence tags of the three optional fields (3), and three `f64` means
+/// (24).
+const METRICS_FIXED_BYTES: u64 = 8 + 8 + 4 + 4 + 36 * 8 + 3 + 3 * 8;
+
+/// The bytes a compact encoding of `m` occupies: every counter at 8
+/// bytes, strings length-prefixed, optional fields tagged. A
+/// platform-independent stand-in for the result's memory cost, fixed so
+/// that eviction order and every governance byte count stay put.
+fn metrics_bytes(m: &RunMetrics) -> u64 {
+    let breakdowns = u64::from(m.i_breakdown.is_some()) + u64::from(m.d_breakdown.is_some());
+    METRICS_FIXED_BYTES
+        + (m.workload.len() + m.mode.len()) as u64
+        + 24 * breakdowns
+        + 8 * u64::from(m.bloom_accuracy.is_some())
+}
+
+/// The byte weight of one cached result: [`ENTRY_OVERHEAD`], its
+/// [`metrics_bytes`], and the in-memory footprint of any observation
 /// artifacts it carries (event trace, interval series). Observation
 /// payloads dominate when present — an observed run with a deep event
 /// ring weighs thousands of entries' worth of bare metrics — which is
 /// exactly why they must be charged.
 pub fn result_weight(result: &RunResult) -> u64 {
-    let mut weight = ENTRY_OVERHEAD + encoded_size(result) as u64;
+    let mut weight = ENTRY_OVERHEAD + metrics_bytes(&result.metrics);
     if let Some(obs) = &result.obs {
         weight += (obs.events.len() * std::mem::size_of::<TraceEvent>()) as u64;
         if let Some(series) = &obs.series {
@@ -184,14 +202,6 @@ impl BoundedResultCache {
         self.bytes += weight;
         self.push_front(key);
         true
-    }
-
-    /// [`BoundedResultCache::insert`] only if `key` is not already
-    /// resident (checkpoint seeding must not clobber newer results).
-    pub fn insert_if_absent(&mut self, key: u64, result: RunResult) {
-        if !self.map.contains_key(&key) {
-            self.insert(key, result);
-        }
     }
 
     /// Removes `key`, returning whether it was resident.
@@ -452,7 +462,7 @@ impl Drop for QueueGuard<'_> {
 ///    simulation runs no matter how many clients stampede.
 /// 3. **Admitted** — a free execution slot: simulate on the calling
 ///    thread through the shared runner (which banks the result in the
-///    bounded cache and any attached checkpoint).
+///    bounded cache).
 /// 4. **Queued** — all slots busy but the wait queue has room: block
 ///    until a slot frees or the result materializes.
 /// 5. **Shed** — slots and queue both full: fail fast with
@@ -486,7 +496,7 @@ impl SimService {
         SimService::new(runner, ServiceConfig::with_inflight(jobs))
     }
 
-    /// The shared runner (stats, cancellation, checkpoint attachment).
+    /// The shared runner (stats, cancellation, governance knobs).
     pub fn runner(&self) -> &Arc<Runner> {
         &self.runner
     }
@@ -600,7 +610,7 @@ mod tests {
     }
 
     /// A synthetic result whose weight is controlled through the
-    /// workload-name string (the codec stores it length-prefixed).
+    /// workload-name string (charged byte for byte).
     fn padded_result(pad: usize) -> RunResult {
         let mut result = RunResult {
             metrics: Default::default(),
@@ -608,7 +618,6 @@ mod tests {
             sim_ips: 0.0,
             from_cache: false,
             obs: None,
-            attempts: 1,
         };
         result.metrics.workload = "w".repeat(pad);
         result
@@ -636,6 +645,28 @@ mod tests {
                 >= result_weight(&small) + 100 * std::mem::size_of::<TraceEvent>() as u64,
             "an event trace must weigh what it occupies"
         );
+    }
+
+    #[test]
+    fn metrics_bytes_match_the_pinned_closed_form() {
+        use slicc_cache::MissBreakdown;
+        // An empty SLICC result: the fixed part plus the mode name.
+        let empty = RunMetrics { mode: "SLICC".into(), ..Default::default() };
+        assert_eq!(metrics_bytes(&empty), 344);
+        // Every optional field but the D-side breakdown present.
+        let dense = RunMetrics {
+            workload: "TPC-C-1".into(),
+            mode: "SLICC".into(),
+            i_breakdown: Some(MissBreakdown { compulsory: 37, conflict: 38, capacity: 39 }),
+            bloom_accuracy: Some(0.25),
+            ..Default::default()
+        };
+        assert_eq!(metrics_bytes(&dense), 383);
+        // Counter values never change the weight, only which fields exist.
+        let busy = RunMetrics { instructions: u64::MAX, cycles: 7, ..dense.clone() };
+        assert_eq!(metrics_bytes(&busy), 383);
+        let both = RunMetrics { d_breakdown: dense.i_breakdown, ..dense };
+        assert_eq!(metrics_bytes(&both), 383 + 24);
     }
 
     #[test]
@@ -690,14 +721,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert!(cache.bytes() <= cache.max_bytes());
         assert!(cache.contains(2) && cache.contains(3), "the newest entries survive");
-    }
-
-    #[test]
-    fn insert_if_absent_preserves_the_resident_result() {
-        let mut cache = BoundedResultCache::new(1 << 20);
-        cache.insert(1, padded_result(16));
-        cache.insert_if_absent(1, padded_result(512));
-        assert_eq!(cache.get(1).unwrap().metrics.workload.len(), 16);
     }
 
     #[test]

@@ -89,14 +89,13 @@ pub fn export_run_metrics(reg: &MetricsRegistry, runs: &[&RunMetrics]) {
 /// Exports the batch runner's governance and throughput counters
 /// (`runner_` prefix).
 pub fn export_runner_stats(reg: &MetricsRegistry, stats: &RunnerStats) {
-    let counters: [(&str, &str, u64); 10] = [
+    let counters: [(&str, &str, u64); 9] = [
         ("runner_cache_hits_total", "requests served from the run cache", stats.cache_hits),
         ("runner_coalesced_hits_total", "requests coalesced onto a flight", stats.coalesced_hits),
         ("runner_cache_misses_total", "requests that simulated fresh", stats.cache_misses),
         ("runner_cache_evictions_total", "run-cache evictions", stats.cache_evictions),
         ("runner_shed_points_total", "submissions shed by admission control", stats.shed_points),
         ("runner_failed_points_total", "fresh attempts that failed", stats.failed_points),
-        ("runner_retried_attempts_total", "extra attempts spent on retries", stats.retried_attempts),
         ("runner_spec_builds_total", "workload specs materialized", stats.spec_builds),
         ("runner_simulated_instructions_total", "instructions simulated fresh", stats.simulated_instructions),
         ("runner_busy_nanos_total", "CPU nanoseconds inside simulations", stats.busy_nanos),

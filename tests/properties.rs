@@ -192,7 +192,7 @@ proptest! {
     }
 }
 
-/// A completed tiny run with its serialized weight padded via the
+/// A completed tiny run with its cache weight padded via the
 /// workload name, for the cache-budget properties below. The base point
 /// is simulated once and cloned per case.
 fn padded_result(pad: usize) -> slicc_sim::RunResult {
@@ -298,79 +298,5 @@ proptest! {
         prop_assert!(runner.stats().cache_bytes <= runner.cache_budget());
         let pressure = service.pressure();
         prop_assert_eq!((pressure.queue_depth, pressure.inflight), (0, 0));
-    }
-}
-
-/// A checkpoint file seeded with three known records, for the damage
-/// properties below.
-fn seeded_checkpoint(tag: &str) -> (std::path::PathBuf, Vec<u8>) {
-    use slicc_sim::{Checkpoint, RunRequest, SimConfig};
-    use slicc_trace::{TraceScale, Workload};
-    let path = std::env::temp_dir()
-        .join(format!("slicc-prop-{tag}-{}-{:x}.ckpt", std::process::id(), rand_suffix()));
-    let result = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test())
-        .try_execute()
-        .expect("tiny run completes");
-    let (mut ckpt, _, _) = Checkpoint::open(&path).expect("fresh checkpoint opens");
-    for key in 1..=3u64 {
-        ckpt.append(key, &result).expect("append succeeds");
-    }
-    drop(ckpt);
-    let bytes = std::fs::read(&path).expect("checkpoint readable");
-    (path, bytes)
-}
-
-fn rand_suffix() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    COUNTER.fetch_add(1, Ordering::Relaxed)
-}
-
-proptest! {
-    // Each case re-simulates a tiny point to seed the file: keep the
-    // case count moderate.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Truncating a checkpoint anywhere must never panic, and must load
-    /// a prefix of the originally appended keys.
-    #[test]
-    fn truncated_checkpoints_load_a_valid_prefix(frac in 0.0f64..1.0) {
-        use slicc_sim::Checkpoint;
-        let (path, pristine) = seeded_checkpoint("trunc");
-        let cut = (pristine.len() as f64 * frac) as usize;
-        std::fs::write(&path, &pristine[..cut]).expect("write damaged file");
-        let (_ckpt, entries, load) = Checkpoint::open(&path).expect("recovery must not error");
-        let keys: Vec<u64> = entries.iter().map(|(k, _)| *k).collect();
-        prop_assert!([1u64, 2, 3].starts_with(&keys), "keys {:?} not a prefix", keys);
-        prop_assert!(!load.quarantined || cut < 12, "a truncated body never quarantines");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(Checkpoint::quarantine_path(&path));
-    }
-
-    /// Flipping any single bit must never panic: the damage either lands
-    /// in a record (hash check truncates from there), in the header
-    /// (quarantine), or in a length field (scan stops). Loaded keys stay
-    /// a prefix; a quarantined file keeps its damaged bytes in the
-    /// sidecar.
-    #[test]
-    fn bit_flipped_checkpoints_never_panic_and_keep_a_prefix(
-        byte_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        use slicc_sim::Checkpoint;
-        let (path, pristine) = seeded_checkpoint("flip");
-        let idx = ((pristine.len() - 1) as f64 * byte_frac) as usize;
-        let mut damaged = pristine.clone();
-        damaged[idx] ^= 1 << bit;
-        std::fs::write(&path, &damaged).expect("write damaged file");
-        let (_ckpt, entries, load) = Checkpoint::open(&path).expect("recovery must not error");
-        let keys: Vec<u64> = entries.iter().map(|(k, _)| *k).collect();
-        prop_assert!([1u64, 2, 3].starts_with(&keys), "keys {:?} not a prefix", keys);
-        if load.quarantined {
-            let sidecar = std::fs::read(Checkpoint::quarantine_path(&path)).expect("sidecar");
-            prop_assert_eq!(sidecar, damaged, "quarantine must preserve the damaged bytes");
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(Checkpoint::quarantine_path(&path));
     }
 }

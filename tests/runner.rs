@@ -1,25 +1,13 @@
 //! Parallel-runner determinism and fault isolation: fanning a figure's
 //! point set across worker threads must not change a single metric, the
 //! run cache must deduplicate repeated points, and a faulty point —
-//! panicking or livelocking — must not take the batch (or a checkpointed
-//! sweep) down with it.
-
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+//! panicking or livelocking — must not take the batch down with it.
 
 use slicc_sim::{
     InjectedFault, RunError, RunRequest, RunResult, Runner, SchedulerMode, ServiceConfig,
     SimConfig, SimConfigBuilder, SimService,
 };
 use slicc_trace::{TraceScale, Workload};
-
-/// A fresh checkpoint path per test, so parallel test threads never share
-/// a file.
-fn temp_checkpoint(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("slicc-it-{tag}-{}-{n}.ckpt", std::process::id()))
-}
 
 fn expect_ok(result: &Result<RunResult, RunError>) -> &RunResult {
     result.as_ref().unwrap_or_else(|e| panic!("point failed: {e}"))
@@ -103,12 +91,12 @@ fn cached_results_match_fresh_ones() {
     assert_eq!(format!("{:?}", fresh.metrics), format!("{:?}", cached.metrics));
 }
 
-/// The ISSUE-2 acceptance scenario: a batch containing one panicking and
-/// one livelocking point completes the remaining points and reports two
-/// typed `RunError`s; a second checkpoint-backed invocation re-simulates
-/// only those two points, verified by the cache-hit counters.
+/// A batch containing one panicking and one livelocking point completes
+/// the remaining points and reports two typed `RunError`s; running the
+/// batch again on the same runner re-simulates only those two points,
+/// verified by the cache-hit counters.
 #[test]
-fn faulty_points_are_isolated_and_checkpoint_resume_skips_completed_ones() {
+fn faulty_points_are_isolated_and_a_rerun_skips_completed_ones() {
     let ok1 = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test());
     let ok2 = ok1.clone().with_mode(SchedulerMode::Slicc);
     let panicking = RunRequest::new(
@@ -129,11 +117,7 @@ fn faulty_points_are_isolated_and_checkpoint_resume_skips_completed_ones() {
     );
     let batch = vec![ok1, ok2, panicking, livelocking];
 
-    let path = temp_checkpoint("acceptance");
     let runner = Runner::new(2);
-    let load = runner.attach_checkpoint(&path).expect("fresh checkpoint opens");
-    assert_eq!(load.loaded, 0, "a fresh checkpoint starts empty");
-
     let results = runner.run_all(&batch);
     assert_eq!(results.len(), 4);
     assert!(results[0].is_ok(), "healthy point 0 must survive the faulty neighbours");
@@ -159,26 +143,19 @@ fn faulty_points_are_isolated_and_checkpoint_resume_skips_completed_ones() {
     assert_eq!(stats.failed_points, 2);
     assert_eq!(stats.cache_misses, 4, "all four points were fresh attempts");
 
-    // A second invocation resumes from the checkpoint: the two completed
-    // points come back as cache hits, only the two failed points are
-    // re-simulated (and fail the same way — the point is that nothing
-    // already banked is re-run).
-    let resumed = Runner::new(2);
-    let load = resumed.attach_checkpoint(&path).expect("checkpoint reopens");
-    assert_eq!(load.loaded, 2, "exactly the two completed points were persisted");
-    assert!(!load.truncated(), "a cleanly written checkpoint has no dropped bytes");
-
-    let results = resumed.run_all(&batch);
+    // The same batch again: the two completed points come back as cache
+    // hits, only the two failed points are re-simulated (and fail the
+    // same way — failures are never cached, and nothing already banked
+    // is re-run).
+    let results = runner.run_all(&batch);
     assert!(results[0].is_ok() && results[1].is_ok());
     assert!(results[2].is_err() && results[3].is_err());
-    assert!(results[0].as_ref().unwrap().from_cache, "point 0 must come from the checkpoint");
-    assert!(results[1].as_ref().unwrap().from_cache, "point 1 must come from the checkpoint");
-    let stats = resumed.stats();
-    assert_eq!(stats.cache_hits, 2, "the checkpointed points are served from cache");
-    assert_eq!(stats.cache_misses, 2, "only the failed points are re-simulated");
-    assert_eq!(stats.failed_points, 2);
-
-    std::fs::remove_file(&path).ok();
+    assert!(results[0].as_ref().unwrap().from_cache, "point 0 must come from the cache");
+    assert!(results[1].as_ref().unwrap().from_cache, "point 1 must come from the cache");
+    let stats = runner.stats();
+    assert_eq!(stats.cache_hits, 2, "the completed points are served from cache");
+    assert_eq!(stats.cache_misses, 6, "only the two failed points are re-simulated");
+    assert_eq!(stats.failed_points, 4);
 }
 
 /// The ISSUE-7 acceptance stress: thousands of submissions through the
@@ -257,7 +234,7 @@ fn a_submission_storm_coalesces_to_one_simulation_per_distinct_point() {
 /// cached, so a resubmission re-executes).
 #[test]
 fn a_dying_flight_owner_wakes_waiters_with_a_typed_error_and_frees_its_slot() {
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -335,61 +312,4 @@ fn a_dying_flight_owner_wakes_waiters_with_a_typed_error_and_frees_its_slot() {
     assert_eq!((pressure.inflight, pressure.queue_depth), (0, 0), "the dead owner leaked state");
     let retried = service.submit(req).expect("the point must re-execute after the owner died");
     assert!(!retried.from_cache, "a Lost outcome must never be served from the cache");
-}
-
-/// Checkpoint-served results carry the same metrics the original
-/// simulation produced: round-trip through the on-disk codec and compare
-/// the full Debug rendering.
-#[test]
-fn checkpoint_round_trip_preserves_metrics() {
-    let req = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test())
-        .with_mode(SchedulerMode::SliccSw);
-    let path = temp_checkpoint("roundtrip");
-
-    let first = Runner::new(1);
-    first.attach_checkpoint(&path).expect("fresh checkpoint opens");
-    let fresh = first.run(&req).expect("simulation succeeds");
-
-    let second = Runner::new(1);
-    let load = second.attach_checkpoint(&path).expect("checkpoint reopens");
-    assert_eq!(load.loaded, 1);
-    let resumed = second.run(&req).expect("checkpointed run succeeds");
-    assert!(resumed.from_cache);
-    assert_eq!(format!("{:?}", fresh.metrics), format!("{:?}", resumed.metrics));
-    assert_eq!(second.stats().cache_misses, 0, "nothing is re-simulated on resume");
-
-    std::fs::remove_file(&path).ok();
-}
-
-/// A checkpoint whose tail was torn mid-record (a crash during `append`)
-/// heals on reopen: intact records load, the torn tail is dropped, and the
-/// dropped points are simply re-simulated.
-#[test]
-fn truncated_checkpoint_heals_and_resumes() {
-    let a = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test());
-    let b = a.clone().with_mode(SchedulerMode::Slicc);
-    let path = temp_checkpoint("truncated");
-
-    let writer = Runner::new(1);
-    writer.attach_checkpoint(&path).expect("fresh checkpoint opens");
-    writer.run_all(&[a.clone(), b.clone()]).into_iter().for_each(|r| {
-        r.expect("healthy points succeed");
-    });
-
-    // Tear the last record: drop 3 bytes from the file tail.
-    let bytes = std::fs::read(&path).expect("checkpoint readable");
-    std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("checkpoint writable");
-
-    let reader = Runner::new(1);
-    let load = reader.attach_checkpoint(&path).expect("torn checkpoint still opens");
-    assert_eq!(load.loaded, 1, "the intact first record survives");
-    assert!(load.truncated(), "the torn tail is reported");
-
-    let results = reader.run_all(&[a, b]);
-    assert!(results.iter().all(|r| r.is_ok()));
-    let stats = reader.stats();
-    assert_eq!(stats.cache_hits, 1, "the surviving record is served from cache");
-    assert_eq!(stats.cache_misses, 1, "only the torn-off point is re-simulated");
-
-    std::fs::remove_file(&path).ok();
 }
