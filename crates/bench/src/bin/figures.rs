@@ -3,7 +3,7 @@
 //! ```text
 //! figures [EXPERIMENT ...] [--scale small|paper] [--jobs N]
 //!         [--progress quiet|plain|json] [--deadline-ms N]
-//!         [--cache-bytes N] [--queue-limit N] [--out PATH]
+//!         [--cache-bytes N] [--out PATH]
 //!
 //! EXPERIMENT: fig1 fig2 fig3 fig7 fig8 fig9 fig10 fig11
 //!             table1 table2 table3 bpki ablations extensions scaling all
@@ -27,9 +27,8 @@
 //! 130. A paper-scale `all` takes minutes, so an interrupted run is
 //! simply started again. `--deadline-ms` bounds each point's wall-clock
 //! time. `--cache-bytes` bounds the shared run cache (LRU eviction by
-//! result weight; results never change) and `--queue-limit` sheds
-//! submissions beyond the worker pool's backlog with a typed overload
-//! error — see DESIGN.md §12.
+//! result weight; results never change) — see DESIGN.md §12. A batch is
+//! never shed, so `figures` has no admission limit.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +42,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: figures [EXPERIMENT ...] [--scale small|paper] [--jobs N] \
          [--progress quiet|plain|json] [--deadline-ms N] \
-         [--cache-bytes N] [--queue-limit N] [--out PATH]"
+         [--cache-bytes N] [--out PATH]"
     );
     eprintln!("experiments:");
     for e in Experiment::ALL {
@@ -60,7 +59,6 @@ fn main() {
     let mut progress = ProgressKind::Plain;
     let mut deadline_ms: Option<u64> = None;
     let mut cache_bytes: Option<u64> = None;
-    let mut queue_limit: Option<usize> = None;
     let mut out: Option<std::path::PathBuf> = None;
     let mut selected: Vec<Experiment> = Vec::new();
     let mut i = 0;
@@ -102,13 +100,6 @@ fn main() {
                     None => usage(),
                 };
             }
-            "--queue-limit" => {
-                i += 1;
-                queue_limit = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) => Some(n),
-                    None => usage(),
-                };
-            }
             "--out" => {
                 i += 1;
                 out = match args.get(i) {
@@ -136,9 +127,6 @@ fn main() {
     }
     if let Some(bytes) = cache_bytes {
         runner.set_cache_bytes(bytes);
-    }
-    if let Some(limit) = queue_limit {
-        runner.set_queue_limit(Some(limit));
     }
     install_sigint_cancel(&runner.cancel_token());
     let mut report = String::new();

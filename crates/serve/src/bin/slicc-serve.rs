@@ -32,13 +32,11 @@ USAGE:
 OPTIONS:
     --addr HOST:PORT          Listen address (default 127.0.0.1:0; port 0
                               binds an ephemeral port, printed on stdout)
-    --jobs N                  Simulation worker slots (default: available
-                              parallelism)
-    --max-inflight N          Concurrent fresh simulations admitted
-                              (default: jobs)
+    --jobs N                  Concurrent fresh simulations admitted
+                              (default: available parallelism)
     --queue-limit N           Submissions allowed to wait for a slot before
-                              shedding with RETRY-AFTER (default: 2x
-                              max-inflight; 0 never queues)
+                              shedding with RETRY-AFTER (default: 2x jobs;
+                              0 never queues)
     --max-connections N       Concurrent client connections (default 64)
     --read-deadline-ms N|off  Budget to finish one frame from its first
                               byte (default 10000; slow-loris defense)
@@ -54,7 +52,6 @@ OPTIONS:
 struct Options {
     addr: String,
     jobs: usize,
-    max_inflight: Option<usize>,
     queue_limit: Option<usize>,
     server: ServerConfig,
     cache_bytes: Option<u64>,
@@ -67,7 +64,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         addr: "127.0.0.1:0".to_string(),
         jobs: default_jobs,
-        max_inflight: None,
         queue_limit: None,
         server: ServerConfig::default(),
         cache_bytes: None,
@@ -94,7 +90,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match opt.as_str() {
             "--addr" => opts.addr = value()?,
             "--jobs" => opts.jobs = number(&value()?)?.max(1) as usize,
-            "--max-inflight" => opts.max_inflight = Some(number(&value()?)?.max(1) as usize),
             "--queue-limit" => opts.queue_limit = Some(number(&value()?)? as usize),
             "--max-connections" => {
                 opts.server.max_connections = number(&value()?)?.max(1) as usize
@@ -139,10 +134,13 @@ fn main() -> ExitCode {
     if let Some(bytes) = opts.cache_bytes {
         runner.set_cache_bytes(bytes);
     }
-    let max_inflight = opts.max_inflight.unwrap_or(opts.jobs).max(1);
-    let queue_limit = opts.queue_limit.unwrap_or(max_inflight * 2);
-    let service =
-        Arc::new(SimService::new(runner, ServiceConfig { max_inflight, queue_limit }));
+    // Every SUBMIT runs on its connection thread, so `--jobs` is the
+    // number of fresh simulations admitted at once.
+    let admission = ServiceConfig {
+        max_inflight: opts.jobs,
+        queue_limit: opts.queue_limit.unwrap_or(2 * opts.jobs),
+    };
+    let service = Arc::new(SimService::new(runner, admission));
 
     let mut server = Server::new(service, opts.server);
     server.set_reporter(Arc::clone(&reporter));

@@ -24,7 +24,7 @@ pub enum Scenario {
     /// plus memoization absorb the rest) and shed nothing.
     Stampede,
     /// More concurrent distinct submissions than the server will admit
-    /// (run it with `--queue-limit 0`): some must come back as
+    /// (run it with `--jobs 1 --queue-limit 0`): some must come back as
     /// `RETRY-AFTER`, and a serial resubmission afterwards must succeed
     /// — shed and recover, not shed and stay down.
     Overload,

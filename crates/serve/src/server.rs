@@ -10,7 +10,7 @@
 //! [`FrameBuffer`], decodes requests, and resolves `SUBMIT`s by calling
 //! [`SimService::submit`] **on the connection thread** — so coalescing,
 //! queueing, and shedding behave exactly as they do for in-process
-//! callers, and a dying connection thread is covered by the service's
+//! callers, and a dying connection thread is covered by the runner's
 //! flight guards (waiters get a typed error, the slot frees).
 //!
 //! ## Deadlines

@@ -58,10 +58,6 @@ OPTIONS:
     --cache-bytes N       byte budget for the memoized run cache
                           (default 64 MiB); least-recently-used
                           results are evicted, never altered
-    --queue-limit N       shed new submissions once N points are
-                          already waiting behind the worker pool
-                          (typed 'overloaded' failure with a
-                          retry-after hint; default unlimited)
     --keep-going          on failure, still run the remaining points
                           before exiting
     --progress quiet|plain|json
@@ -121,7 +117,6 @@ enum Command {
         obs_summary: bool,
         metrics_out: Option<PathBuf>,
         cache_bytes: Option<u64>,
-        queue_limit: Option<usize>,
     },
 }
 
@@ -143,7 +138,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut obs_sample: Option<u64> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut cache_bytes: Option<u64> = None;
-    let mut queue_limit: Option<usize> = None;
 
     let mut i = 0;
     fn value(args: &[String], i: &mut usize, opt: &str) -> Result<String, CliError> {
@@ -221,7 +215,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 builder = builder.inject_fault(fault);
             }
             "--cache-bytes" => cache_bytes = Some(number(&opt, &value(args, &mut i, &opt)?)?),
-            "--queue-limit" => queue_limit = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--keep-going" => keep_going = true,
             "--progress" => {
                 let p = value(args, &mut i, &opt)?;
@@ -295,7 +288,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
         obs_summary,
         metrics_out,
         cache_bytes,
-        queue_limit,
     })
 }
 
@@ -351,7 +343,6 @@ fn main() {
         obs_summary,
         metrics_out,
         cache_bytes,
-        queue_limit,
     } = command
     else {
         println!("{USAGE}");
@@ -365,13 +356,9 @@ fn main() {
     let reporter = progress.reporter();
     runner.set_reporter(Arc::clone(&reporter));
     // Resource governance (DESIGN.md §12): a byte budget on the memoized
-    // run cache and an admission limit on fresh work. Neither changes what
-    // a completed run computes.
+    // run cache. It never changes what a completed run computes.
     if let Some(bytes) = cache_bytes {
         runner.set_cache_bytes(bytes);
-    }
-    if let Some(limit) = queue_limit {
-        runner.set_queue_limit(Some(limit));
     }
     // The first Ctrl-C cancels in-flight points cooperatively; the second
     // hard-exits from the handler itself.
@@ -587,7 +574,6 @@ mod tests {
                 obs_summary,
                 metrics_out,
                 cache_bytes,
-                queue_limit,
             } => {
                 assert_eq!(request.workload, Workload::TpcC1);
                 assert_eq!(request.mode(), SchedulerMode::SliccSw);
@@ -599,7 +585,6 @@ mod tests {
                 assert!(metrics_out.is_none(), "metrics capture must be opt-in");
                 assert!(request.config.fault_injection.is_none());
                 assert!(cache_bytes.is_none(), "default budget lives in the runner");
-                assert!(queue_limit.is_none(), "admission is unlimited unless asked");
                 assert!(!request.deadline.is_enabled(), "no deadline unless asked");
                 assert!(!request.obs.enabled(), "observation must be off by default");
             }
@@ -684,17 +669,14 @@ mod tests {
 
     #[test]
     fn governance_flags_reach_the_runner_knobs() {
-        match parse(&["--cache-bytes", "4096", "--queue-limit", "0"]).unwrap() {
-            Command::Run { cache_bytes, queue_limit, .. } => {
-                assert_eq!(cache_bytes, Some(4096));
-                assert_eq!(queue_limit, Some(0), "zero means shed every fresh point");
-            }
+        match parse(&["--cache-bytes", "4096"]).unwrap() {
+            Command::Run { cache_bytes, .. } => assert_eq!(cache_bytes, Some(4096)),
             Command::Help => panic!("expected a run"),
         }
         let err = parse(&["--cache-bytes", "plenty"]).unwrap_err();
         assert_eq!(err.option, "--cache-bytes");
-        let err = parse(&["--queue-limit"]).unwrap_err();
-        assert_eq!(err.option, "--queue-limit");
+        let err = parse(&["--cache-bytes"]).unwrap_err();
+        assert_eq!(err.option, "--cache-bytes");
         assert!(err.message.contains("missing"));
     }
 

@@ -257,10 +257,10 @@ pub enum RunError {
         /// Diagnostic state at abort time.
         snapshot: Box<LivelockSnapshot>,
     },
-    /// The point was shed by admission control before any simulation
-    /// work: the pending queue was full (see
-    /// [`crate::Runner::set_queue_limit`] and
-    /// [`crate::service::SimService`]). A typed, graceful rejection — the
+    /// The submission was shed by admission control before any
+    /// simulation work: every execution slot was busy and the wait queue
+    /// was full (see [`crate::Runner::submit`] and
+    /// [`crate::ServiceConfig`]). A typed, graceful rejection — the
     /// run never started, nothing was computed, and the client should
     /// resubmit after roughly [`retry_after`](RunError::Overloaded).
     Overloaded {

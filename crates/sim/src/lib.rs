@@ -41,10 +41,12 @@
 //! while the rest of the batch completes. A failed point runs once and is
 //! never cached.
 //!
-//! Long-lived embeddings front the runner with a [`SimService`]: the
-//! run cache is byte-bounded and LRU-evicting ([`Runner::set_cache_bytes`]),
-//! concurrent identical submissions coalesce onto one simulation, and
-//! load beyond the configured limits is shed with a typed
+//! Long-lived embeddings submit one request at a time through
+//! [`Runner::submit`] (or a [`SimService`] handle): the run cache is
+//! byte-bounded and LRU-evicting ([`Runner::set_cache_bytes`]), a
+//! request for a point already in flight — submitted or batched —
+//! attaches to that one simulation, and load beyond the admission
+//! policy ([`ServiceConfig`]) is shed with a typed
 //! [`RunError::Overloaded`] instead of queueing without bound (see
 //! [`mod@service`]).
 //!

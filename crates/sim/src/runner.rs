@@ -1,6 +1,6 @@
 //! Parallel experiment runner: typed run descriptors, a std::thread job
-//! pool, a bounded byte-weighted run cache, and per-point fault
-//! isolation.
+//! pool, a bounded byte-weighted run cache, single-flight coalescing,
+//! admission control, and per-point fault isolation.
 //!
 //! Every simulation point is an independent, deterministic, single-threaded
 //! job, so a figure's point set can fan out across host cores. This module
@@ -12,15 +12,17 @@
 //!   [`RunRequest::stable_key`]), and the CLI/figures entry point.
 //! - [`RunResult`] — the metrics plus wall-time and
 //!   simulated-instructions-per-second observability counters.
-//! - [`Runner`] — a job pool of `jobs` worker threads fed through an mpsc
-//!   work queue. Results always come back in submission order, and
-//!   completed points are memoized, so a Baseline point shared by several
-//!   figures simulates once per process. The memo is a
+//! - [`Runner`] — the one place that decides how a point is served. A
+//!   batch ([`Runner::run_all`]) fans out over `jobs` scoped worker
+//!   threads and returns results in submission order; a submission
+//!   ([`Runner::submit`]) resolves one request under an admission policy
+//!   (cache → flight → slot → bounded queue → shed). Both paths share
+//!   one lock over the run cache, the in-flight simulations and the
+//!   admission counts, so a point is simulated once however many callers
+//!   ask for it, on either path. The memo is a
 //!   [`crate::service::BoundedResultCache`]: byte-weighted, LRU-evicting,
 //!   and capped ([`Runner::set_cache_bytes`]) so a long-lived process
-//!   cannot grow without limit. Admission control
-//!   ([`Runner::set_queue_limit`]) and the [`crate::service::SimService`]
-//!   submission layer build on the same runner.
+//!   cannot grow without limit.
 //!
 //! Failures are contained per point: each worker runs its simulation
 //! under `catch_unwind`, so a panicking or livelocking point becomes a
@@ -28,9 +30,9 @@
 //! point completes normally. A failed point runs once and is never
 //! cached, so a later batch that names it simulates it again.
 //!
-//! The pool is plain `std::thread::scope` + `std::sync::mpsc` — the
-//! workspace builds with no external dependencies (DESIGN.md §5), and a
-//! work queue of whole simulations needs nothing fancier.
+//! The pool is plain `std::thread::scope` with an atomic claim counter —
+//! the workspace builds with no external dependencies (DESIGN.md §5),
+//! and a work queue of whole simulations needs nothing fancier.
 //!
 //! # Example
 //!
@@ -57,7 +59,7 @@ use crate::config::{DeadlineConfig, InjectedFault, SchedulerMode, SimConfig};
 use crate::engine::RunControl;
 use crate::error::{PointSummary, RunError, SimError};
 use crate::metrics::RunMetrics;
-use crate::service::{BoundedResultCache, PressureSnapshot, DEFAULT_CACHE_BYTES};
+use crate::service::{BoundedResultCache, PressureSnapshot, ServiceConfig, DEFAULT_CACHE_BYTES};
 use crate::session::{RunOutcome, RunSession};
 use slicc_common::{lock_unpoisoned, CancelToken, StableHash, StableHasher};
 use slicc_obs::{ObsConfig, Observation, ProgressEvent, Reporter, WarningsOnlyReporter};
@@ -66,7 +68,7 @@ use std::collections::HashMap;
 use std::collections::hash_map::Entry;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A typed experiment point: which workload to run, at what scale, on what
@@ -322,11 +324,11 @@ pub struct RunnerStats {
     /// separately as [`RunnerStats::coalesced_hits`].
     pub cache_hits: u64,
     /// Requests served by attaching to a simulation that was already in
-    /// flight: intra-batch duplicates, and concurrent
-    /// [`crate::service::SimService`] submissions coalesced onto one
-    /// flight. Together with [`RunnerStats::cache_hits`] these are the
-    /// requests that cost nothing; the split tells memoization apart
-    /// from stampede suppression.
+    /// flight: intra-batch duplicates, and requests — submitted or
+    /// batched — coalesced onto another caller's flight. Together with
+    /// [`RunnerStats::cache_hits`] these are the requests that cost
+    /// nothing; the split tells memoization apart from stampede
+    /// suppression.
     pub coalesced_hits: u64,
     /// Requests that required a fresh simulation attempt (successful or
     /// not).
@@ -365,14 +367,24 @@ impl RunnerStats {
     }
 }
 
-/// A memoizing job pool for simulation points.
+/// A memoizing job pool for simulation points, and the one place that
+/// decides how a point is served.
 ///
-/// `jobs` worker threads pull [`RunRequest`]s off an mpsc work queue;
-/// completed points land in a run cache keyed by [`RunRequest::stable_key`]
-/// so repeated points (across figures, or duplicated within one batch)
-/// simulate exactly once. Results are returned in submission order
-/// regardless of completion order, so output is deterministic for any
-/// `jobs` value.
+/// Two entry points share one resolution state — the bounded run cache,
+/// the in-flight simulations and the admission counts, all behind one
+/// lock — so neither path can miss the other's work:
+///
+/// - [`Runner::run_all`] fans a batch out over `jobs` scoped workers.
+///   Results come back in submission order regardless of completion
+///   order, so output is deterministic for any `jobs` value. A batch is
+///   never shed.
+/// - [`Runner::submit`] serves one interactive request under the
+///   admission policy ([`crate::ServiceConfig`]): cache → flight → slot
+///   → bounded queue → shed.
+///
+/// A point is simulated at most once however it is asked for: completed
+/// points land in the cache keyed by [`RunRequest::stable_key`], and a
+/// request for a point already in flight attaches to that flight.
 ///
 /// Faults are isolated per point: a panic or watchdog abort in one
 /// simulation yields a [`RunError`] for that point only. All shared state
@@ -380,9 +392,12 @@ impl RunnerStats {
 /// [`Runner::cached_points`] or [`Runner::stats`].
 pub struct Runner {
     jobs: usize,
-    /// The memoized run cache: byte-weighted, LRU-evicting, bounded by
-    /// [`Runner::set_cache_bytes`].
-    cache: Mutex<BoundedResultCache>,
+    /// The run cache, the in-flight simulations and the admission
+    /// counts: state that changes together, so it sits behind one lock.
+    state: Mutex<RunState>,
+    /// Signalled when an execution slot frees or a flight registers or
+    /// ends, so queued submissions re-evaluate their options.
+    slots: Condvar,
     /// Materialized traces keyed by [`RunRequest::spec_key`]: every mode
     /// variant of a (workload, scale) point shares one spec build.
     specs: Mutex<HashMap<u64, Arc<WorkloadSpec>>>,
@@ -398,11 +413,6 @@ pub struct Runner {
     /// Deadline applied to requests that do not carry their own
     /// [`RunRequest::deadline`]; the per-request value wins.
     default_deadline: Mutex<Option<Duration>>,
-    /// Admission bound on concurrently executing fresh points; `None`
-    /// (the default) admits everything. See [`Runner::set_queue_limit`].
-    queue_limit: Mutex<Option<usize>>,
-    /// Fresh points currently holding an admission slot.
-    inflight: AtomicUsize,
     hits: AtomicU64,
     coalesced: AtomicU64,
     misses: AtomicU64,
@@ -413,22 +423,57 @@ pub struct Runner {
     busy_nanos: AtomicU64,
 }
 
-/// One batch's deduplicated fresh points, keyed by stable key, in
-/// submission order.
-type KeyedPoints<'a> = Vec<(u64, &'a RunRequest)>;
+/// Everything that decides how a request is served, guarded together so
+/// the cache probe and the flight registration happen in one critical
+/// section.
+struct RunState {
+    /// The memoized results: byte-weighted, LRU-evicting, bounded by
+    /// [`Runner::set_cache_bytes`].
+    cache: BoundedResultCache,
+    /// Simulations in flight by stable key, owned by a submission or a
+    /// batch; any other request for the key attaches here.
+    flights: HashMap<u64, Arc<Flight>>,
+    /// Submissions holding an execution slot.
+    executing: usize,
+    /// Submissions waiting for a slot.
+    queued: usize,
+    /// The admission policy [`Runner::submit`] applies.
+    admission: ServiceConfig,
+}
+
+/// How one distinct key of a batch is served.
+enum Source {
+    /// Resident when the batch arrived; a clone, so the batch's own
+    /// inserts can never evict a result it still owes the caller.
+    Pinned(Box<RunResult>),
+    /// Already in flight for another caller.
+    Attached(Arc<Flight>),
+    /// Simulated by this batch: an index into its owned flights. The
+    /// first occurrence is served fresh, later ones are repeats.
+    Owned { index: usize, served: bool },
+}
 
 impl Runner {
     /// A runner with `jobs` worker threads (clamped to at least 1).
+    /// Submissions are admitted `jobs` at a time with a queue of twice
+    /// that depth until a [`crate::SimService`] installs its own
+    /// [`crate::ServiceConfig`].
     pub fn new(jobs: usize) -> Self {
+        let jobs = jobs.max(1);
         Runner {
-            jobs: jobs.max(1),
-            cache: Mutex::new(BoundedResultCache::new(DEFAULT_CACHE_BYTES)),
+            jobs,
+            state: Mutex::new(RunState {
+                cache: BoundedResultCache::new(DEFAULT_CACHE_BYTES),
+                flights: HashMap::new(),
+                executing: 0,
+                queued: 0,
+                admission: ServiceConfig { max_inflight: jobs, queue_limit: 2 * jobs },
+            }),
+            slots: Condvar::new(),
             specs: Mutex::new(HashMap::new()),
             reporter: Mutex::new(Arc::new(WarningsOnlyReporter::stderr())),
             cancel: CancelToken::new(),
             default_deadline: Mutex::new(None),
-            queue_limit: Mutex::new(None),
-            inflight: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -491,39 +536,30 @@ impl Runner {
     /// simulation computes — the budget is not part of
     /// [`RunRequest::stable_key`].
     pub fn set_cache_bytes(&self, max_bytes: u64) {
-        lock_unpoisoned(&self.cache).set_max_bytes(max_bytes);
+        lock_unpoisoned(&self.state).cache.set_max_bytes(max_bytes);
     }
 
     /// The run cache's byte budget (default
     /// [`crate::service::DEFAULT_CACHE_BYTES`]).
     pub fn cache_budget(&self) -> u64 {
-        lock_unpoisoned(&self.cache).max_bytes()
+        lock_unpoisoned(&self.state).cache.max_bytes()
     }
 
-    /// Bounds how many fresh points may execute concurrently through this
-    /// runner (the `--queue-limit` flag). With a limit of `n`, a batch
-    /// admits at most `n` fresh simulations at a time; the overflow is
-    /// *shed* — failed fast with [`RunError::Overloaded`] and a
-    /// retry-after hint — rather than queued without bound. Cache hits
-    /// and coalesced duplicates are always served: only fresh work
-    /// consumes slots. `None` (the default) admits everything.
-    ///
-    /// The batch [`Runner`] sheds because it has no one to queue for; the
-    /// [`crate::service::SimService`] front door adds a bounded wait
-    /// queue on top for interactive submitters.
-    pub fn set_queue_limit(&self, limit: Option<usize>) {
-        *lock_unpoisoned(&self.queue_limit) = limit;
-    }
-
-    /// The admission bound, if any.
-    pub fn queue_limit(&self) -> Option<usize> {
-        *lock_unpoisoned(&self.queue_limit)
+    /// Installs the admission policy of [`Runner::submit`]: at most
+    /// `max_inflight` fresh submissions simulate at once (clamped to at
+    /// least 1) and at most `queue_limit` more wait for a slot; arrivals
+    /// beyond that are shed. Batches ([`Runner::run_all`]) take no slot
+    /// and are never shed.
+    pub(crate) fn set_admission(&self, cfg: ServiceConfig) {
+        let cfg = ServiceConfig { max_inflight: cfg.max_inflight.max(1), ..cfg };
+        lock_unpoisoned(&self.state).admission = cfg;
+        self.slots.notify_all();
     }
 
     /// How long a shed client should wait before resubmitting: the mean
     /// busy time of completed fresh points (clamped to 10 ms..10 s), or
     /// 50 ms before any point has completed. A hint, not a reservation —
-    /// the service makes no admission promise to returning clients.
+    /// the runner makes no admission promise to returning clients.
     pub fn retry_after_hint(&self) -> Duration {
         let busy = self.busy_nanos.load(Ordering::Relaxed);
         let completed =
@@ -535,57 +571,120 @@ impl Runner {
             .clamp(Duration::from_millis(10), Duration::from_secs(10))
     }
 
-    /// The runner's current pressure: in-flight count, cache residency,
-    /// and shed totals. `queue_depth` is always 0 at the bare runner (it
-    /// sheds instead of queueing); [`crate::service::SimService::pressure`]
-    /// fills in its real wait-queue depth.
+    /// The runner's current pressure: queued submissions, simulations in
+    /// flight (submitted or batched), cache residency, and shed totals.
     pub fn pressure(&self) -> PressureSnapshot {
-        let (cache_bytes, cache_budget, cache_entries) = {
-            let cache = lock_unpoisoned(&self.cache);
-            (cache.bytes(), cache.max_bytes(), cache.len())
-        };
+        let st = lock_unpoisoned(&self.state);
         PressureSnapshot {
-            queue_depth: 0,
-            inflight: self.inflight.load(Ordering::Relaxed),
-            cache_bytes,
-            cache_budget,
-            cache_entries,
+            queue_depth: st.queued,
+            inflight: st.flights.len(),
+            cache_bytes: st.cache.bytes(),
+            cache_budget: st.cache.max_bytes(),
+            cache_entries: st.cache.len(),
             shed: self.shed.load(Ordering::Relaxed),
         }
     }
 
-    /// The memoized result for `key`, if resident: promoted to
-    /// most-recently-used, counted as a cache hit, and returned with
-    /// [`RunResult::from_cache`] set. The [`crate::service::SimService`]
-    /// fast path.
-    pub fn cached_result(&self, key: u64) -> Option<RunResult> {
-        let mut result = lock_unpoisoned(&self.cache).get(key)?.clone();
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        result.from_cache = true;
-        Some(result)
-    }
-
-    /// Counts a duplicate submission coalesced onto an in-flight
-    /// simulation (the [`crate::service::SimService`] single-flight path).
-    pub(crate) fn note_coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a submission shed by a layer above the runner.
-    pub(crate) fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Runs one point, serving it from the run cache when possible.
+    /// Runs one point as a one-point batch, serving it from the run cache
+    /// when possible. Never shed.
     pub fn run(&self, req: &RunRequest) -> Result<RunResult, RunError> {
         self.run_all(std::slice::from_ref(req)).pop().expect("one request yields one result")
     }
 
-    /// Runs a batch, fanning uncached points across the worker pool.
+    /// Submits one request, blocking until it resolves (served, simulated,
+    /// failed, or shed). The resolution order:
+    ///
+    /// 1. **Memoized** — the run cache has the result: served at once, no
+    ///    slot consumed (`cache_hits` in [`RunnerStats`]).
+    /// 2. **Coalesced** — the point is already in flight, submitted or
+    ///    batched: attach to the flight and wait (`coalesced_hits`).
+    /// 3. **Admitted** — a free execution slot: simulate on the calling
+    ///    thread and bank the result in the cache.
+    /// 4. **Queued** — all slots busy but the wait queue has room: block
+    ///    until a slot frees or the point takes flight, then start over.
+    /// 5. **Shed** — slots and queue both full: fail fast with
+    ///    [`RunError::Overloaded`] and a retry-after hint
+    ///    ([`Runner::retry_after_hint`]). Nothing simulates.
+    ///
+    /// Steps 1–3 happen in one critical section, so there is no window
+    /// in which a concurrent request for the same key can start a second
+    /// simulation.
+    pub fn submit(&self, req: &RunRequest) -> Result<RunResult, RunError> {
+        let key = req.stable_key();
+        loop {
+            let mut st = lock_unpoisoned(&self.state);
+            if let Some(result) = st.cache.get(key) {
+                let mut hit = result.clone();
+                drop(st);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                hit.from_cache = true;
+                return Ok(hit);
+            }
+            if let Some(flight) = st.flights.get(&key).map(Arc::clone) {
+                drop(st);
+                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                return flight.wait();
+            }
+
+            let ServiceConfig { max_inflight, queue_limit } = st.admission;
+            if st.executing < max_inflight {
+                st.executing += 1;
+                let flight = Arc::new(Flight::new());
+                st.flights.insert(key, Arc::clone(&flight));
+                drop(st);
+                self.slots.notify_all();
+                // The guard owns the slot and the flight registration:
+                // even if this thread unwinds, waiters get a typed
+                // `RunError::Lost` and the slot is returned.
+                let point = PointSummary::of(req);
+                let guard = FlightGuard { runner: self, key, flight, point, slot: true };
+                let reporter = self.reporter();
+                reporter.report(ProgressEvent::BatchStarted { points: 1, fresh: 1 });
+                let outcome = self.fly(req, 1, 1, &*reporter);
+                guard.flight.fill(&outcome);
+                self.bank([(key, &outcome)]);
+                drop(guard);
+                reporter.report(ProgressEvent::BatchFinished {
+                    fresh: 1,
+                    cached: 0,
+                    failed: usize::from(outcome.is_err()),
+                });
+                reporter.report(self.pressure().event());
+                return outcome;
+            }
+
+            // No free slot: queue if there is room, shed otherwise.
+            if st.queued >= queue_limit {
+                drop(st);
+                self.shed.fetch_add(1, Ordering::Relaxed);
+                self.reporter().report(self.pressure().event());
+                return Err(RunError::Overloaded {
+                    point: PointSummary::of(req),
+                    retry_after: self.retry_after_hint(),
+                    inflight: max_inflight,
+                    limit: queue_limit,
+                });
+            }
+            st.queued += 1;
+            // The guard owns the queue position; it is released on every
+            // exit from the wait, unwinding included.
+            let queue_guard = QueueGuard { runner: self };
+            let st = wait_unpoisoned(&self.slots, st, |s| {
+                s.executing >= s.admission.max_inflight && !s.flights.contains_key(&key)
+            });
+            // Release the state lock *before* the guard re-takes it.
+            drop(st);
+            drop(queue_guard);
+        }
+    }
+
+    /// Runs a batch, fanning its fresh points across the worker pool.
     ///
     /// Returns one result per request, in submission order. Duplicate
-    /// points — within the batch or across earlier calls — simulate once;
-    /// their repeats are marked [`RunResult::from_cache`].
+    /// points — within the batch, across earlier calls, or in flight for
+    /// a concurrent caller — simulate once; their repeats are marked
+    /// [`RunResult::from_cache`]. A batch takes no admission slot and is
+    /// never shed.
     ///
     /// Failures are per point: a panicking, livelocking, or misconfigured
     /// point yields a [`RunError`] in its slot while the rest of the
@@ -594,166 +693,99 @@ impl Runner {
     pub fn run_all(&self, reqs: &[RunRequest]) -> Vec<Result<RunResult, RunError>> {
         let keys: Vec<u64> = reqs.iter().map(RunRequest::stable_key).collect();
 
-        // One pass under the cache lock: pin every resident result (a
-        // clone, so this batch's own inserts can never evict a result we
-        // still owe the caller), and collect the distinct missing points
-        // in first-occurrence order (stable across runs, so scheduling is
-        // reproducible).
-        let mut pinned: HashMap<u64, RunResult> = HashMap::new();
-        let mut fresh: Vec<(u64, &RunRequest)> = Vec::new();
+        // One pass under the state lock resolves every distinct key, in
+        // first-occurrence order (stable across runs, so scheduling is
+        // reproducible): pin a resident result, attach to a flight
+        // already in the air, or register a flight this batch owns.
+        let mut sources: HashMap<u64, Source> = HashMap::new();
+        let mut owned: Vec<(FlightGuard<'_>, &RunRequest)> = Vec::new();
         {
-            let mut cache = lock_unpoisoned(&self.cache);
+            let mut st = lock_unpoisoned(&self.state);
             for (&key, req) in keys.iter().zip(reqs) {
-                if pinned.contains_key(&key) || fresh.iter().any(|&(k, _)| k == key) {
-                    continue;
-                }
-                match cache.get(key) {
-                    Some(result) => {
-                        pinned.insert(key, result.clone());
-                    }
-                    None => fresh.push((key, req)),
+                let Entry::Vacant(slot) = sources.entry(key) else { continue };
+                if let Some(result) = st.cache.get(key) {
+                    slot.insert(Source::Pinned(Box::new(result.clone())));
+                } else if let Some(flight) = st.flights.get(&key) {
+                    slot.insert(Source::Attached(Arc::clone(flight)));
+                } else {
+                    let flight = Arc::new(Flight::new());
+                    st.flights.insert(key, Arc::clone(&flight));
+                    slot.insert(Source::Owned { index: owned.len(), served: false });
+                    let point = PointSummary::of(req);
+                    let guard = FlightGuard { runner: self, key, flight, point, slot: false };
+                    owned.push((guard, req));
                 }
             }
         }
-
-        // Admission control: each fresh point needs an execution slot;
-        // with a queue limit set, the overflow is shed with a typed
-        // rejection instead of piling up. Cache hits cost nothing and are
-        // never shed.
-        let (admitted, shed) = self.admit(fresh);
+        if !owned.is_empty() {
+            self.slots.notify_all();
+        }
 
         let reporter = self.reporter();
-        reporter.report(ProgressEvent::BatchStarted { points: reqs.len(), fresh: admitted.len() });
-        let computed = self.simulate_batch(&admitted);
-        self.inflight.fetch_sub(admitted.len(), Ordering::Relaxed);
+        reporter.report(ProgressEvent::BatchStarted { points: reqs.len(), fresh: owned.len() });
+        self.fly_all(&owned, &*reporter);
 
-        let mut failed: HashMap<u64, RunError> = HashMap::new();
-        let limit = self.queue_limit().unwrap_or(usize::MAX);
-        for (key, req) in &shed {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            failed.insert(
-                *key,
-                RunError::Overloaded {
-                    point: PointSummary::of(req),
-                    retry_after: self.retry_after_hint(),
-                    inflight: limit,
-                    limit,
-                },
-            );
-        }
+        // Bank in submission order, whichever worker finished first, so
+        // cache residency and eviction order are reproducible; only then
+        // unregister the flights.
+        let outcomes: Vec<Result<RunResult, RunError>> = owned
+            .iter()
+            .map(|(guard, _)| {
+                let lost = || Err(RunError::Lost { point: guard.point.clone() });
+                guard.flight.outcome().unwrap_or_else(lost)
+            })
+            .collect();
+        self.bank(owned.iter().zip(&outcomes).map(|((guard, _), outcome)| (guard.key, outcome)));
+        let fresh = owned.len();
+        drop(owned);
 
-        // Bank successes into the cache *and* a batch-local map: the
-        // cache may evict them immediately under a tiny byte budget, but
-        // this batch's callers still get their results.
-        let mut banked: HashMap<u64, RunResult> = HashMap::new();
-        {
-            let mut cache = lock_unpoisoned(&self.cache);
-            for ((key, _), outcome) in admitted.iter().zip(computed) {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                match outcome {
-                    Ok(result) => {
-                        self.simulated_instructions.fetch_add(result.metrics.instructions, Ordering::Relaxed);
-                        self.busy_nanos.fetch_add(result.wall.as_nanos() as u64, Ordering::Relaxed);
-                        cache.insert(*key, result.clone());
-                        banked.insert(*key, result);
-                    }
-                    Err(error) => {
-                        self.failures.fetch_add(1, Ordering::Relaxed);
-                        failed.insert(*key, error);
-                    }
-                }
-            }
-        }
-
-        // Assemble results in submission order. The first occurrence of a
-        // freshly simulated point reports from_cache = false; repeats of
-        // it are coalesced hits, and occurrences of pinned (pre-resident)
-        // results are cache hits — the split tells memoization apart from
-        // intra-batch stampede suppression. Failed and shed points are
+        // Assemble results in submission order. The first occurrence of
+        // an owned point reports from_cache = false; occurrences of
+        // pinned results are cache hits, while repeats of owned points
+        // and attached flights are coalesced hits — the split tells
+        // memoization apart from stampede suppression. Failed points are
         // reported (cloned for duplicates) and counted neither as hits
         // nor as extra misses.
-        let mut first_use: Vec<u64> = Vec::new();
+        let mut failed: Vec<u64> = Vec::new();
         let mut cached_served = 0usize;
         let results: Vec<Result<RunResult, RunError>> = keys
             .iter()
             .zip(reqs)
-            .map(|(key, req)| {
-                if let Some(error) = failed.get(key) {
-                    return Err(error.clone());
-                }
-                let fresh_now = banked.contains_key(key) && !first_use.contains(key);
-                let mut result = banked
-                    .get(key)
-                    .or_else(|| pinned.get(key))
-                    .expect("every key was simulated, pinned, or failed")
-                    .clone();
-                if fresh_now {
-                    first_use.push(*key);
-                } else {
-                    if pinned.contains_key(key) {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
+            .map(|(&key, req)| {
+                // The counter a served occurrence bumps; none for the
+                // fresh one.
+                let source = sources.get_mut(&key).expect("every key was resolved");
+                let (outcome, counter) = match source {
+                    Source::Pinned(result) => (Ok(RunResult::clone(result)), Some(&self.hits)),
+                    Source::Attached(flight) => (flight.wait(), Some(&self.coalesced)),
+                    Source::Owned { index, served } => {
+                        let repeat = std::mem::replace(served, true);
+                        (outcomes[*index].clone(), repeat.then_some(&self.coalesced))
                     }
-                    cached_served += 1;
-                    reporter.report(ProgressEvent::PointCached { label: req.label() });
+                };
+                match outcome {
+                    Ok(mut result) => {
+                        result.from_cache = counter.is_some();
+                        if let Some(counter) = counter {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                            cached_served += 1;
+                            reporter.report(ProgressEvent::PointCached { label: req.label() });
+                        }
+                        Ok(result)
+                    }
+                    Err(error) => {
+                        if !failed.contains(&key) {
+                            failed.push(key);
+                        }
+                        Err(error)
+                    }
                 }
-                result.from_cache = !fresh_now;
-                Ok(result)
             })
             .collect();
-        reporter.report(ProgressEvent::BatchFinished {
-            fresh: admitted.len(),
-            cached: cached_served,
-            failed: failed.len(),
-        });
+        let failed = failed.len();
+        reporter.report(ProgressEvent::BatchFinished { fresh, cached: cached_served, failed });
         reporter.report(self.pressure().event());
         results
-    }
-
-    /// Splits `fresh` into the points that won an execution slot and the
-    /// overflow to shed. Slots are reserved with a bounded CAS loop so
-    /// concurrent batches through one runner share the same admission
-    /// budget; without a queue limit every point is admitted (and still
-    /// counted in-flight for [`Runner::pressure`]).
-    fn admit<'a>(&self, fresh: KeyedPoints<'a>) -> (KeyedPoints<'a>, KeyedPoints<'a>) {
-        let limit = self.queue_limit();
-        let mut admitted = Vec::with_capacity(fresh.len());
-        let mut shed = Vec::new();
-        for (key, req) in fresh {
-            let slot = match limit {
-                None => {
-                    self.inflight.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-                Some(limit) => self.try_reserve_slot(limit),
-            };
-            if slot {
-                admitted.push((key, req));
-            } else {
-                shed.push((key, req));
-            }
-        }
-        (admitted, shed)
-    }
-
-    /// Reserves one in-flight slot below `limit`, lock-free.
-    fn try_reserve_slot(&self, limit: usize) -> bool {
-        let mut current = self.inflight.load(Ordering::Relaxed);
-        loop {
-            if current >= limit {
-                return false;
-            }
-            match self.inflight.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => current = actual,
-            }
-        }
     }
 
     /// Convenience over [`Runner::run_all`] when only the metrics matter
@@ -776,8 +808,8 @@ impl Runner {
     /// Aggregate cache and throughput counters.
     pub fn stats(&self) -> RunnerStats {
         let (cache_evictions, cache_bytes) = {
-            let cache = lock_unpoisoned(&self.cache);
-            (cache.evictions(), cache.bytes())
+            let st = lock_unpoisoned(&self.state);
+            (st.cache.evictions(), st.cache.bytes())
         };
         RunnerStats {
             cache_hits: self.hits.load(Ordering::Relaxed),
@@ -795,7 +827,7 @@ impl Runner {
 
     /// Points currently memoized.
     pub fn cached_points(&self) -> usize {
-        lock_unpoisoned(&self.cache).len()
+        lock_unpoisoned(&self.state).cache.len()
     }
 
     /// The memoized spec for `req`, materializing it on first use. The
@@ -854,10 +886,10 @@ impl Runner {
                 Err(RunError::Panicked { point, payload: panic_message(payload.as_ref()) })
             }
         };
-        // SlowConsumer holds the finished result (and with it the worker
-        // slot) before releasing it — the deterministic way the chaos
-        // drills keep an admission slot occupied. The metrics are already
-        // computed, so they stay byte-identical to the healthy run.
+        // SlowConsumer holds the finished result (and with it the flight
+        // and any execution slot) before releasing it — the deterministic
+        // way the chaos drills keep a slot occupied. The metrics are
+        // already computed, so they stay byte-identical to the healthy run.
         if let Some(InjectedFault::SlowConsumer { delay_ms }) = req.config.fault_injection {
             if outcome.is_ok() {
                 std::thread::sleep(Duration::from_millis(delay_ms));
@@ -866,104 +898,205 @@ impl Runner {
         outcome
     }
 
-    /// Simulates the given distinct points, returning outcomes in the
-    /// same order. Runs inline for one worker, otherwise fans out over an
-    /// mpsc work queue shared by `min(jobs, points)` threads.
-    fn simulate_batch(&self, fresh: &[(u64, &RunRequest)]) -> Vec<Result<RunResult, RunError>> {
-        let workers = self.jobs.min(fresh.len());
-        let reporter = self.reporter();
-        let total = fresh.len();
-        if workers <= 1 {
-            return fresh
-                .iter()
-                .enumerate()
-                .map(|(i, &(_, req))| {
-                    report_point_start(&*reporter, i + 1, total, req);
-                    let outcome = self.execute_point(req);
-                    report_point_end(&*reporter, i + 1, total, req, &outcome);
-                    outcome
-                })
-                .collect();
-        }
-
-        let (job_tx, job_rx) = mpsc::channel::<(usize, &RunRequest)>();
-        let job_rx = Mutex::new(job_rx);
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Result<RunResult, RunError>)>();
-        for (idx, &(_, req)) in fresh.iter().enumerate() {
-            job_tx.send((idx, req)).expect("receiver outlives submission");
-        }
-        drop(job_tx);
-
-        let mut results: Vec<Option<Result<RunResult, RunError>>> = vec![None; fresh.len()];
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = &job_rx;
-                let result_tx = result_tx.clone();
-                let reporter = &reporter;
-                scope.spawn(move || loop {
-                    // Hold the queue lock only for the dequeue, not the
-                    // simulation. Poison recovery: another worker dying
-                    // while holding the lock must not cascade.
-                    let job = lock_unpoisoned(job_rx).recv();
-                    match job {
-                        Ok((idx, req)) => {
-                            report_point_start(&**reporter, idx + 1, total, req);
-                            let outcome = self.execute_point(req);
-                            report_point_end(&**reporter, idx + 1, total, req, &outcome);
-                            if result_tx.send((idx, outcome)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => return,
-                    }
-                });
+    /// Simulates one owned point as number `index` of `total`, with its
+    /// start and end reported.
+    fn fly(
+        &self,
+        req: &RunRequest,
+        index: usize,
+        total: usize,
+        reporter: &dyn Reporter,
+    ) -> Result<RunResult, RunError> {
+        reporter.report(ProgressEvent::PointStarted { index, total, label: req.label() });
+        let outcome = self.execute_point(req);
+        let label = req.label();
+        reporter.report(match &outcome {
+            Ok(result) => ProgressEvent::PointFinished {
+                index,
+                total,
+                label,
+                wall_ns: result.wall.as_nanos() as u64,
+                sim_ips: result.sim_ips,
+            },
+            Err(error) if error.is_cancellation() => {
+                ProgressEvent::PointCancelled { index, total, label }
             }
-            drop(result_tx);
-            // Reassemble in submission order as workers finish.
-            for (idx, outcome) in result_rx {
-                results[idx] = Some(outcome);
+            Err(error) => {
+                ProgressEvent::PointFailed { index, total, label, error: error.to_string() }
             }
         });
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(idx, outcome)| {
-                // A missing slot means a worker died without even a panic
-                // report — contained, but diagnosable.
-                outcome.unwrap_or_else(|| Err(RunError::Lost { point: PointSummary::of(fresh[idx].1) }))
-            })
-            .collect()
+        outcome
+    }
+
+    /// Flies a batch's owned points on `min(jobs, points)` scoped
+    /// workers, which claim points in submission order. One worker runs
+    /// inline on the calling thread.
+    fn fly_all(&self, owned: &[(FlightGuard<'_>, &RunRequest)], reporter: &dyn Reporter) {
+        let total = owned.len();
+        let next = AtomicUsize::new(0);
+        let worker = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((guard, req)) = owned.get(i) else { return };
+            guard.flight.fill(&self.fly(req, i + 1, total, reporter));
+        };
+        let workers = self.jobs.min(total);
+        if workers <= 1 {
+            worker();
+            return;
+        }
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
+
+    /// Counts fresh outcomes and banks the successes in the run cache,
+    /// under one lock. A result too heavy for the budget is refused by
+    /// the cache; its callers still get it.
+    fn bank<'a>(&self, outcomes: impl IntoIterator<Item = (u64, &'a Result<RunResult, RunError>)>) {
+        let mut st = lock_unpoisoned(&self.state);
+        for (key, outcome) in outcomes {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            match outcome {
+                Ok(result) => {
+                    let instructions = result.metrics.instructions;
+                    self.simulated_instructions.fetch_add(instructions, Ordering::Relaxed);
+                    self.busy_nanos.fetch_add(result.wall.as_nanos() as u64, Ordering::Relaxed);
+                    st.cache.insert(key, result.clone());
+                }
+                Err(_) => {
+                    self.failures.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
     }
 }
 
-fn report_point_start(reporter: &dyn Reporter, index: usize, total: usize, req: &RunRequest) {
-    reporter.report(ProgressEvent::PointStarted { index, total, label: req.label() });
+/// One simulation in flight that other requests for its key attach to.
+struct Flight {
+    outcome: Mutex<Option<Result<RunResult, RunError>>>,
+    done: Condvar,
 }
 
-fn report_point_end(
-    reporter: &dyn Reporter,
-    index: usize,
-    total: usize,
-    req: &RunRequest,
-    outcome: &Result<RunResult, RunError>,
-) {
-    let label = req.label();
-    let event = match outcome {
-        Ok(result) => ProgressEvent::PointFinished {
-            index,
-            total,
-            label,
-            wall_ns: result.wall.as_nanos() as u64,
-            sim_ips: result.sim_ips,
-        },
-        Err(error) if error.is_cancellation() => {
-            ProgressEvent::PointCancelled { index, total, label }
+impl Flight {
+    fn new() -> Self {
+        Flight { outcome: Mutex::new(None), done: Condvar::new() }
+    }
+
+    /// Blocks until the owner fills the flight, then returns a clone of
+    /// its outcome with `from_cache` set (the waiter did not simulate
+    /// anything).
+    fn wait(&self) -> Result<RunResult, RunError> {
+        let guard = lock_unpoisoned(&self.outcome);
+        let guard = wait_unpoisoned(&self.done, guard, |o| o.is_none());
+        let mut outcome = guard.clone().expect("flight filled before notify");
+        if let Ok(result) = &mut outcome {
+            result.from_cache = true;
         }
-        Err(error) => {
-            ProgressEvent::PointFailed { index, total, label, error: error.to_string() }
+        outcome
+    }
+
+    /// The outcome, if the owner has filled the flight.
+    fn outcome(&self) -> Option<Result<RunResult, RunError>> {
+        lock_unpoisoned(&self.outcome).clone()
+    }
+
+    fn fill(&self, outcome: &Result<RunResult, RunError>) {
+        *lock_unpoisoned(&self.outcome) = Some(outcome.clone());
+        self.done.notify_all();
+    }
+
+    /// Fills the flight with [`RunError::Lost`] *only if it is still
+    /// empty* — the owner died (unwound) without reporting an outcome.
+    /// Idempotent against a normal [`Flight::fill`] that already ran.
+    fn fill_if_abandoned(&self, point: &PointSummary) {
+        let mut outcome = lock_unpoisoned(&self.outcome);
+        if outcome.is_none() {
+            *outcome = Some(Err(RunError::Lost { point: point.clone() }));
         }
-    };
-    reporter.report(event);
+        drop(outcome);
+        self.done.notify_all();
+    }
+}
+
+/// `Condvar::wait_while` with the workspace's poison-recovery policy
+/// (see [`slicc_common::lock_unpoisoned`]): a panicked peer must not
+/// wedge every waiter behind a poisoned lock.
+fn wait_unpoisoned<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    mut while_: impl FnMut(&mut T) -> bool,
+) -> MutexGuard<'a, T> {
+    cv.wait_while(guard, &mut while_).unwrap_or_else(|e| {
+        let mut guard = e.into_inner();
+        while while_(&mut guard) {
+            // The condvar itself is not poisoned, only the mutex; spin
+            // through wait() manually. This path only runs after a peer
+            // panicked while holding the lock — correctness over speed.
+            guard = cv
+                .wait_timeout(guard, Duration::from_millis(10))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        guard
+    })
+}
+
+/// Owns one registered flight — and, for a submission, its execution
+/// slot — for the duration of a fresh simulation. Dropping the guard —
+/// which also happens when the owning thread *unwinds* (a panicking
+/// reporter, a server worker torn down by a dropped connection) —
+/// always:
+///
+/// 1. fills the flight with [`RunError::Lost`] if the owner never
+///    reported an outcome, so attached waiters wake with a typed error
+///    instead of blocking on a Condvar wakeup that will never come;
+/// 2. unregisters the flight and releases the slot, if it holds one;
+/// 3. signals `slots` so queued submissions re-evaluate.
+///
+/// Without this, a dying owner stranded every attached waiter forever
+/// and leaked its slot, silently shrinking `max_inflight` until the
+/// runner shed every submission.
+struct FlightGuard<'a> {
+    runner: &'a Runner,
+    key: u64,
+    flight: Arc<Flight>,
+    point: PointSummary,
+    /// Whether the owner holds an execution slot (a submission does, a
+    /// batch does not).
+    slot: bool,
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        // Fill-if-abandoned must precede removal from the map: a waiter
+        // that already holds the Arc must find an outcome when it wakes.
+        self.flight.fill_if_abandoned(&self.point);
+        let mut st = lock_unpoisoned(&self.runner.state);
+        st.flights.remove(&self.key);
+        if self.slot {
+            st.executing -= 1;
+        }
+        drop(st);
+        self.runner.slots.notify_all();
+    }
+}
+
+/// Holds one position in the submission wait queue. Dropped on every exit
+/// from the queued wait — including an unwinding waiter — so `queued` can
+/// never leak upward and turn the queue-limit check into a permanent shed.
+struct QueueGuard<'a> {
+    runner: &'a Runner,
+}
+
+impl Drop for QueueGuard<'_> {
+    fn drop(&mut self) {
+        let mut st = lock_unpoisoned(&self.runner.state);
+        st.queued -= 1;
+        drop(st);
+        self.runner.slots.notify_all();
+    }
 }
 
 /// Renders a caught panic payload for [`RunError::Panicked`]. Panics
@@ -1300,30 +1433,6 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_queue_limit_sheds_fresh_points_but_serves_hits() {
-        let runner = Runner::new(1);
-        let req = tiny_request();
-        expect_ok(runner.run(&req));
-        runner.set_queue_limit(Some(0));
-        // The memoized point is still served: hits are never shed.
-        assert!(expect_ok(runner.run(&req)).from_cache);
-        // A fresh point cannot win a slot and is shed with a hint.
-        let err = runner.run(&req.clone().with_seed(5)).expect_err("no slots means shed");
-        assert!(err.is_overload(), "got {err}");
-        match &err {
-            RunError::Overloaded { retry_after, .. } => assert!(*retry_after > Duration::ZERO),
-            other => panic!("expected Overloaded, got {other}"),
-        }
-        let stats = runner.stats();
-        assert_eq!(stats.shed_points, 1);
-        assert_eq!(stats.failed_points, 0, "a shed point never simulated, so it never failed");
-        // Lifting the limit recovers the same point.
-        runner.set_queue_limit(None);
-        expect_ok(runner.run(&req.clone().with_seed(5)));
-        assert_eq!(runner.queue_limit(), None);
-    }
-
-    #[test]
     fn execute_uncached_bypasses_cache_and_stats() {
         let runner = Runner::new(1);
         let req = tiny_request();
@@ -1350,13 +1459,12 @@ mod tests {
 
     #[test]
     fn governance_knobs_are_excluded_from_the_stable_key() {
-        // A cache budget or admission limit changes when work is refused
-        // or recomputed, never what any simulation computes — so equal
-        // requests stay equal across differently-governed runners.
+        // A cache budget changes when work is recomputed, never what any
+        // simulation computes — so equal requests stay equal across
+        // differently-governed runners.
         let runner_a = Runner::new(1);
         let runner_b = Runner::new(1);
         runner_b.set_cache_bytes(8);
-        runner_b.set_queue_limit(Some(64));
         let a = expect_ok(runner_a.run(&tiny_request()));
         let b = expect_ok(runner_b.run(&tiny_request()));
         assert_eq!(a.metrics.digest(), b.metrics.digest());

@@ -1,12 +1,12 @@
-//! Resource governance for simulation-as-a-service: a bounded,
-//! byte-weighted, LRU-evicting run cache, single-flight stampede
-//! coalescing, and admission control with graceful shedding.
+//! Resource governance for simulation-as-a-service: the bounded,
+//! byte-weighted, LRU-evicting run cache, the admission policy, and the
+//! submission handle a server holds.
 //!
-//! The batch [`Runner`] memoizes completed points so repeated requests
-//! are free — but a long-lived server built on an unbounded memo map
-//! OOMs, a traffic spike of identical requests simulates each copy
-//! independently, and "too much work" has no answer but collapse. This
-//! module supplies the three governing policies:
+//! The [`Runner`] memoizes completed points so repeated requests are
+//! free, coalesces concurrent requests for one point onto a single
+//! flight, and sheds submissions beyond its admission policy
+//! ([`Runner::submit`]). This module supplies the pieces it governs
+//! with:
 //!
 //! - [`BoundedResultCache`] — the run cache itself, weighted by each
 //!   entry's [`result_weight`] (a closed-form byte count of its metrics,
@@ -14,17 +14,15 @@
 //!   budget ([`Runner::set_cache_bytes`], `--cache-bytes`). Inserting
 //!   past the budget evicts least-recently-used entries; the budget is
 //!   never exceeded.
-//! - [`SimService`] — a submission front door over a shared [`Runner`].
-//!   Concurrent submissions with the same
-//!   [`RunRequest::stable_key`] attach to one in-flight simulation
-//!   (*single-flight*): exactly one client simulates, the rest wait on
-//!   the flight and receive clones. Submissions beyond the service's
-//!   slot and queue limits are shed with a typed
-//!   [`RunError::Overloaded`] carrying a retry-after hint instead of
-//!   queueing without bound.
-//! - [`PressureSnapshot`] — the observable state of both policies
-//!   (queue depth, in-flight count, cache residency, shed count),
-//!   surfaced through the [`Reporter`] telemetry as
+//! - [`ServiceConfig`] — the admission policy of [`Runner::submit`]:
+//!   execution slots and wait-queue depth. Submissions beyond both are
+//!   shed with a typed [`RunError::Overloaded`] carrying a retry-after
+//!   hint instead of queueing without bound.
+//! - [`SimService`] — a handle over a shared [`Runner`] that installs a
+//!   [`ServiceConfig`] and forwards submissions to it.
+//! - [`PressureSnapshot`] — the observable state of the cache and the
+//!   admission policy (queue depth, in-flight count, cache residency,
+//!   shed count), surfaced through the [`slicc_obs::Reporter`] telemetry as
 //!   [`ProgressEvent::Pressure`] and queryable directly.
 //!
 //! None of this governance enters [`RunRequest::stable_key`], exactly
@@ -33,14 +31,12 @@
 //! *when* a result is served from memory, never *what* a finished run
 //! computed. The golden-digest suite pins that invariant.
 
-use crate::error::{PointSummary, RunError};
+use crate::error::RunError;
 use crate::metrics::RunMetrics;
 use crate::runner::{Runner, RunRequest, RunResult};
-use slicc_common::lock_unpoisoned;
 use slicc_obs::{Epoch, ProgressEvent, TraceEvent};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Default run-cache byte budget: 64 MiB. Generous enough that every
 /// paper sweep (bare metrics results are a few hundred bytes each) is
@@ -265,16 +261,14 @@ impl BoundedResultCache {
 /// The observable state of the governance layer at one instant: what an
 /// operator needs to tell "healthy", "hot", and "shedding" apart.
 /// Surfaced as [`ProgressEvent::Pressure`] on the runner's [`Reporter`]
-/// and queryable via [`Runner::pressure`] / [`SimService::pressure`].
+/// and queryable via [`Runner::pressure`].
 ///
 /// [`Reporter`]: slicc_obs::Reporter
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PressureSnapshot {
-    /// Submissions waiting for an execution slot (always 0 at the bare
-    /// [`Runner`], which sheds instead of queueing; the [`SimService`]
-    /// queues up to its configured limit).
+    /// Submissions waiting for an execution slot.
     pub queue_depth: usize,
-    /// Fresh simulations currently executing.
+    /// Fresh simulations in flight, submitted or batched.
     pub inflight: usize,
     /// Bytes resident in the bounded run cache.
     pub cache_bytes: u64,
@@ -300,12 +294,13 @@ impl PressureSnapshot {
     }
 }
 
-/// Sizing policy for a [`SimService`].
+/// The admission policy of [`Runner::submit`], installed on the runner
+/// by [`SimService::new`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Fresh simulations allowed to execute concurrently through this
-    /// service (clamped to at least 1). Coalesced waiters and cache hits
-    /// do not consume slots.
+    /// Fresh submissions allowed to simulate concurrently (clamped to at
+    /// least 1). Coalesced waiters, cache hits and batches do not
+    /// consume slots.
     pub max_inflight: usize,
     /// Submissions allowed to *wait* for a slot before further arrivals
     /// are shed with [`RunError::Overloaded`]. Zero means "never queue":
@@ -313,187 +308,23 @@ pub struct ServiceConfig {
     pub queue_limit: usize,
 }
 
-impl ServiceConfig {
-    /// `max_inflight` slots with a queue of twice that depth — a
-    /// reasonable default for a service sized to the host.
-    pub fn with_inflight(max_inflight: usize) -> Self {
-        let max_inflight = max_inflight.max(1);
-        ServiceConfig { max_inflight, queue_limit: max_inflight * 2 }
-    }
-}
-
-/// One in-flight simulation that duplicate submissions attach to.
-struct Flight {
-    outcome: Mutex<Option<Result<RunResult, RunError>>>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight { outcome: Mutex::new(None), done: Condvar::new() }
-    }
-
-    /// Blocks until the owning submission fills the flight, then returns
-    /// a clone of its outcome with `from_cache` set (the waiter did not
-    /// simulate anything).
-    fn wait(&self) -> Result<RunResult, RunError> {
-        let guard = lock_unpoisoned(&self.outcome);
-        let guard = wait_unpoisoned(&self.done, guard, |o| o.is_none());
-        let mut outcome = guard.clone().expect("flight filled before notify");
-        if let Ok(result) = &mut outcome {
-            result.from_cache = true;
-        }
-        outcome
-    }
-
-    fn fill(&self, outcome: &Result<RunResult, RunError>) {
-        *lock_unpoisoned(&self.outcome) = Some(outcome.clone());
-        self.done.notify_all();
-    }
-
-    /// Fills the flight with [`RunError::Lost`] *only if it is still
-    /// empty* — the owner died (unwound) without reporting an outcome.
-    /// Idempotent against a normal [`Flight::fill`] that already ran.
-    fn fill_if_abandoned(&self, point: &PointSummary) {
-        let mut outcome = lock_unpoisoned(&self.outcome);
-        if outcome.is_none() {
-            *outcome = Some(Err(RunError::Lost { point: point.clone() }));
-        }
-        drop(outcome);
-        self.done.notify_all();
-    }
-}
-
-/// `Condvar::wait_while` with the workspace's poison-recovery policy
-/// (see [`slicc_common::lock_unpoisoned`]): a panicked peer must not
-/// wedge every waiter behind a poisoned lock.
-fn wait_unpoisoned<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    mut while_: impl FnMut(&mut T) -> bool,
-) -> MutexGuard<'a, T> {
-    cv.wait_while(guard, &mut while_).unwrap_or_else(|e| {
-        let mut guard = e.into_inner();
-        while while_(&mut guard) {
-            // The condvar itself is not poisoned, only the mutex; spin
-            // through wait() manually. This path only runs after a peer
-            // panicked while holding the lock — correctness over speed.
-            guard = cv
-                .wait_timeout(guard, Duration::from_millis(10))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        guard
-    })
-}
-
-struct ServiceState {
-    /// In-flight simulations by stable key; duplicate submissions attach
-    /// here instead of simulating.
-    flights: HashMap<u64, Arc<Flight>>,
-    /// Submissions currently holding an execution slot.
-    executing: usize,
-    /// Submissions currently waiting for a slot.
-    queued: usize,
-}
-
-/// Owns one execution slot and its registered flight for the duration of
-/// a fresh simulation. Dropping the guard — which also happens when the
-/// owning thread *unwinds* out of `runner.run()` (a panicking reporter, a
-/// dropped client connection tearing down its worker) — always:
-///
-/// 1. fills the flight with [`RunError::Lost`] if the owner never
-///    reported an outcome, so coalesced waiters wake with a typed error
-///    instead of blocking on a Condvar wakeup that will never come;
-/// 2. unregisters the flight and releases the execution slot;
-/// 3. signals `slots` so queued submissions re-evaluate.
-///
-/// Without this, a dying owner stranded every attached waiter forever
-/// and leaked the slot, silently shrinking `max_inflight` until the
-/// service shed everything.
-struct FlightGuard<'a> {
-    service: &'a SimService,
-    key: u64,
-    flight: Arc<Flight>,
-    point: PointSummary,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        // Fill-if-abandoned must precede removal from the map: a waiter
-        // that already holds the Arc must find an outcome when it wakes.
-        self.flight.fill_if_abandoned(&self.point);
-        let mut st = lock_unpoisoned(&self.service.state);
-        st.flights.remove(&self.key);
-        st.executing -= 1;
-        drop(st);
-        self.service.slots.notify_all();
-    }
-}
-
-/// Holds one position in the wait queue. Dropped on every exit from the
-/// queued wait — including an unwinding waiter — so `queued` can never
-/// leak upward and turn the queue-limit check into a permanent shed.
-struct QueueGuard<'a> {
-    service: &'a SimService,
-}
-
-impl Drop for QueueGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = lock_unpoisoned(&self.service.state);
-        st.queued -= 1;
-        drop(st);
-        self.service.slots.notify_all();
-    }
-}
-
 /// A resource-governed submission front door over a shared [`Runner`]:
-/// the piece a long-lived server exposes to its clients (ROADMAP item
-/// 1's wire protocol plugs in directly above this).
+/// the handle a long-lived server exposes to its clients.
 ///
-/// Each client calls [`SimService::submit`] from its own thread.
-/// The service resolves the submission in this order:
-///
-/// 1. **Memoized** — the bounded run cache has the result: served
-///    immediately, no slot consumed (`cache_hits` in
-///    [`crate::RunnerStats`]).
-/// 2. **Coalesced** — an identical submission is already simulating:
-///    attach to its flight and wait (`coalesced_hits`). Exactly one
-///    simulation runs no matter how many clients stampede.
-/// 3. **Admitted** — a free execution slot: simulate on the calling
-///    thread through the shared runner (which banks the result in the
-///    bounded cache).
-/// 4. **Queued** — all slots busy but the wait queue has room: block
-///    until a slot frees or the result materializes.
-/// 5. **Shed** — slots and queue both full: fail fast with
-///    [`RunError::Overloaded`] and a retry-after hint
-///    ([`Runner::retry_after_hint`]). Nothing simulates; the client is
-///    expected to back off and resubmit.
+/// The runner does all the work — [`Runner::submit`] documents the
+/// resolution order (memoized → coalesced → admitted → queued → shed) —
+/// and this handle installs the sizing policy on it.
 pub struct SimService {
     runner: Arc<Runner>,
-    cfg: ServiceConfig,
-    state: Mutex<ServiceState>,
-    /// Signalled when an execution slot frees or a flight registers, so
-    /// queued submissions re-evaluate their options.
-    slots: Condvar,
 }
 
 impl SimService {
-    /// A service over `runner` with the given sizing policy.
+    /// A service over `runner`, whose submissions are admitted per `cfg`.
+    /// The policy lives on the runner, so a later service over the same
+    /// runner replaces it.
     pub fn new(runner: Arc<Runner>, cfg: ServiceConfig) -> Self {
-        let cfg = ServiceConfig { max_inflight: cfg.max_inflight.max(1), ..cfg };
-        SimService {
-            runner,
-            cfg,
-            state: Mutex::new(ServiceState { flights: HashMap::new(), executing: 0, queued: 0 }),
-            slots: Condvar::new(),
-        }
-    }
-
-    /// A service sized to its runner's worker pool.
-    pub fn with_runner(runner: Arc<Runner>) -> Self {
-        let jobs = runner.jobs();
-        SimService::new(runner, ServiceConfig::with_inflight(jobs))
+        runner.set_admission(cfg);
+        SimService { runner }
     }
 
     /// The shared runner (stats, cancellation, governance knobs).
@@ -501,101 +332,15 @@ impl SimService {
         &self.runner
     }
 
-    /// The sizing policy.
-    pub fn config(&self) -> ServiceConfig {
-        self.cfg
-    }
-
-    /// The service's current pressure: real queue depth and in-flight
-    /// count from the submission layer, cache and shed state from the
-    /// shared runner.
+    /// The runner's current pressure ([`Runner::pressure`]).
     pub fn pressure(&self) -> PressureSnapshot {
-        let (queued, executing) = {
-            let st = lock_unpoisoned(&self.state);
-            (st.queued, st.executing)
-        };
-        let mut p = self.runner.pressure();
-        p.queue_depth = queued;
-        p.inflight = executing;
-        p
+        self.runner.pressure()
     }
 
-    /// Submits one request, blocking until it resolves (served, simulated,
-    /// failed, or shed). See the struct docs for the resolution order.
+    /// Submits one request, blocking until it resolves
+    /// ([`Runner::submit`]).
     pub fn submit(&self, req: &RunRequest) -> Result<RunResult, RunError> {
-        let key = req.stable_key();
-        loop {
-            // Memoized? (Also re-checked after every wait: a flight we
-            // waited out banks its result here.)
-            if let Some(hit) = self.runner.cached_result(key) {
-                return Ok(hit);
-            }
-
-            let mut st = lock_unpoisoned(&self.state);
-            if let Some(flight) = st.flights.get(&key).map(Arc::clone) {
-                drop(st);
-                self.runner.note_coalesced();
-                return flight.wait();
-            }
-
-            if st.executing < self.cfg.max_inflight {
-                st.executing += 1;
-                let flight = Arc::new(Flight::new());
-                st.flights.insert(key, Arc::clone(&flight));
-                drop(st);
-                // Late arrivals in the window between our cache check and
-                // the flight registration attach to the flight; the
-                // runner re-checks its cache anyway.
-                self.slots.notify_all();
-
-                // The guard owns the slot and the flight registration:
-                // even if `runner.run` unwinds, waiters get a typed
-                // `RunError::Lost` and the slot is returned (see
-                // `FlightGuard`).
-                let guard = FlightGuard {
-                    service: self,
-                    key,
-                    flight: Arc::clone(&flight),
-                    point: PointSummary::of(req),
-                };
-                let outcome = self.runner.run(req);
-                flight.fill(&outcome);
-                drop(guard);
-                self.report_pressure();
-                return outcome;
-            }
-
-            // No free slot: queue if there is room, shed otherwise.
-            if st.queued >= self.cfg.queue_limit {
-                drop(st);
-                self.runner.note_shed();
-                self.report_pressure();
-                return Err(RunError::Overloaded {
-                    point: PointSummary::of(req),
-                    retry_after: self.runner.retry_after_hint(),
-                    inflight: self.cfg.max_inflight,
-                    limit: self.cfg.queue_limit,
-                });
-            }
-            st.queued += 1;
-            // The guard owns the queue position; it is released on every
-            // exit from the wait, unwinding included (see `QueueGuard`).
-            let queue_guard = QueueGuard { service: self };
-            let max_inflight = self.cfg.max_inflight;
-            let st = wait_unpoisoned(&self.slots, st, |s| {
-                s.executing >= max_inflight && !s.flights.contains_key(&key)
-            });
-            // Release the state lock *before* the guard re-takes it.
-            drop(st);
-            drop(queue_guard);
-            // Loop: re-check cache, flights, and slots from the top.
-        }
-    }
-
-    /// Emits the current pressure snapshot on the runner's reporter.
-    fn report_pressure(&self) {
-        let snapshot = self.pressure();
-        self.runner.reporter().report(snapshot.event());
+        self.runner.submit(req)
     }
 }
 
@@ -604,6 +349,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use slicc_trace::{TraceScale, Workload};
+    use std::time::Duration;
 
     fn tiny_request(seed: u64) -> RunRequest {
         RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test()).with_seed(seed)

@@ -110,11 +110,13 @@ cargo test -p slicc-sim --test chaos -q
 
 # Service-chaos lane: the resource-governance drills by name — cache
 # thrash under a tiny byte budget, stampede storms coalescing to one
-# flight, overload shedding with recovery, and eviction racing coalesced
-# waiters (DESIGN.md §12). Named explicitly so the governance drills
-# run (and fail) as their own lane.
+# flight, overload shedding with recovery, eviction racing coalesced
+# waiters, and the cross-path drills in which a submission and a batch
+# attach to each other's flights (DESIGN.md §12). Named explicitly so
+# the governance drills run (and fail) as their own lane.
 cargo test -p slicc-sim --test chaos -q -- \
-    cache_thrash stampede_storm overload_shedding eviction_racing cli_zero_queue_limit
+    cache_thrash stampede_storm overload_shedding eviction_racing
+cargo test -p slicc-sim --test runner -q -- cross_path
 
 # Pressure smoke: a JSON-progress run must emit at least one pressure
 # snapshot carrying the full governance surface.
@@ -162,7 +164,7 @@ serve_log="$(mktemp /tmp/slicc-ci-serve-log.XXXXXX)"
 # Roomy queue: 8 connections can never exceed 8 waiters, so a limit of
 # 64 guarantees the stampede is absorbed by coalescing, never shed —
 # the defaults scale with nproc and would shed on a starved CI runner.
-serve_boot "$serve_out" "$serve_log" --max-inflight 4 --queue-limit 64 \
+serve_boot "$serve_out" "$serve_log" --jobs 4 --queue-limit 64 \
     --metrics-out "$serve_metrics"
 ./target/release/slicc-loadgen --addr "$serve_addr" --scenario stampede \
     --connections 8 --per-connection 125 --distinct 8
@@ -206,8 +208,8 @@ rm -f "$serve_metrics".* "$serve_out" "$serve_log"
 overload_metrics="$(mktemp -u /tmp/slicc-ci-overload.XXXXXX)"
 overload_out="$(mktemp /tmp/slicc-ci-overload-out.XXXXXX)"
 overload_log="$(mktemp /tmp/slicc-ci-overload-log.XXXXXX)"
-serve_boot "$overload_out" "$overload_log" --jobs 1 --max-inflight 1 \
-    --queue-limit 0 --metrics-out "$overload_metrics"
+serve_boot "$overload_out" "$overload_log" --jobs 1 --queue-limit 0 \
+    --metrics-out "$overload_metrics"
 ./target/release/slicc-loadgen --addr "$serve_addr" --scenario overload \
     --connections 8 --per-connection 75 --distinct 600
 kill -TERM "$serve_pid"

@@ -424,18 +424,6 @@ fn cli_expired_deadline_exits_one_with_a_snapshot() {
     assert!(stderr.contains("heap steps"), "the snapshot must be printed, got: {stderr}");
 }
 
-#[test]
-fn cli_zero_queue_limit_sheds_with_a_typed_overload_error() {
-    let out = slicc()
-        .args(["--scale", "tiny", "--queue-limit", "0", "--progress", "quiet"])
-        .output()
-        .expect("slicc runs");
-    assert_eq!(out.status.code(), Some(1), "a shed point must fail the run");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("overloaded"), "got: {stderr}");
-    assert!(stderr.contains("retry in"), "the retry-after hint must be printed, got: {stderr}");
-}
-
 /// SIGINT drill: interrupt a two-point sweep once its first point has
 /// finished; the process must exit 130 and say it was interrupted.
 #[cfg(unix)]

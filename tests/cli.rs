@@ -52,13 +52,15 @@ fn help_exits_zero_and_lists_options() {
 #[test]
 fn unknown_option_exits_two_and_names_it() {
     // Removed options are plain unknown options: the per-point
-    // parallelism knobs, and the checkpoint and retry flags.
+    // parallelism knobs, the checkpoint and retry flags, and the batch
+    // admission limit.
     for args in [
         &["--frobnicate"][..],
         &["--point-threads", "2"],
         &["--decode-threads", "2"],
         &["--checkpoint", "x"],
         &["--retries", "1"],
+        &["--queue-limit", "0"],
     ] {
         let out = slicc().args(args).output().expect("failed to spawn slicc");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -8,6 +8,9 @@ use slicc_sim::{
     SimConfig, SimConfigBuilder, SimService,
 };
 use slicc_trace::{TraceScale, Workload};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn expect_ok(result: &Result<RunResult, RunError>) -> &RunResult {
     result.as_ref().unwrap_or_else(|e| panic!("point failed: {e}"))
@@ -164,8 +167,6 @@ fn faulty_points_are_isolated_and_a_rerun_skips_completed_ones() {
 /// result, and the bounded cache must never exceed its byte budget.
 #[test]
 fn a_submission_storm_coalesces_to_one_simulation_per_distinct_point() {
-    use std::sync::Arc;
-
     const DISTINCT: usize = 8;
     const CLIENTS: usize = 8;
     const PER_CLIENT: usize = 250; // 8 x 250 = 2000 submissions
@@ -227,58 +228,59 @@ fn a_submission_storm_coalesces_to_one_simulation_per_distinct_point() {
     assert_eq!((pressure.queue_depth, pressure.inflight), (0, 0), "the storm fully drained");
 }
 
-/// An owner whose `runner.run()` unwinds between flight registration and
+/// Panics on the thread that reports the first `BatchStarted`, once —
+/// the runner emits that outside its per-point panic containment, so
+/// this models any owner death mid-flight (a reporter bug, a server
+/// worker torn down by a dropped connection). `release` lets a test hold
+/// the owner inside the flight window until waiters attach.
+struct Grenade {
+    armed: AtomicBool,
+    release: Arc<AtomicBool>,
+}
+
+impl Grenade {
+    fn armed(release: &Arc<AtomicBool>) -> Arc<Grenade> {
+        Arc::new(Grenade { armed: AtomicBool::new(true), release: Arc::clone(release) })
+    }
+}
+
+impl slicc_sim::Reporter for Grenade {
+    fn report(&self, event: slicc_sim::ProgressEvent) {
+        if matches!(event, slicc_sim::ProgressEvent::BatchStarted { .. })
+            && self.armed.swap(false, Ordering::SeqCst)
+        {
+            while !self.release.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            panic!("owner dies mid-flight (injected)");
+        }
+    }
+}
+
+/// Spins until `ready` holds, failing the test after 30 s.
+fn await_or_die(what: &str, ready: &dyn Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !ready() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// A submission owner that unwinds between flight registration and
 /// fill must not strand coalesced waiters on the flight's Condvar or leak
 /// its execution slot: waiters wake with the typed [`RunError::Lost`],
 /// the slot frees, and the service keeps serving (the failed point is not
 /// cached, so a resubmission re-executes).
 #[test]
 fn a_dying_flight_owner_wakes_waiters_with_a_typed_error_and_frees_its_slot() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    /// Panics on the owner's thread, once, on the first `BatchStarted` —
-    /// the runner emits that outside its per-point panic containment, so
-    /// this models any owner death mid-flight (a reporter bug, a server
-    /// worker torn down by a dropped connection). `release` lets the test
-    /// hold the owner inside the flight window until waiters attach.
-    struct Grenade {
-        armed: AtomicBool,
-        release: Arc<AtomicBool>,
-    }
-    impl slicc_sim::Reporter for Grenade {
-        fn report(&self, event: slicc_sim::ProgressEvent) {
-            if matches!(event, slicc_sim::ProgressEvent::BatchStarted { .. })
-                && self.armed.swap(false, Ordering::SeqCst)
-            {
-                while !self.release.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-                panic!("owner dies mid-flight (injected)");
-            }
-        }
-    }
-
     const WAITERS: usize = 3;
     let release = Arc::new(AtomicBool::new(false));
     let runner = Arc::new(Runner::new(1));
-    runner.set_reporter(Arc::new(Grenade {
-        armed: AtomicBool::new(true),
-        release: Arc::clone(&release),
-    }));
+    runner.set_reporter(Grenade::armed(&release));
     let service =
         SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 8 });
     let req =
         RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test()).with_seed(7);
-
-    let await_or_die = |what: &str, ready: &dyn Fn() -> bool| {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !ready() {
-            assert!(Instant::now() < deadline, "timed out waiting for {what}");
-            std::thread::yield_now();
-        }
-    };
 
     let (service, req) = (&service, &req);
     std::thread::scope(|scope| {
@@ -311,5 +313,132 @@ fn a_dying_flight_owner_wakes_waiters_with_a_typed_error_and_frees_its_slot() {
     let pressure = service.pressure();
     assert_eq!((pressure.inflight, pressure.queue_depth), (0, 0), "the dead owner leaked state");
     let retried = service.submit(req).expect("the point must re-execute after the owner died");
+    assert!(!retried.from_cache, "a Lost outcome must never be served from the cache");
+}
+
+// ---------------------------------------------------------------------
+// Cross-path drills: a submission and a batch share one resolution
+// state, so a point in flight on either path is simulated once.
+// ---------------------------------------------------------------------
+
+/// A tiny point whose finished result is held for `delay_ms` before its
+/// flight is filled, so a test can observe the flight in the air.
+fn slow_request(delay_ms: u64) -> RunRequest {
+    let config = SimConfigBuilder::tiny_test()
+        .inject_fault(InjectedFault::SlowConsumer { delay_ms })
+        .build()
+        .expect("tiny config with a slow consumer is valid");
+    RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config).with_seed(31)
+}
+
+/// A batch naming a point that a submission is simulating attaches to
+/// the submission's flight instead of simulating it again.
+#[test]
+fn cross_path_a_batch_attaches_to_a_submitted_flight() {
+    let runner = Arc::new(Runner::new(2));
+    let service =
+        SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 0 });
+    let slow = slow_request(400);
+    let other = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test())
+        .with_seed(32);
+    let reference = runner.execute_uncached(&slow).expect("reference run").metrics.digest();
+
+    let (service, slow, runner_ref) = (&service, &slow, &runner);
+    let batch = std::thread::scope(|scope| {
+        let owner = scope.spawn(move || service.submit(slow));
+        await_or_die("the submission to take its flight", &|| runner_ref.pressure().inflight == 1);
+        let batch = runner_ref.run_all(&[slow.clone(), other.clone()]);
+        owner.join().expect("owner thread").expect("the submitted point completes");
+        batch
+    });
+
+    let attached = batch[0].as_ref().expect("the attached point completes");
+    assert!(attached.from_cache, "the batch did not simulate the submitted point");
+    assert_eq!(attached.metrics.digest(), reference);
+    assert!(!batch[1].as_ref().expect("the batch's own point completes").from_cache);
+    let stats = runner.stats();
+    assert_eq!(stats.cache_misses, 2, "one simulation per distinct key: {stats:?}");
+    assert_eq!(stats.coalesced_hits, 1, "the batch attached to the flight: {stats:?}");
+    assert_eq!(stats.cache_hits, 0, "{stats:?}");
+}
+
+/// A submission naming a point that a batch is simulating attaches to
+/// the batch's flight instead of simulating it again.
+#[test]
+fn cross_path_a_submit_attaches_to_a_batch_flight() {
+    let runner = Arc::new(Runner::new(1));
+    let service =
+        SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 0 });
+    let slow = slow_request(400);
+    let reference = runner.execute_uncached(&slow).expect("reference run").metrics.digest();
+
+    let (service, slow, runner_ref) = (&service, &slow, &runner);
+    let submitted = std::thread::scope(|scope| {
+        let batch = scope.spawn(move || runner_ref.run_all(std::slice::from_ref(slow)));
+        await_or_die("the batch to take its flight", &|| runner_ref.pressure().inflight == 1);
+        let submitted = service.submit(slow);
+        let batch = batch.join().expect("batch thread");
+        assert!(!expect_ok(&batch[0]).from_cache, "the batch owned the flight");
+        submitted
+    });
+
+    let submitted = submitted.expect("the attached submission completes");
+    assert!(submitted.from_cache, "the submission did not simulate the batch's point");
+    assert_eq!(submitted.metrics.digest(), reference);
+    let stats = runner.stats();
+    assert_eq!(stats.cache_misses, 1, "one simulation for the one key: {stats:?}");
+    assert_eq!(stats.coalesced_hits, 1, "the submission attached to the flight: {stats:?}");
+    assert_eq!(stats.shed_points, 0, "an attached submission takes no slot: {stats:?}");
+}
+
+/// A batch that dies between registering its flights and simulating them
+/// wakes a submission attached to one of them with the typed
+/// [`RunError::Lost`], and leaves nothing in flight or queued.
+#[test]
+fn cross_path_a_dying_batch_wakes_submit_waiters_with_lost() {
+    /// Releases the grenade on every exit, so a failed assertion cannot
+    /// leave the batch thread spinning and the scope unjoinable.
+    struct Release(Arc<AtomicBool>);
+    impl Drop for Release {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    let release = Arc::new(AtomicBool::new(false));
+    let runner = Arc::new(Runner::new(2));
+    runner.set_reporter(Grenade::armed(&release));
+    let service =
+        SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 8 });
+    let points: Vec<RunRequest> = (40..42)
+        .map(|seed| {
+            RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test())
+                .with_seed(seed)
+        })
+        .collect();
+
+    let (service, points, runner_ref) = (&service, &points, &runner);
+    std::thread::scope(|scope| {
+        let release_on_exit = Release(Arc::clone(&release));
+        let batch = scope.spawn(move || runner_ref.run_all(points));
+        await_or_die("the batch to register its flights", &|| runner_ref.pressure().inflight == 2);
+        let waiter = scope.spawn(move || service.submit(&points[1]));
+        await_or_die("the submission to attach or finish", &|| {
+            runner_ref.stats().coalesced_hits >= 1 || waiter.is_finished()
+        });
+        assert_eq!(runner_ref.stats().coalesced_hits, 1, "the submission must attach");
+
+        drop(release_on_exit);
+        assert!(batch.join().is_err(), "the batch must die by panic");
+        let outcome = waiter.join().expect("the waiter must not panic");
+        assert!(
+            matches!(outcome, Err(RunError::Lost { .. })),
+            "an abandoned batch flight must fail typed, got {outcome:?}"
+        );
+    });
+
+    let pressure = runner.pressure();
+    assert_eq!((pressure.inflight, pressure.queue_depth), (0, 0), "the dead batch leaked state");
+    let retried = service.submit(&points[1]).expect("the point re-executes after the batch died");
     assert!(!retried.from_cache, "a Lost outcome must never be served from the cache");
 }
