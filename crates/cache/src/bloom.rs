@@ -3,7 +3,7 @@
 //! SLICC's remote-cache segment search (§4.2.3) must answer "does core C's
 //! L1-I hold block B?" without stealing tag-array bandwidth from C. The
 //! paper adopts Peir et al.'s *partial-address bloom filter with eviction
-//! support* [23]: one bit per filter entry, indexed by the low bits of the
+//! support* \[23\]: one bit per filter entry, indexed by the low bits of the
 //! block address. Because the filter index embeds the cache's set index
 //! (the filter is larger than the number of sets), two blocks can only
 //! collide in the filter if they live in the same set — so on an eviction

@@ -1,7 +1,7 @@
 //! The 3C miss taxonomy: compulsory / capacity / conflict.
 //!
 //! Figure 1 of the paper breaks L1 misses into Hill & Smith's three
-//! categories [10] to show that OLTP *instruction* misses are dominated by
+//! categories \[10\] to show that OLTP *instruction* misses are dominated by
 //! capacity (the footprint has reuse but doesn't fit) while *data* misses
 //! are dominated by compulsory (first touch). The classifier runs beside a
 //! real cache:

@@ -1,7 +1,7 @@
 //! Proactive Instruction Fetch (PIF) — the paper's state-of-the-art
 //! prefetcher comparator, implemented rather than only upper-bounded.
 //!
-//! The SLICC paper models PIF [5] (Ferdman, Kaynak & Falsafi, MICRO 2011)
+//! The SLICC paper models PIF \[5\] (Ferdman, Kaynak & Falsafi, MICRO 2011)
 //! as a 512 KiB cache at 32 KiB latency and charges it ~40 KiB of storage
 //! per core. This module implements the actual mechanism so the
 //! comparison can also be run against a real prefetcher:

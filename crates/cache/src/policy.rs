@@ -8,7 +8,7 @@
 //! set-dueling **DRRIP**). The paper finds BRRIP/DRRIP best, reducing
 //! misses by ~8% — far short of what larger caches (and SLICC) achieve.
 //!
-//! Policies are per-set state machines. The [`Policy`] object stores the
+//! Policies are per-set state machines. The `Policy` object stores the
 //! state for every set of one cache and is driven by [`crate::Cache`].
 
 use slicc_common::SplitMix64;

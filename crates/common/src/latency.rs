@@ -1,6 +1,6 @@
 //! Cache access latencies as a function of capacity.
 //!
-//! The paper uses CACTI 6 [20] to model how load-to-use latency grows with
+//! The paper uses CACTI 6 \[20\] to model how load-to-use latency grows with
 //! L1 capacity (§2.1.1); CACTI itself is unavailable here, so this module
 //! substitutes a fixed table with the same qualitative behaviour: the
 //! baseline 32 KiB L1 takes 3 cycles (Table 2) and latency grows roughly

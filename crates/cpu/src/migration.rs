@@ -1,7 +1,7 @@
 //! The hardware thread-migration cost model.
 //!
 //! §4.4: "the thread migration performed in SLICC transfers architectural
-//! register files as in Thread Motion [25]. The thread's context is saved
+//! register files as in Thread Motion \[25\]. The thread's context is saved
 //! in the L2 cache closest to the target core and is then retrieved at the
 //! target core." The model charges:
 //!

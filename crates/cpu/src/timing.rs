@@ -51,7 +51,7 @@ pub struct TimingConfig {
 impl TimingConfig {
     /// Defaults calibrated so the baseline reproduces the paper's stall
     /// composition: memory stalls ≈ 75–80% of cycles, instruction stalls
-    /// ≈ 70–85% of stall cycles (§1, §5.2 citing [28]).
+    /// ≈ 70–85% of stall cycles (§1, §5.2 citing \[28\]).
     pub fn paper_like() -> Self {
         TimingConfig {
             base_ipc_x1000: 2500,

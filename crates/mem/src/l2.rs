@@ -14,7 +14,7 @@
 //! - an **L2 eviction** back-invalidates every L1 copy (inclusive L2).
 //!
 //! The L2 is a *functional* model; the simulator charges bank-distance and
-//! hit/miss latencies using [`slicc_noc`]'s torus and [`crate::Dram`].
+//! hit/miss latencies using `slicc_noc`'s torus and [`crate::Dram`].
 
 use slicc_cache::{AccessKind, Cache, PolicyKind};
 use slicc_common::{BlockAddr, CacheGeometry, CoreId, CoreMask, Cycle, FastHashMap};

@@ -35,6 +35,9 @@ impl Client {
         stream
             .set_read_timeout(Some(Duration::from_millis(100)))
             .map_err(|e| format!("set_read_timeout failed: {e}"))?;
+        // Each request is one write, but the client should not depend on
+        // the server's reply pattern to keep small frames moving.
+        stream.set_nodelay(true).map_err(|e| format!("set_nodelay failed: {e}"))?;
         Ok(Client { stream, fb: FrameBuffer::new() })
     }
 

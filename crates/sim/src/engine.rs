@@ -8,7 +8,7 @@
 //! # Split steps (DESIGN §13)
 //!
 //! Every step is split into a **private segment** — records that provably
-//! touch only the core's own site, executed by [`crate::shard::run_segment`]
+//! touch only the core's own site, executed by `shard::run_segment`
 //! — followed by at most one **blocking record** that needs shared state,
 //! executed through the full `System` paths. Cross-core coherence effects
 //! queue in per-core mailboxes and drain at step barriers (see

@@ -69,8 +69,8 @@ fn metrics_bytes(m: &RunMetrics) -> u64 {
         + 8 * u64::from(m.bloom_accuracy.is_some())
 }
 
-/// The byte weight of one cached result: [`ENTRY_OVERHEAD`], its
-/// [`metrics_bytes`], and the in-memory footprint of any observation
+/// The byte weight of one cached result: `ENTRY_OVERHEAD`, its
+/// `metrics_bytes`, and the in-memory footprint of any observation
 /// artifacts it carries (event trace, interval series). Observation
 /// payloads dominate when present — an observed run with a deep event
 /// ring weighs thousands of entries' worth of bare metrics — which is

@@ -10,16 +10,16 @@
 //!
 //! # Site split and deferred cross-core effects (DESIGN §13)
 //!
-//! Per-core state lives in a [`CoreSite`], which the engine's private
+//! Per-core state lives in a `CoreSite`, which the engine's private
 //! segments borrow alone. Everything that is not per-core — the NoC, the
 //! L2 NUCA + directory, DRAM, and the bloom signatures (read cross-core by
 //! `remote_search`) — is touched only through the full `System` paths.
 //!
-//! In deferred mode ([`System::set_deferred_effects`], which the engine
+//! In deferred mode (`System::set_deferred_effects`, which the engine
 //! always enables), cross-core coherence side effects do not mutate the
-//! victim core directly. They are queued as typed [`CrossEffect`]
+//! victim core directly. They are queued as typed `CrossEffect`
 //! messages in a per-core mailbox and applied by
-//! [`System::drain_mailbox`] at the end of every step of the target core.
+//! `System::drain_mailbox` at the end of every step of the target core.
 //! Effects whose target is the requesting core itself apply immediately.
 //! The L2 directory tolerates the stale window this opens: an eviction
 //! notice for a block the directory no longer tracks is a no-op.

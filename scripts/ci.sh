@@ -8,6 +8,10 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc lane: rustdoc must build warning-free, so no intra-doc link is
+# broken or points at a private item.
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace --offline
+
 # Obs-off lane: with event capture compiled out the golden digests must
 # still be byte-identical — observability is zero-cost AND zero-effect.
 cargo test -p slicc-sim --no-default-features --test golden -q
@@ -181,7 +185,8 @@ fi
 python3 - "$serve_metrics" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1] + ".metrics.json"))
-by_name = {m["name"]: m["value"] for m in doc["metrics"]}
+by_name = {m["name"]: m["value"] for m in doc["metrics"] if "value" in m}
+hists = {m["name"]: m for m in doc["metrics"] if m["type"] == "histogram"}
 def need(name, at_least):
     got = by_name.get(name)
     assert got is not None, f"serve metrics artifact lacks {name}"
@@ -196,6 +201,11 @@ assert by_name.get("srv_retry_after_total", 0) == 0, \
     "stampede under a roomy queue must not shed"
 assert by_name.get("srv_protocol_errors_total", 0) == 0, \
     "loadgen speaks the protocol cleanly; errors mean a codec bug"
+for hop in ("decode", "queue", "simulate", "encode", "write"):
+    assert f"srv_hop_{hop}_nanos" in hists, \
+        f"serve metrics artifact lacks the {hop} hop histogram"
+assert hists["srv_hop_decode_nanos"]["count"] == submits, \
+    "every served SUBMIT must record exactly one decode hop"
 print(f"serve stampede smoke ok ({submits} submissions, "
       f"{coalesced} coalesced, clean drain)")
 EOF
@@ -225,7 +235,7 @@ fi
 python3 - "$overload_metrics" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1] + ".metrics.json"))
-by_name = {m["name"]: m["value"] for m in doc["metrics"]}
+by_name = {m["name"]: m["value"] for m in doc["metrics"] if "value" in m}
 for name in ("srv_retry_after_total", "runner_shed_points_total"):
     assert by_name.get(name, 0) > 0, \
         f"overload drill left {name} at zero — shedding never reached the wire"

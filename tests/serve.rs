@@ -364,6 +364,46 @@ fn overload_maps_to_retry_after_and_recovers() {
     handle.join().expect("server thread").expect("clean drain");
 }
 
+/// Memoized loopback round trips stay far below delayed-ACK latency.
+///
+/// The server answers a `SUBMIT` with two writes (`EVENT accepted`, then
+/// `RESULT`). With Nagle's algorithm on the server's socket, the second
+/// write waits for the client's delayed ACK of the first, about 40 ms
+/// per round trip; with `TCP_NODELAY` a memoized round trip is tens of
+/// microseconds. The 5 ms bound sits between the two. This guards the
+/// server-side option only: the client sends each `SUBMIT` in one write,
+/// so Nagle on the client alone does not add the delay, and this test
+/// would not notice it.
+#[test]
+fn memoized_round_trips_do_not_wait_on_delayed_ack() {
+    const TRIPS: usize = 40;
+    let server = Arc::new(tiny_server(2, 8, ServerConfig::default()));
+    let (addr, handle) = spawn_server(Arc::clone(&server));
+
+    let mut client = Client::connect(&addr).expect("connect");
+    let body = tiny_submit_body(11);
+    client.submit(&body).expect("warm-up simulates the key");
+    let mut rtts: Vec<Duration> = (0..TRIPS)
+        .map(|_| {
+            let start = Instant::now();
+            match client.submit(&body).expect("memoized submit") {
+                Submitted::Result { from_cache: true, .. } => start.elapsed(),
+                other => panic!("expected a memoized result, got {other:?}"),
+            }
+        })
+        .collect();
+    client.quit().expect("orderly goodbye");
+    server.cancel_token().cancel();
+    handle.join().expect("server thread").expect("clean drain");
+
+    rtts.sort_unstable();
+    let p50 = rtts[TRIPS / 2];
+    assert!(
+        p50 < Duration::from_millis(5),
+        "memoized round-trip p50 is {p50:?}: the server's replies wait on delayed ACK"
+    );
+}
+
 /// The in-process stampede drill: a miniature of the CI smoke lane.
 /// Duplicate submissions across concurrent connections must coalesce to
 /// exactly one flight per distinct key.
