@@ -14,8 +14,8 @@
 //! ```
 //!
 //! `--jobs N` sets the worker-thread count (default: all host cores);
-//! results are identical for every N. [`microbench`] is the
-//! dependency-free harness behind `cargo bench`.
+//! results are identical for every N. Simulator speed is measured by
+//! the separate `perfbench` package (see `perfbench/README.md`).
 //!
 //! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for the
 //! recorded paper-vs-measured comparison.
@@ -24,8 +24,6 @@
 
 pub mod experiments;
 pub mod format;
-pub mod microbench;
 
 pub use experiments::{Experiment, ExperimentScale};
 pub use format::Table;
-pub use microbench::{time_ns_per_iter, time_ns_per_run, Harness};

@@ -5,11 +5,9 @@
 //! - **Sim-time event tracing** — typed [`TraceEvent`]s (migrations,
 //!   misses with 3C class, segment boundaries, thread lifecycle, stalls,
 //!   steals, watchdog aborts) recorded into per-core overwrite-oldest
-//!   rings by an [`EventSink`]. The sink is compile-time gated by the
-//!   `capture` feature (off → every record path compiles to nothing and
-//!   [`EventSink::is_enabled`] is a constant `false`) and runtime gated
-//!   by construction (a [`EventSink::disabled`] sink costs one
-//!   load+test per instrumentation site). High-frequency events pass a
+//!   rings by an [`EventSink`]. The sink is gated at run time by
+//!   construction (a [`EventSink::disabled`] sink costs one load+test
+//!   per instrumentation site). High-frequency events pass a
 //!   deterministic 1-in-N sampler.
 //! - **Interval time-series** — an [`IntervalSampler`] snapshots
 //!   cumulative counters ([`ObsCounters`]) every N simulated cycles into
@@ -134,7 +132,7 @@ impl Default for ObsConfig {
 }
 
 /// What a simulation observed: the artifacts attached to a run result
-/// when its [`ObsConfig`] asked for any.
+/// when its [`ObsConfig`] asked for events or an interval series.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Observation {
     /// The merged event timeline (cycle-ordered; empty unless

@@ -1,16 +1,8 @@
 //! The event sink: per-core rings behind one recording façade.
 //!
-//! Zero-cost discipline, two layers deep:
-//!
-//! - **Compile time** — with the `capture` feature off,
-//!   [`EventSink::is_enabled`] is a constant `false` and every record
-//!   method compiles to nothing, so the simulator's instrumentation
-//!   branches (`if sink.is_enabled() { ... }`) fold away entirely and
-//!   the obs-off build is byte-identical in behaviour to a build that
-//!   never heard of observability.
-//! - **Run time** — with the feature on but the sink constructed
-//!   [`EventSink::disabled`], `is_enabled` is one load+test, which is
-//!   all a non-observed run ever pays.
+//! Recording is gated at run time: a sink constructed
+//! [`EventSink::disabled`] answers [`EventSink::is_enabled`] with one
+//! load+test, which is all a non-observed run ever pays.
 //!
 //! High-frequency events (cache misses) additionally pass through a
 //! deterministic 1-in-N sampler ([`EventSink::record_sampled`]): the
@@ -49,24 +41,19 @@ impl EventSink {
         }
     }
 
-    /// Whether recording is on. A constant `false` when the crate is
-    /// built without the `capture` feature, so callers' instrumentation
-    /// branches disappear at compile time.
+    /// Whether recording is on.
     #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        cfg!(feature = "capture") && self.enabled
+        self.enabled
     }
 
     /// Records one event unconditionally (migrations, thread lifecycle,
     /// watchdog — the rare, individually meaningful ones).
     #[inline]
     pub fn record(&mut self, core: CoreId, cycle: Cycle, kind: EventKind) {
-        #[cfg(feature = "capture")]
         if self.enabled {
             self.rings[core.index()].push(TraceEvent { core, cycle, kind });
         }
-        #[cfg(not(feature = "capture"))]
-        let _ = (core, cycle, kind);
     }
 
     /// Records one high-frequency event through the deterministic 1-in-N
@@ -75,7 +62,6 @@ impl EventSink {
     /// so companion events (a miss's stall) can ride the same decision.
     #[inline]
     pub fn record_sampled(&mut self, core: CoreId, cycle: Cycle, kind: EventKind) -> bool {
-        #[cfg(feature = "capture")]
         if self.enabled {
             let seen = &mut self.sample_seen[core.index()];
             let keep = (*seen).is_multiple_of(self.sample_every);
@@ -85,8 +71,6 @@ impl EventSink {
             }
             return keep;
         }
-        #[cfg(not(feature = "capture"))]
-        let _ = (core, cycle, kind);
         false
     }
 
@@ -137,7 +121,7 @@ impl EventSink {
     }
 }
 
-#[cfg(all(test, feature = "capture"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{MissKind, MissLevel};

@@ -4,9 +4,9 @@
 //! shedding really shed and recovered, and every duplicate submission
 //! got byte-identical results.
 //!
-//! Used three ways: as the `slicc-loadgen` binary (the CI smoke lane),
-//! from the serve integration tests, and from the bench harness (it
-//! reports end-to-end submits/second).
+//! Used two ways: as the `slicc-loadgen` binary (the CI smoke lane,
+//! which also prints end-to-end submits/second) and from the serve
+//! integration tests.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -171,7 +171,7 @@ impl LoadgenReport {
         }
     }
 
-    /// One-line JSON rendering for scripts and the bench harness.
+    /// One-line JSON rendering for scripts.
     pub fn to_json(&self) -> String {
         format!(
             concat!(

@@ -647,7 +647,6 @@ mod tests {
             Command::Run { request, metrics_out, .. } => {
                 assert_eq!(metrics_out.as_deref(), Some(std::path::Path::new("/tmp/m")));
                 assert!(request.obs.metrics, "--metrics-out implies registry capture");
-                assert!(request.obs.enabled(), "capture must reach the engine");
                 assert!(!request.obs.events, "--metrics-out alone needs no event trace");
                 assert!(request.obs.epoch_cycles.is_none(), "and no interval series");
             }

@@ -86,8 +86,7 @@ pub use system::System;
 pub use telemetry::{export_run_metrics, export_runner_stats, export_service};
 
 // The observability vocabulary, re-exported so binaries and tests reach
-// everything through `slicc_sim` (see the `slicc-obs` crate docs; the
-// `obs-capture` default feature compile-time-gates event recording).
+// everything through `slicc_sim` (see the `slicc-obs` crate docs).
 pub use slicc_obs::{
     chrome_trace_json, Epoch, EventKind, IntervalSeries, JsonLinesReporter, MetricSample,
     MetricValue, MetricsRegistry, MetricsSnapshot, MigrationReason, MissKind, MissLevel, ObsConfig,

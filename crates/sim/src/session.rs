@@ -103,7 +103,10 @@ impl<'a> RunSession<'a> {
             engine.attach_control(ctrl);
         }
         engine.try_execute()?;
-        Ok(if self.obs.enabled() {
+        // Metrics capture happens outside the engine (the registry is
+        // built from the finished metrics), so only events or an interval
+        // series give the run an observation to attach.
+        Ok(if self.obs.events || self.obs.epoch_cycles.is_some() {
             let (metrics, observation) = engine.into_outcome();
             RunOutcome { metrics, obs: Some(observation) }
         } else {

@@ -153,7 +153,6 @@ fn progress_json_emits_one_object_per_line() {
     assert!(stderr.contains("\"event\": \"point_finished\""), "got: {stderr}");
 }
 
-#[cfg(feature = "obs-capture")]
 #[test]
 fn obs_out_writes_all_three_artifacts() {
     let prefix =
