@@ -68,6 +68,13 @@ impl LookupResult {
     }
 }
 
+/// Where [`Cache::probe`] found a resident block: its set and way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Way {
+    set: usize,
+    way: usize,
+}
+
 /// A set-associative cache with a pluggable replacement policy.
 ///
 /// # Example
@@ -145,18 +152,61 @@ impl Cache {
     }
 
     /// Finds the way holding `block` in `set`, if present and valid.
-    /// Scans only the valid ways, walking the set's mask bit by bit.
+    /// Builds a branch-free mask of the ways whose tag matches, keeps the
+    /// valid ones, and takes the lowest — the way a scan in way order
+    /// would find first.
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.assoc();
-        let mut live = self.valid[set];
-        while live != 0 {
-            let w = live.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                return Some(w);
-            }
-            live &= live - 1;
+        let assoc = self.assoc();
+        let ways = &self.tags[set * assoc..(set + 1) * assoc];
+        let mut matches = 0u64;
+        for (w, &t) in ways.iter().enumerate() {
+            matches |= u64::from(t == tag) << w;
         }
-        None
+        let live = matches & self.valid[set];
+        (live != 0).then(|| live.trailing_zeros() as usize)
+    }
+
+    /// Looks `block` up without changing any state. A hit names the way
+    /// holding it, for [`Cache::is_dirty`] and [`Cache::hit`]; the handle
+    /// is valid until the cache is next changed.
+    ///
+    /// ```
+    /// use slicc_cache::{AccessKind, Cache, PolicyKind};
+    /// use slicc_common::{BlockAddr, CacheGeometry};
+    ///
+    /// let mut c = Cache::new(CacheGeometry::new(4096, 2, 64), PolicyKind::Lru, 0);
+    /// let b = BlockAddr::new(7);
+    /// assert!(c.probe(b).is_none());
+    /// c.access(b, AccessKind::Read);
+    /// let way = c.probe(b).expect("resident");
+    /// assert!(!c.is_dirty(way));
+    /// c.hit(way, AccessKind::Write); // same effect as a hitting `access`
+    /// assert!(c.is_dirty(c.probe(b).unwrap()));
+    /// ```
+    #[inline]
+    pub fn probe(&self, block: BlockAddr) -> Option<Way> {
+        let set = self.geom.set_index(block);
+        let way = self.find_way(set, self.geom.tag(block))?;
+        Some(Way { set, way })
+    }
+
+    /// Whether the block at `way` (from [`Cache::probe`]) is dirty.
+    #[inline]
+    pub fn is_dirty(&self, way: Way) -> bool {
+        self.dirty[way.set] >> way.way & 1 != 0
+    }
+
+    /// Completes a demand access that [`Cache::probe`] found resident at
+    /// `way`: exactly what [`Cache::access`] does on a hit, without
+    /// scanning the set again.
+    #[inline]
+    pub fn hit(&mut self, way: Way, kind: AccessKind) {
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        self.policy.on_hit(way.set, way.way);
+        if kind.is_write() {
+            self.dirty[way.set] |= 1 << way.way;
+        }
     }
 
     /// Performs a demand access: returns hit/miss and installs the block
@@ -164,15 +214,11 @@ impl Cache {
     pub fn access(&mut self, block: BlockAddr, kind: AccessKind) -> LookupResult {
         let set = self.geom.set_index(block);
         let tag = self.geom.tag(block);
-        self.stats.accesses += 1;
         if let Some(way) = self.find_way(set, tag) {
-            self.stats.hits += 1;
-            self.policy.on_hit(set, way);
-            if kind.is_write() {
-                self.dirty[set] |= 1 << way;
-            }
+            self.hit(Way { set, way }, kind);
             return LookupResult::Hit;
         }
+        self.stats.accesses += 1;
         self.stats.misses += 1;
         if kind.is_write() {
             self.stats.write_misses += 1;
@@ -227,16 +273,7 @@ impl Cache {
 
     /// Whether `block` is currently cached. No state change.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.find_way(self.geom.set_index(block), self.geom.tag(block)).is_some()
-    }
-
-    /// Whether `block` is cached dirty. No state change.
-    pub fn contains_dirty(&self, block: BlockAddr) -> bool {
-        let set = self.geom.set_index(block);
-        match self.find_way(set, self.geom.tag(block)) {
-            Some(way) => self.dirty[set] >> way & 1 != 0,
-            None => false,
-        }
+        self.probe(block).is_some()
     }
 
     /// Removes `block` (coherence invalidation). Returns the block's state
@@ -316,6 +353,10 @@ impl Cache {
 mod tests {
     use super::*;
 
+    fn dirty(c: &Cache, b: BlockAddr) -> bool {
+        c.probe(b).is_some_and(|w| c.is_dirty(w))
+    }
+
     fn small_cache(policy: PolicyKind) -> Cache {
         // 2 sets x 2 ways of 64 B blocks.
         Cache::new(CacheGeometry::new(256, 2, 64), policy, 1)
@@ -361,7 +402,7 @@ mod tests {
         let mut c = small_cache(PolicyKind::Lru);
         let (b0, b2, b4) = (BlockAddr::new(0), BlockAddr::new(2), BlockAddr::new(4));
         c.access(b0, AccessKind::Write);
-        assert!(c.contains_dirty(b0));
+        assert!(dirty(&c, b0));
         c.access(b2, AccessKind::Read);
         let res = c.access(b4, AccessKind::Read);
         assert_eq!(res.evicted(), Some(EvictedBlock { block: b0, dirty: true }));
@@ -374,9 +415,9 @@ mod tests {
         let mut c = small_cache(PolicyKind::Lru);
         let b = BlockAddr::new(0);
         c.access(b, AccessKind::Read);
-        assert!(!c.contains_dirty(b));
+        assert!(!dirty(&c, b));
         c.access(b, AccessKind::Write);
-        assert!(c.contains_dirty(b));
+        assert!(dirty(&c, b));
     }
 
     #[test]
@@ -398,7 +439,7 @@ mod tests {
         c.access(b, AccessKind::Write);
         assert!(c.clean(b));
         assert!(c.contains(b));
-        assert!(!c.contains_dirty(b));
+        assert!(!dirty(&c, b));
         assert!(!c.clean(b)); // already clean
         assert!(!c.clean(BlockAddr::new(99))); // absent
     }
@@ -462,6 +503,44 @@ mod tests {
         c.access(b, AccessKind::Read);
         let set = c.geometry().set_index(b);
         assert!(c.blocks_in_set(set).any(|x| x == b));
+    }
+
+    /// `probe` + `is_dirty` + `hit` must do exactly what `contains` +
+    /// `access` did: same answers, same victims later, same contents.
+    #[test]
+    fn probe_then_hit_matches_access_under_every_policy() {
+        use slicc_common::SplitMix64;
+        for kind in PolicyKind::ALL {
+            let geom = CacheGeometry::new(2048, 4, 64); // 8 sets x 4 ways
+            let (mut fast, mut slow) = (Cache::new(geom, kind, 5), Cache::new(geom, kind, 5));
+            let mut rng = SplitMix64::new(0x9e0b ^ kind as u64);
+            for step in 0..20_000 {
+                let b = BlockAddr::new(rng.next_below(96));
+                let access = if rng.chance(0.4) { AccessKind::Write } else { AccessKind::Read };
+                match rng.next_below(20) {
+                    0 => assert_eq!(fast.invalidate(b), slow.invalidate(b), "{kind} step {step}"),
+                    1 => assert_eq!(fast.clean(b), slow.clean(b), "{kind} step {step}"),
+                    _ => {
+                        let held = slow.contains(b);
+                        let want = slow.access(b, access);
+                        let got = match fast.probe(b) {
+                            Some(way) => {
+                                let was_dirty = fast.is_dirty(way);
+                                fast.hit(way, access);
+                                assert!(fast.is_dirty(way) == (was_dirty || access.is_write()));
+                                LookupResult::Hit
+                            }
+                            None => fast.access(b, access),
+                        };
+                        assert_eq!(got.is_hit(), held, "{kind} step {step}");
+                        assert_eq!(got, want, "{kind} step {step}: victims differ");
+                    }
+                }
+            }
+            assert_eq!(fast.stats(), slow.stats(), "{kind}");
+            let (a, b): (Vec<_>, Vec<_>) = (fast.blocks().collect(), slow.blocks().collect());
+            assert_eq!(a, b, "{kind}: contents differ");
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod proptests;
 pub mod stats;
 
 pub use bloom::{BloomSignature, SignatureAccuracy};
-pub use cache::{AccessKind, Cache, EvictedBlock, LookupResult};
+pub use cache::{AccessKind, Cache, EvictedBlock, LookupResult, Way};
 pub use classify::{MissBreakdown, MissClass, ThreeCClassifier};
 pub use lru_list::LruList;
 pub use mshr::MshrFile;

@@ -73,6 +73,33 @@ impl SplitMix64 {
         self.next_f64() < p
     }
 
+    /// The integer threshold [`SplitMix64::hit`] compares a draw's 53
+    /// random bits against: `ceil(p * 2^53)`, saturating. A draw `k`
+    /// passes `chance(p)` iff `k * 2^-53 < p`, iff `k < ceil(p * 2^53)`,
+    /// since `p * 2^53` is exact and `k` an integer. NaN and `p <= 0`
+    /// give 0 (never), and `p >= 1` gives at least `2^53` (always).
+    pub fn odds(p: f64) -> u64 {
+        (p * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// [`SplitMix64::chance`] with its probability pre-converted by
+    /// [`SplitMix64::odds`]: the same draw, the same answer, and no
+    /// float arithmetic.
+    ///
+    /// ```
+    /// use slicc_common::SplitMix64;
+    ///
+    /// let (mut a, mut b) = (SplitMix64::new(9), SplitMix64::new(9));
+    /// let odds = SplitMix64::odds(0.3);
+    /// for _ in 0..100 {
+    ///     assert_eq!(a.chance(0.3), b.hit(odds));
+    /// }
+    /// ```
+    #[inline]
+    pub fn hit(&mut self, odds: u64) -> bool {
+        (self.next_u64() >> 11) < odds
+    }
+
     /// Picks an index according to `weights` (need not be normalized).
     ///
     /// # Panics
@@ -166,6 +193,39 @@ mod tests {
         let mut r = SplitMix64::new(8);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
+    }
+
+    #[test]
+    fn hit_matches_chance_draw_for_draw() {
+        let edge = [
+            f64::NAN,
+            -0.5,
+            0.0,
+            (-60f64).exp2(),
+            0.34,
+            1.0 - (-53f64).exp2(),
+            1.0,
+            1.5,
+        ];
+        for (i, &p) in edge.iter().enumerate() {
+            let odds = SplitMix64::odds(p);
+            let mut a = SplitMix64::new(0xabc ^ i as u64);
+            let mut b = a.clone();
+            for _ in 0..10_000 {
+                assert_eq!(a.chance(p), b.hit(odds), "p = {p}");
+                assert_eq!(a, b, "p = {p}: the RNG states diverged");
+            }
+        }
+        // Random draws seldom land on the threshold itself: compare the
+        // float and integer rules on the 53-bit draws around it.
+        for &p in &edge {
+            let odds = SplitMix64::odds(p);
+            for k in [0u64, 1, odds.saturating_sub(1), odds, odds.saturating_add(1), (1 << 53) - 1] {
+                let k = k.min((1 << 53) - 1);
+                let float_rule = k as f64 * (1.0 / (1u64 << 53) as f64) < p;
+                assert_eq!(float_rule, k < odds, "p = {p}, k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -164,6 +164,9 @@ impl CoreStats {
 #[derive(Clone, Debug)]
 pub struct CoreTimer {
     config: TimingConfig,
+    /// Millicycles one retired instruction costs: `1_000_000 /
+    /// base_ipc_x1000`, divided once here instead of per instruction.
+    retire_millis: u64,
     /// Current local time in millicycles.
     now_millis: u64,
     /// Cumulative base-execution millicycles (for exact stats).
@@ -179,6 +182,7 @@ impl CoreTimer {
     pub fn new(config: TimingConfig) -> Self {
         CoreTimer {
             config,
+            retire_millis: 1_000_000 / config.base_ipc_x1000,
             now_millis: 0,
             base_millis: 0,
             fetch_latency_millis: 0,
@@ -203,10 +207,10 @@ impl CoreTimer {
     }
 
     /// Charges the base cost of one retired instruction.
+    #[inline]
     pub fn retire_instruction(&mut self) {
-        let cost_millis = 1_000_000 / self.config.base_ipc_x1000;
-        self.now_millis += cost_millis;
-        self.base_millis += cost_millis;
+        self.now_millis += self.retire_millis;
+        self.base_millis += self.retire_millis;
         self.stats.instructions += 1;
         self.stats.base_cycles = self.base_millis / 1000;
     }

@@ -38,6 +38,9 @@ pub struct Tlb {
     /// `log2(page_bytes)` when the page size is a power of two, so the
     /// per-access translation is a shift instead of a 64-bit divide.
     page_shift: Option<u32>,
+    /// The page of the last access. It is always resident and already
+    /// MRU, so a repeat access is a hit that changes no recency.
+    last_page: Option<u64>,
     hits: u64,
     misses: u64,
 }
@@ -70,6 +73,7 @@ impl Tlb {
             free: (0..entries).rev().collect(),
             page_bytes,
             page_shift: page_bytes.is_power_of_two().then(|| page_bytes.trailing_zeros()),
+            last_page: None,
             hits: 0,
             misses: 0,
         }
@@ -82,11 +86,17 @@ impl Tlb {
 
     /// Translates `addr`: returns whether the page was resident, filling
     /// it on miss.
+    #[inline]
     pub fn access(&mut self, addr: Addr) -> bool {
         let page = match self.page_shift {
             Some(shift) => addr.raw() >> shift,
             None => addr.raw() / self.page_bytes,
         };
+        if self.last_page == Some(page) {
+            self.hits += 1;
+            return true;
+        }
+        self.last_page = Some(page);
         if let Some(&slot) = self.map.get(&page) {
             self.lru.touch(slot);
             self.hits += 1;
@@ -185,6 +195,46 @@ mod tests {
         assert!(t.access(Addr::new(HUGE_PAGE_BYTES - 1)));
         assert!(!t.access(Addr::new(HUGE_PAGE_BYTES)));
         assert_eq!(t.page_bytes(), HUGE_PAGE_BYTES);
+    }
+
+    /// The TLB against a naive LRU list of pages (MRU first), including
+    /// one entry (the MRU page is the victim of every miss) and a page
+    /// size that is not a power of two.
+    #[test]
+    fn matches_a_naive_lru_model() {
+        use slicc_common::SplitMix64;
+        for entries in [1usize, 2, 3, 8] {
+            for page_bytes in [PAGE_BYTES, 3000, HUGE_PAGE_BYTES] {
+                let mut tlb = Tlb::with_page_bytes(entries, page_bytes);
+                let mut model: Vec<u64> = Vec::new();
+                let mut rng = SplitMix64::new(entries as u64 ^ page_bytes);
+                let mut addr = 0u64;
+                for step in 0..5_000 {
+                    // Mostly nearby addresses, so repeat pages are common.
+                    addr = if rng.chance(0.7) {
+                        addr + rng.next_below(page_bytes / 2)
+                    } else {
+                        rng.next_below(12 * page_bytes)
+                    };
+                    let page = addr / page_bytes;
+                    let want = match model.iter().position(|&p| p == page) {
+                        Some(i) => {
+                            model.remove(i);
+                            true
+                        }
+                        None => {
+                            model.truncate(entries - 1);
+                            false
+                        }
+                    };
+                    model.insert(0, page);
+                    let what = format!("{entries} entries, {page_bytes} B pages, step {step}");
+                    assert_eq!(tlb.access(Addr::new(addr)), want, "{what}");
+                    assert_eq!(tlb.occupancy(), model.len(), "{what}");
+                }
+                assert_eq!(tlb.hits() + tlb.misses(), 5_000);
+            }
+        }
     }
 
     #[test]

@@ -601,7 +601,7 @@ fn result_json(key: u64, req: &RunRequest, result: &RunResult) -> JsonValue {
     json_object(vec![
         ("key", JsonValue::String(format!("{key:016x}"))),
         // Digests exceed 2^53; hex strings survive every JSON consumer.
-        ("digest", JsonValue::String(format!("{:016x}", result.metrics.digest()))),
+        ("digest", JsonValue::String(format!("{:016x}", result.digest))),
         ("from_cache", JsonValue::Bool(result.from_cache)),
         ("workload", JsonValue::String(req.workload.to_string())),
         ("mode", JsonValue::String(req.config.mode.to_string())),

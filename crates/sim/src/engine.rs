@@ -112,7 +112,7 @@ enum ThreadState {
 /// in its own dense array instead of one padded record per thread, and
 /// the hot arrays stay resident while the cold ones stay out of the way.
 struct Threads<'a> {
-    /// Per-thread record streams (decode ring over the lazy generator).
+    /// Per-thread record streams (a lazy generator and its lookahead).
     /// A thread's unconsumed tail survives migration: the stream is
     /// positional state, not a per-core cache. Streams of completed
     /// threads stay in place so diagnostics can read them.

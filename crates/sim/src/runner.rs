@@ -279,6 +279,10 @@ impl RunRequest {
 pub struct RunResult {
     /// The simulation's metrics.
     pub metrics: RunMetrics,
+    /// [`RunMetrics::digest`] of `metrics` as simulated, computed once
+    /// when the run finishes so every later reader (each served
+    /// `RESULT`) skips re-hashing the rendering.
+    pub digest: u64,
     /// Wall-clock time the simulation took (zero-cost when served from the
     /// run cache; this is the original simulation's time).
     pub wall: Duration,
@@ -296,8 +300,8 @@ pub struct RunResult {
 
 impl RunResult {
     /// Wraps a freshly-run session outcome with the runner-level
-    /// bookkeeping: wall time since `started`, derived sim-ips, and the
-    /// fresh-run cache flag.
+    /// bookkeeping: wall time since `started`, derived sim-ips, the
+    /// metrics digest, and the fresh-run cache flag.
     fn of(outcome: RunOutcome, started: Instant) -> RunResult {
         let wall = started.elapsed();
         let sim_ips = if wall.as_secs_f64() > 0.0 {
@@ -306,6 +310,7 @@ impl RunResult {
             0.0
         };
         RunResult {
+            digest: outcome.metrics.digest(),
             metrics: outcome.metrics,
             wall,
             sim_ips,
@@ -1378,6 +1383,9 @@ mod tests {
         let again = expect_ok(runner.run(&tiny_request()));
         assert!(again.from_cache);
         assert_eq!(again.metrics.digest(), done.metrics.digest());
+        // The stored digest is the metrics' own, fresh and cached alike.
+        assert_eq!(done.digest, done.metrics.digest());
+        assert_eq!(again.digest, done.digest);
     }
 
     #[test]

@@ -360,6 +360,7 @@ mod tests {
     fn padded_result(pad: usize) -> RunResult {
         let mut result = RunResult {
             metrics: Default::default(),
+            digest: 0,
             wall: Duration::from_millis(1),
             sim_ips: 0.0,
             from_cache: false,

@@ -1,4 +1,4 @@
-//! Split steps: private segments and the thread decode ring.
+//! Split steps: private segments and the per-thread record lookahead.
 //!
 //! The engine (DESIGN §13) splits every core step into a **private
 //! segment** — a run of records that provably touch only the core's own
@@ -10,8 +10,9 @@
 //!
 //! This module holds the private half:
 //!
-//! - [`ThreadStream`]: one thread's decode ring with `peek`/`advance`
-//!   split so classification can look at a record without consuming it;
+//! - [`ThreadStream`]: one thread's generator with a one-record
+//!   lookahead, `peek`/`advance` split so classification can look at a
+//!   record without consuming it;
 //! - [`run_segment`]: the private-segment executor.
 
 use crate::system::{CoreSite, SegmentParams};
@@ -22,47 +23,38 @@ use slicc_trace::{Record, ThreadTrace, WorkloadSpec};
 /// Records processed per engine step before re-entering the heap.
 pub(crate) const BATCH: usize = 100;
 
-/// Records decoded per refill of a thread's reusable ring. Larger than
-/// [`BATCH`] so one refill feeds several heap steps; any value is
-/// semantics-preserving (the ring replays the generator's exact stream).
-pub(crate) const DECODE_BATCH: usize = 256;
-
-/// One thread's record stream: a lazy trace generator batch-drained into
-/// a reusable decode ring.
+/// One thread's record stream: a lazy trace generator and the record
+/// decoded but not yet executed.
 pub(crate) struct ThreadStream<'a> {
     trace: ThreadTrace<'a>,
-    pending: Vec<Record>,
-    pos: usize,
-    /// Records actually executed (diagnostics; equals the old
-    /// `ThreadTrace::emitted` exactly, which batching would overcount).
+    /// The record [`ThreadStream::peek`] returned and
+    /// [`ThreadStream::advance`] has not consumed. It survives migration
+    /// with the rest of the stream.
+    lookahead: Option<Record>,
+    /// Records actually executed (diagnostics; equals
+    /// `ThreadTrace::emitted` less the lookahead).
     executed: u64,
 }
 
 impl<'a> ThreadStream<'a> {
     pub(crate) fn lazy(trace: ThreadTrace<'a>) -> Self {
-        ThreadStream { trace, pending: Vec::new(), pos: 0, executed: 0 }
+        ThreadStream { trace, lookahead: None, executed: 0 }
     }
 
-    /// The next record without consuming it, refilling the ring in
-    /// [`DECODE_BATCH`]es. Returns `None` exactly when the generator is
-    /// exhausted: the ring changes decode locality, never content.
+    /// The next record without consuming it. Returns `None` exactly when
+    /// the generator is exhausted.
     #[inline]
     pub(crate) fn peek(&mut self) -> Option<Record> {
-        if let Some(&rec) = self.pending.get(self.pos) {
-            return Some(rec);
+        if self.lookahead.is_none() {
+            self.lookahead = self.trace.next();
         }
-        self.pending.clear();
-        self.pos = 0;
-        if self.trace.fill(&mut self.pending, DECODE_BATCH) == 0 {
-            return None;
-        }
-        Some(self.pending[0])
+        self.lookahead
     }
 
     /// Consumes the record last returned by [`ThreadStream::peek`].
     #[inline]
     pub(crate) fn advance(&mut self) {
-        self.pos += 1;
+        self.lookahead = None;
         self.executed += 1;
     }
 
@@ -120,26 +112,41 @@ pub(crate) fn run_segment(
         let Some(rec) = stream.peek() else {
             return StopReason::Exhausted;
         };
+        // One probe per cache: the way it finds is the one the hit below
+        // updates, and nothing in between changes either cache's sets.
         let block = rec.pc.block_default();
-        let transition = site.last_iblock != Some(block);
-        if transition && (params.fetch_transition_blocks || !site.l1i.contains(block)) {
+        let iway = if site.last_iblock == Some(block) {
+            None
+        } else if params.fetch_transition_blocks {
             return StopReason::Blocking;
-        }
-        let data = rec.data.map(|d| (d.addr.block_default(), d.is_store));
-        if let Some((dblock, is_store)) = data {
-            if !site.l1d.contains(dblock) || (is_store && !site.l1d.contains_dirty(dblock)) {
+        } else {
+            let Some(way) = site.l1i.probe(block) else {
                 return StopReason::Blocking;
+            };
+            Some(way)
+        };
+        let data = match rec.data {
+            Some(d) => {
+                let dblock = d.addr.block_default();
+                let Some(way) = site.l1d.probe(dblock) else {
+                    return StopReason::Blocking;
+                };
+                if d.is_store && !site.l1d.is_dirty(way) {
+                    return StopReason::Blocking;
+                }
+                Some((dblock, d.is_store, way))
             }
-        }
+            None => None,
+        };
 
         // Private: consume and execute against the site alone, in the
         // exact order of the sequential per-record body.
         stream.advance();
         site.timer.retire_instruction();
-        if transition {
+        if let Some(way) = iway {
             site.last_iblock = Some(block);
             let fetch_start = if sink.is_enabled() { site.timer.now() } else { 0 };
-            site.private_ifetch_hit(block, params);
+            site.private_ifetch_hit(block, way, params);
             if params.uses_agents {
                 site.agent.on_fetch(true, None);
             }
@@ -157,8 +164,8 @@ pub(crate) fn run_segment(
                 }
             }
         }
-        if let Some((dblock, is_store)) = data {
-            site.private_data_hit(dblock, is_store, params);
+        if let Some((dblock, is_store, way)) = data {
+            site.private_data_hit(dblock, is_store, way, params);
         }
     }
     StopReason::BatchCap

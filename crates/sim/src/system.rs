@@ -27,8 +27,8 @@
 use crate::config::SimConfig;
 use crate::metrics::RunMetrics;
 use slicc_cache::{
-    AccessKind, BloomSignature, Cache, EvictedBlock, MissBreakdown, MissClass, NextLinePrefetcher,
-    Pif, SignatureAccuracy, ThreeCClassifier,
+    AccessKind, BloomSignature, Cache, EvictedBlock, LookupResult, MissBreakdown, MissClass,
+    NextLinePrefetcher, Pif, SignatureAccuracy, ThreeCClassifier, Way,
 };
 use slicc_common::{BlockAddr, CoreId, Cycle, Merge};
 use slicc_core::{CoreMask, SliccAgent};
@@ -75,34 +75,39 @@ pub(crate) struct SegmentParams {
 }
 
 impl CoreSite {
-    /// One private instruction-fetch block transition. Callers guarantee
-    /// `l1i.contains(block)` and `!fetch_transition_blocks`; this mirrors
-    /// the hit path of [`System::ifetch`] exactly — TLB, L1-I access
-    /// (recency update, no eviction possible), 3C observation, timer
-    /// charge — and must stay in lockstep with it.
-    pub(crate) fn private_ifetch_hit(&mut self, block: BlockAddr, p: &SegmentParams) {
+    /// One private instruction-fetch block transition. Callers pass the
+    /// `way` where `l1i.probe(block)` found the block and guarantee
+    /// `!fetch_transition_blocks`; this mirrors the hit path of
+    /// [`System::ifetch`] exactly — TLB, L1-I hit (recency update, no
+    /// eviction possible), 3C observation, timer charge — and must stay
+    /// in lockstep with it.
+    pub(crate) fn private_ifetch_hit(&mut self, block: BlockAddr, way: Way, p: &SegmentParams) {
         if !self.itlb.access(block.base_addr(64)) {
             self.timer.tlb_walk(p.tlb_walk_cycles, true);
         }
-        let result = self.l1i.access(block, AccessKind::Read);
-        debug_assert!(result.is_hit(), "private fetch classified as hit must hit");
+        self.l1i.hit(way, AccessKind::Read);
         if let Some(c) = &mut self.i_classifier {
             c.observe(block);
         }
         self.timer.ifetch_hit(p.l1i_latency);
     }
 
-    /// One private data access. Callers guarantee the L1-D holds the
-    /// block (dirty, for stores); mirrors the hit path of
-    /// [`System::data_access`] — TLB, L1-D access, 3C observation, no
-    /// timer charge — and must stay in lockstep with it.
-    pub(crate) fn private_data_hit(&mut self, block: BlockAddr, is_store: bool, p: &SegmentParams) {
+    /// One private data access. Callers pass the `way` where
+    /// `l1d.probe(block)` found the block (dirty, for stores); mirrors
+    /// the hit path of [`System::data_access`] — TLB, L1-D hit, 3C
+    /// observation, no timer charge — and must stay in lockstep with it.
+    pub(crate) fn private_data_hit(
+        &mut self,
+        block: BlockAddr,
+        is_store: bool,
+        way: Way,
+        p: &SegmentParams,
+    ) {
         if !self.dtlb.access(block.base_addr(64)) {
             self.timer.tlb_walk(p.tlb_walk_cycles, false);
         }
         let kind = if is_store { AccessKind::Write } else { AccessKind::Read };
-        let result = self.l1d.access(block, kind);
-        debug_assert!(result.is_hit(), "private data access classified as hit must hit");
+        self.l1d.hit(way, kind);
         if let Some(c) = &mut self.d_classifier {
             c.observe(block);
         }
@@ -436,8 +441,14 @@ impl System {
 
         let (result, was_dirty) = {
             let site = &mut self.sites[i];
-            let was_dirty = site.l1d.contains_dirty(block);
-            let result = site.l1d.access(block, kind);
+            let (result, was_dirty) = match site.l1d.probe(block) {
+                Some(way) => {
+                    let was_dirty = site.l1d.is_dirty(way);
+                    site.l1d.hit(way, kind);
+                    (LookupResult::Hit, was_dirty)
+                }
+                None => (site.l1d.access(block, kind), false),
+            };
             if let Some(c) = &mut site.d_classifier {
                 if result.is_hit() {
                     c.observe(block);

@@ -59,12 +59,75 @@ pub struct ThreadTrace<'a> {
     block: u32,
     instr: u32,
     finished: bool,
+    /// Byte address of the current block's first instruction; moves only
+    /// when the cursor moves to another block.
+    block_pc: Addr,
 
     // Data-access state.
+    /// [`SplitMix64::odds`] of the spec's `data_ratio`: whether an
+    /// instruction references data at all.
+    data_odds: u64,
+    data: DataGen,
     recent: Vec<u64>,
     recent_next: usize,
-    stream_pos: u64,
     emitted: u64,
+}
+
+/// One thread's data-address generator, with every constant of its
+/// pattern worked out once in [`ThreadTrace::new`].
+#[derive(Clone, Debug)]
+enum DataGen {
+    /// [`DataPattern::OltpMix`].
+    Oltp {
+        p_hot: f64,
+        /// `p_hot + p_recent`.
+        p_hot_or_recent: f64,
+        hot_base: u64,
+        hot_blocks: u64,
+        db_blocks: u64,
+        hot_store_odds: u64,
+        /// Odds of a store to a private block: the private regions absorb
+        /// the stores the read-mostly hot region does not, keeping the
+        /// overall store fraction at `store_frac` (§5.5: 45%).
+        private_store_odds: u64,
+    },
+    /// [`DataPattern::Streaming`].
+    Streaming { base: u64, cursor: StreamCursor, store_odds: u64 },
+}
+
+/// A thread's sequential scan through its partition: it starts at a
+/// per-thread offset, gives each block [`STREAM_ACCESSES_PER_BLOCK`]
+/// accesses, and wraps at the partition's end. Access `pos` reads block
+/// `(offset + pos / STREAM_ACCESSES_PER_BLOCK) % partition`.
+#[derive(Clone, Debug)]
+struct StreamCursor {
+    partition: u64,
+    /// Block within the partition.
+    block: u64,
+    /// Accesses already made to `block`.
+    hits: u64,
+}
+
+impl StreamCursor {
+    fn new(partition: u64, offset: u64) -> Self {
+        debug_assert!(offset < partition);
+        StreamCursor { partition, block: offset, hits: 0 }
+    }
+
+    /// The partition block of the next access.
+    #[inline]
+    fn next(&mut self) -> u64 {
+        let block = self.block;
+        self.hits += 1;
+        if self.hits == STREAM_ACCESSES_PER_BLOCK {
+            self.hits = 0;
+            self.block += 1;
+            if self.block == self.partition {
+                self.block = 0;
+            }
+        }
+        block
+    }
 }
 
 impl<'a> ThreadTrace<'a> {
@@ -90,7 +153,32 @@ impl<'a> ThreadTrace<'a> {
                     .clone()
             })
             .collect();
-        ThreadTrace {
+        let d = &spec.data;
+        let data = match d.pattern {
+            DataPattern::OltpMix { p_hot, p_recent, hot_store_frac } => DataGen::Oltp {
+                p_hot,
+                p_hot_or_recent: p_hot + p_recent,
+                hot_base: spec.hot_region_base(txn_type),
+                hot_blocks: d.hot_blocks,
+                db_blocks: d.db_blocks,
+                hot_store_odds: SplitMix64::odds(hot_store_frac),
+                private_store_odds: SplitMix64::odds(
+                    ((d.store_frac - p_hot * hot_store_frac) / (1.0 - p_hot)).clamp(0.0, 1.0),
+                ),
+            },
+            DataPattern::Streaming => {
+                let partition = (d.db_blocks / spec.num_tasks.max(1) as u64).max(1);
+                // Scans start at a per-thread offset: aligned starts would
+                // phase-lock every thread's DRAM channel/bank sequence.
+                let offset = SplitMix64::new(0x5ca0 ^ thread.raw() as u64).next_below(partition);
+                DataGen::Streaming {
+                    base: DB_REGION_FIRST_BLOCK + thread.raw() as u64 * partition,
+                    cursor: StreamCursor::new(partition, offset),
+                    store_odds: SplitMix64::odds(d.store_frac),
+                }
+            }
+        };
+        let mut trace = ThreadTrace {
             spec,
             thread,
             txn_type,
@@ -103,11 +191,22 @@ impl<'a> ThreadTrace<'a> {
             block: 0,
             instr: 0,
             finished: false,
+            block_pc: Addr::new(0),
+            data_odds: SplitMix64::odds(d.data_ratio),
+            data,
             recent: Vec::with_capacity(RECENT_WINDOW),
             recent_next: 0,
-            stream_pos: 0,
             emitted: 0,
-        }
+        };
+        trace.block_pc = trace.current_block_pc();
+        trace
+    }
+
+    /// The first instruction's address in the block under the cursor.
+    fn current_block_pc(&self) -> Addr {
+        let pos = self.cluster * CLUSTER_BLOCKS + self.block;
+        let block_index = self.orders[self.visit][pos as usize];
+        self.spec.pool.segment(self.plan[self.visit]).instr_addr(block_index, 0)
     }
 
     /// The thread this trace belongs to.
@@ -133,11 +232,8 @@ impl<'a> ThreadTrace<'a> {
     /// Batch-decodes up to `n` records, appending them to `buf`; returns
     /// how many were produced (fewer than `n` only at end of trace).
     ///
-    /// Exactly equivalent to calling [`Iterator::next`] `n` times — the
-    /// point is locality, not semantics: consumers that interleave one
-    /// `next()` per simulated instruction pay for the generator's branchy
-    /// cursor state machine on every step, while refilling a reusable
-    /// ring in batches keeps that state resident and amortizes the calls.
+    /// Exactly equivalent to calling [`Iterator::next`] `n` times; it
+    /// lets a consumer time or buffer the generator on its own.
     pub fn fill(&mut self, buf: &mut Vec<Record>, n: usize) -> usize {
         buf.reserve(n);
         let before = buf.len();
@@ -162,40 +258,35 @@ impl<'a> ThreadTrace<'a> {
 
     /// Generates this instruction's data reference, if any.
     fn gen_data(&mut self) -> Option<DataAccess> {
-        let data = &self.spec.data;
-        if !self.rng.chance(data.data_ratio) {
+        if !self.rng.hit(self.data_odds) {
             return None;
         }
-        let (block, is_store) = match data.pattern {
-            DataPattern::OltpMix { p_hot, p_recent, hot_store_frac } => {
-                // Private regions absorb the stores the read-mostly hot
-                // region does not, keeping the overall store fraction at
-                // `store_frac` (§5.5: 45%).
-                let private_store_frac =
-                    ((data.store_frac - p_hot * hot_store_frac) / (1.0 - p_hot)).clamp(0.0, 1.0);
+        let (block, is_store) = match &mut self.data {
+            DataGen::Oltp {
+                p_hot,
+                p_hot_or_recent,
+                hot_base,
+                hot_blocks,
+                db_blocks,
+                hot_store_odds,
+                private_store_odds,
+            } => {
                 let r = self.rng.next_f64();
-                if r < p_hot {
-                    let b = self.spec.hot_region_base(self.txn_type) + self.rng.next_below(data.hot_blocks);
-                    (b, self.rng.chance(hot_store_frac))
-                } else if r < p_hot + p_recent && !self.recent.is_empty() {
+                if r < *p_hot {
+                    let b = *hot_base + self.rng.next_below(*hot_blocks);
+                    (b, self.rng.hit(*hot_store_odds))
+                } else if r < *p_hot_or_recent && !self.recent.is_empty() {
                     let idx = self.rng.next_below(self.recent.len() as u64) as usize;
-                    (self.recent[idx], self.rng.chance(private_store_frac))
+                    (self.recent[idx], self.rng.hit(*private_store_odds))
                 } else {
-                    let b = DB_REGION_FIRST_BLOCK + self.rng.next_below(data.db_blocks);
+                    let b = DB_REGION_FIRST_BLOCK + self.rng.next_below(*db_blocks);
+                    let store = self.rng.hit(*private_store_odds);
                     self.remember(b);
-                    (b, self.rng.chance(private_store_frac))
+                    (b, store)
                 }
             }
-            DataPattern::Streaming => {
-                let partition = (data.db_blocks / self.spec.num_tasks.max(1) as u64).max(1);
-                let base = DB_REGION_FIRST_BLOCK + self.thread.raw() as u64 * partition;
-                // Scans start at a per-thread offset and wrap within the
-                // partition: aligned starts would phase-lock every
-                // thread's DRAM channel/bank sequence.
-                let offset = SplitMix64::new(0x5ca0 ^ self.thread.raw() as u64).next_below(partition);
-                let b = base + (offset + self.stream_pos / STREAM_ACCESSES_PER_BLOCK) % partition;
-                self.stream_pos += 1;
-                (b, self.rng.chance(data.store_frac))
+            DataGen::Streaming { base, cursor, store_odds } => {
+                (*base + cursor.next(), self.rng.hit(*store_odds))
             }
         };
         Some(DataAccess { addr: Addr::new(block * 64), is_store })
@@ -232,10 +323,12 @@ impl<'a> ThreadTrace<'a> {
                     self.visit += 1;
                     if self.visit >= self.plan.len() {
                         self.finished = true;
+                        return;
                     }
                 }
             }
         }
+        self.block_pc = self.current_block_pc();
     }
 }
 
@@ -268,10 +361,7 @@ impl Iterator for ThreadTrace<'_> {
         if self.finished {
             return None;
         }
-        let seg = self.spec.pool.segment(self.plan[self.visit]);
-        let pos = self.cluster * CLUSTER_BLOCKS + self.block;
-        let block_index = self.orders[self.visit][pos as usize];
-        let pc = seg.instr_addr(block_index, self.instr);
+        let pc = self.block_pc.offset(self.instr as u64 * 4);
         let data = self.gen_data();
         self.emitted += 1;
 
@@ -437,6 +527,21 @@ mod tests {
         assert_eq!(tr.emitted(), one_by_one.len() as u64);
         // A drained trace fills nothing.
         assert_eq!(tr.fill(&mut batched, 8), 0);
+    }
+
+    #[test]
+    fn stream_cursor_matches_the_closed_formula() {
+        let mut rng = SplitMix64::new(0x57e4);
+        for partition in [1u64, 2, 3, 7, 16, 1000] {
+            for _ in 0..4 {
+                let offset = rng.next_below(partition);
+                let mut cursor = StreamCursor::new(partition, offset);
+                for pos in 0..3 * partition * STREAM_ACCESSES_PER_BLOCK + 5 {
+                    let want = (offset + pos / STREAM_ACCESSES_PER_BLOCK) % partition;
+                    assert_eq!(cursor.next(), want, "partition {partition} offset {offset} pos {pos}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Same-host A/B of perfbench: the working tree against a git revision.
 
-Usage: python3 scripts/bench_ab.py REV [WORKLOAD...]
+Usage: python3 scripts/bench_ab.py [--pairs N] REV [WORKLOAD...]
 
 REV is built from `git archive` into `.bench_build/<sha>/`; the working
 tree is built in place. WORKLOAD defaults to every workload in
-BENCHMARK.json. Each workload runs PAIRS interleaved pairs of the
-BENCHMARK.json command with `--seconds run_seconds --trace 0`, one seed
-per pair shared by both sides, alternating which side runs first. Each
-side runs from its own root, and its result is the last stdout line.
+BENCHMARK.json. Each workload runs N interleaved pairs (default 5) of
+the BENCHMARK.json command with `--seconds run_seconds --trace 0`, one
+seed per pair shared by both sides, alternating which side runs first.
+Each side runs from its own root, and its result is the last stdout
+line.
 
 For every end-to-end metric the report gives each side's median and
-interquartile range (IQR) and one verdict (see `verdict`). The exit
-code is non-zero when any metric regressed, when a run of the working
-tree reports `correct: false`, or when the working tree fails a larger
-share of its operations than REV.
+interquartile range (IQR), how many pairs the change won, and one
+verdict (see `verdict`; a metric that meets the gain rule reads
+`gained`, see `gained`). The exit code is non-zero when any metric
+regressed, when a run of the working tree reports `correct: false`, or
+when the working tree fails a larger share of its operations than REV.
+A claimed gain should be read off at least 10 pairs.
 
 On a clean tree, `bench_ab.py HEAD` is the A/A check: both sides build
 the same source, so every verdict should read pass or unresolved.
@@ -24,6 +27,7 @@ The verdict arithmetic is checked by doctests:
     python3 -m doctest scripts/bench_ab.py
 """
 
+import argparse
 import io
 import json
 import os
@@ -34,7 +38,6 @@ import sys
 import tarfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAIRS = 5
 # Each side builds into its own perfbench/target.
 ENV = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
 
@@ -104,6 +107,54 @@ def verdict(parent, change, better, bound):
     if spread > bound * abs(pm) and not beats_all:
         return "unresolved"
     return "pass"
+
+
+def wins(parent, change, better):
+    """Pairs in which the change beat the parent run with the same seed.
+
+    >>> wins([10.0, 10.0, 10.0], [9.0, 10.0, 11.0], "lower")
+    1
+    >>> wins([10.0, 10.0, 10.0], [9.0, 10.0, 11.0], "higher")
+    1
+    """
+    if better == "lower":
+        return sum(1 for p, c in zip(parent, change) if c < p)
+    return sum(1 for p, c in zip(parent, change) if c > p)
+
+
+def gained(parent, change, better):
+    """Whether the change shows a gain: it wins at least 9 in 10 pairs,
+    and its median beats the parent's by more than the parent's IQR.
+
+    Ten pairs, all won, by a shift far beyond the spread:
+
+    >>> parent = [19.0, 19.2, 18.8, 19.1, 18.9, 19.0, 19.3, 18.7, 19.0, 19.1]
+    >>> gained(parent, [x * 1.35 for x in parent], "higher")
+    True
+
+    One lost pair in ten still counts; a shift inside the parent's IQR
+    does not, however many pairs it wins:
+
+    >>> change = [x * 1.35 for x in parent[:9]] + [18.0]
+    >>> gained(parent, change, "higher")
+    True
+    >>> gained(parent, [x + 0.1 for x in parent], "higher")
+    False
+
+    Two lost pairs in ten fail the win rule, even by a wide margin:
+
+    >>> change = [x * 1.35 for x in parent[:8]] + [18.0, 18.0]
+    >>> gained(parent, change, "higher")
+    False
+
+    For a metric where lower is better:
+
+    >>> gained([6.3, 6.4, 6.2, 6.3, 6.5], [4.6, 4.7, 4.6, 4.5, 4.6], "lower")
+    True
+    """
+    pm, cm = statistics.median(parent), statistics.median(change)
+    better_by = pm - cm if better == "lower" else cm - pm
+    return 10 * wins(parent, change, better) >= 9 * len(parent) and better_by > iqr(parent)
 
 
 def failed_share(runs):
@@ -180,11 +231,11 @@ def run_once(root, command, workload, seed, seconds):
                  f"line (exit {proc.returncode})")
 
 
-def compare(workload, sides, bench):
+def compare(workload, sides, bench, pairs):
     """Runs one workload's pairs and prints its table. Returns the
     failures it found."""
     runs = {name: [] for name, _ in sides}
-    for pair in range(PAIRS):
+    for pair in range(pairs):
         seed = pair + 1
         order = sides if pair % 2 == 0 else sides[::-1]
         for name, root in order:
@@ -192,13 +243,14 @@ def compare(workload, sides, bench):
                               bench["run_seconds"])
             runs[name].append(result)
             wall = result["metrics"]["wall_s"]["value"]
-            print(f"  pair {pair + 1}/{PAIRS} seed {seed} {name:<6} "
+            print(f"  pair {pair + 1}/{pairs} seed {seed} {name:<6} "
                   f"wall_s {wall:.3f}", file=sys.stderr, flush=True)
 
     parent, change = runs["parent"], runs["change"]
     failures = []
-    print(f"\n{workload} ({PAIRS} pairs; median [IQR])")
-    print(f"  {'metric':<14} {'parent':>23} {'change':>23} {'shift':>8}  verdict")
+    print(f"\n{workload} ({pairs} pairs; median [IQR])")
+    print(f"  {'metric':<14} {'parent':>23} {'change':>23} {'shift':>8} "
+          f"{'wins':>6}  verdict")
     for m in bench["end_to_end"]:
         name, bound = m["name"], m["bound"]
         p = [r["metrics"][name]["value"] for r in parent]
@@ -206,13 +258,16 @@ def compare(workload, sides, bench):
         pm, cm = statistics.median(p), statistics.median(c)
         shift = (cm - pm) / pm if pm else 0.0
         v = verdict(p, c, m["better"], bound)
+        if v != "regressed" and gained(p, c, m["better"]):
+            v = "gained"
         note = ""
         if v == "unresolved":
             note = f" (parent IQR {iqr(p) / pm:.1%} of median > bound {bound:.0%})"
         elif v == "regressed":
             failures.append(f"{workload} {name} regressed {shift:+.1%}")
+        won = f"{wins(p, c, m['better'])}/{len(p)}"
         print(f"  {name:<14} {pm:>12.4g} [{iqr(p):>8.3g}] {cm:>12.4g} "
-              f"[{iqr(c):>8.3g}] {shift:>+8.1%}  {v}{note}")
+              f"[{iqr(c):>8.3g}] {shift:>+8.1%} {won:>6}  {v}{note}")
     print(f"  ops: parent {sum(r['failed'] for r in parent)}/"
           f"{sum(r['attempted'] for r in parent)} failed, change "
           f"{sum(r['failed'] for r in change)}/"
@@ -222,26 +277,32 @@ def compare(workload, sides, bench):
 
 
 def main(argv):
-    if not argv or argv[0].startswith("-"):
-        sys.exit(__doc__.split("\n\n")[1])
+    parser = argparse.ArgumentParser(
+        prog="bench_ab.py", usage=__doc__.split("\n\n")[1].removeprefix("Usage: "))
+    parser.add_argument("rev", metavar="REV")
+    parser.add_argument("workloads", metavar="WORKLOAD", nargs="*", default=[])
+    parser.add_argument("--pairs", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     bench = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
     known = [w["name"] for w in bench["workloads"]]
-    workloads = argv[1:] or known
+    workloads = args.workloads or known
     unknown = [w for w in workloads if w not in known]
     if unknown:
         sys.exit(f"bench_ab: unknown workload(s) {unknown}; known: {known}")
 
-    parent_root, sha = checkout(argv[0])
+    parent_root, sha = checkout(args.rev)
     sides = [("parent", parent_root), ("change", ROOT)]
     command = bench["command"]
     build = [command[0], "build"] + [a for a in command[2:] if a != "--"]
     for _, root in sides:
         sh(build, root)
-    print(f"parent {sha[:12]} ({argv[0]}) vs change (working tree)")
+    print(f"parent {sha[:12]} ({args.rev}) vs change (working tree)")
 
     failures = []
     for workload in workloads:
-        failures += compare(workload, sides, bench)
+        failures += compare(workload, sides, bench, args.pairs)
     if failures:
         print("\nbench_ab: FAILED")
         for f in failures:

@@ -147,3 +147,84 @@ fn metrics_capture_never_changes_simulated_results() {
         );
     }
 }
+
+const MODES: [SchedulerMode; 5] = [
+    SchedulerMode::Baseline,
+    SchedulerMode::Slicc,
+    SchedulerMode::SliccSw,
+    SchedulerMode::SliccPp,
+    SchedulerMode::Steps,
+];
+
+/// Tiny MapReduce under `SimConfig::tiny_test()`, one digest per mode in
+/// [`MODES`] order: the streaming data pattern's scan cursor.
+const GOLDEN_MAPREDUCE: [u64; 5] = [
+    0xb64e35a44e1bccef,
+    0x7917f0e029aaac33,
+    0xe2833d384059266b,
+    0xac249babe207dfa5,
+    0x51f56e31b922001b,
+];
+
+/// Tiny TPC-E under `SimConfig::tiny_test()`, per mode in [`MODES`] order.
+const GOLDEN_TPCE: [u64; 5] = [
+    0x0f7ca9a97b25e9ab,
+    0xa00b3e266caefad3,
+    0xd08ff6bc0a6ae270,
+    0x6683f46c49d766ba,
+    0xc9375fdc98b99130,
+];
+
+/// Tiny TPC-C-1 with a degree-1 next-line prefetcher, per mode in
+/// [`MODES`] order. A prefetcher sends every fetch-block transition down
+/// the blocking path, which private segments otherwise skip.
+const GOLDEN_NEXT_LINE: [u64; 5] = [
+    0xb5af4a20d8592b76,
+    0xea80f1bcfba16f3f,
+    0x5e04ba71bea523b2,
+    0xa15772c5ad636c9e,
+    0xfb05d8ec0beffcba,
+];
+
+fn tiny_digest(workload: Workload, cfg: SimConfig) -> u64 {
+    RunRequest::new(workload, TraceScale::tiny(), cfg)
+        .try_execute()
+        .expect("tiny point completes")
+        .metrics
+        .digest()
+}
+
+/// The workloads and prefetch configurations beyond tiny TPC-C-1 that
+/// the per-record fast path serves, pinned to their captured digests.
+#[test]
+fn other_workloads_and_prefetchers_match_their_golden_digests() {
+    let mut drifted = Vec::new();
+    let cases = [
+        ("MapReduce", Workload::MapReduce, SimConfig::tiny_test(), GOLDEN_MAPREDUCE),
+        ("TPC-E", Workload::TpcE, SimConfig::tiny_test(), GOLDEN_TPCE),
+        ("next-line 1", Workload::TpcC1, SimConfig::tiny_test().with_next_line(1), GOLDEN_NEXT_LINE),
+    ];
+    for (what, workload, cfg, golden) in cases {
+        for (mode, want) in MODES.into_iter().zip(golden) {
+            let got = tiny_digest(workload, cfg.clone().with_mode(mode));
+            println!("    {what} {mode:?} 0x{got:016x}");
+            if got != want {
+                drifted.push((what, mode, want, got));
+            }
+        }
+    }
+    // Both PIF configurations run baseline scheduling only: the paper's
+    // upper-bound model (a 512 KiB L1-I) and the real history-buffer
+    // prefetcher, whose fills take the blocking path like next-line's.
+    for (what, cfg, want) in [
+        ("PIF model", SimConfig::tiny_test().with_pif_model(), 0x480c30d97886fdb6),
+        ("real PIF", SimConfig::tiny_test().with_real_pif(), 0x1c30892ffd027f46),
+    ] {
+        let got = tiny_digest(Workload::TpcC1, cfg);
+        println!("    {what} 0x{got:016x}");
+        if got != want {
+            drifted.push((what, SchedulerMode::Baseline, want, got));
+        }
+    }
+    assert!(drifted.is_empty(), "simulated results drifted from the golden capture: {drifted:x?}");
+}
