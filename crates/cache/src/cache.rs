@@ -155,6 +155,7 @@ impl Cache {
     /// Builds a branch-free mask of the ways whose tag matches, keeps the
     /// valid ones, and takes the lowest — the way a scan in way order
     /// would find first.
+    #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let assoc = self.assoc();
         let ways = &self.tags[set * assoc..(set + 1) * assoc];
@@ -188,6 +189,31 @@ impl Cache {
         let set = self.geom.set_index(block);
         let way = self.find_way(set, self.geom.tag(block))?;
         Some(Way { set, way })
+    }
+
+    /// Whether `way` holds `block` right now: the way lies in `block`'s
+    /// set, is valid, and carries its tag. A block is resident in at most
+    /// one way, so a `way` remembered from an earlier [`Cache::probe`]
+    /// that still holds `block` is exactly the way a fresh probe would
+    /// return, whatever changed in between.
+    ///
+    /// ```
+    /// use slicc_cache::{AccessKind, Cache, PolicyKind};
+    /// use slicc_common::{BlockAddr, CacheGeometry};
+    ///
+    /// let mut c = Cache::new(CacheGeometry::new(4096, 2, 64), PolicyKind::Lru, 0);
+    /// let b = BlockAddr::new(7);
+    /// c.access(b, AccessKind::Read);
+    /// let way = c.probe(b).expect("resident");
+    /// assert!(c.holds(way, b));
+    /// c.invalidate(b);
+    /// assert!(!c.holds(way, b));
+    /// ```
+    #[inline]
+    pub fn holds(&self, way: Way, block: BlockAddr) -> bool {
+        self.geom.set_index(block) == way.set
+            && self.valid[way.set] >> way.way & 1 != 0
+            && self.tags[way.set * self.assoc() + way.way] == self.geom.tag(block)
     }
 
     /// Whether the block at `way` (from [`Cache::probe`]) is dirty.
@@ -540,6 +566,47 @@ mod tests {
             assert_eq!(fast.stats(), slow.stats(), "{kind}");
             let (a, b): (Vec<_>, Vec<_>) = (fast.blocks().collect(), slow.blocks().collect());
             assert_eq!(a, b, "{kind}: contents differ");
+        }
+    }
+
+    /// `holds(way, block)` answers exactly "would `probe(block)` return
+    /// `way`", for ways remembered across installs, evictions,
+    /// invalidations, cleans and prefetch fills.
+    #[test]
+    fn holds_agrees_with_probe_under_every_policy() {
+        use slicc_common::SplitMix64;
+        for kind in PolicyKind::ALL {
+            let mut c = Cache::new(CacheGeometry::new(2048, 4, 64), kind, 7); // 8 sets x 4 ways
+            let mut rng = SplitMix64::new(0x401d ^ kind as u64);
+            let mut remembered: Vec<(BlockAddr, Way)> = Vec::new();
+            for step in 0..20_000 {
+                let b = BlockAddr::new(rng.next_below(96));
+                match rng.next_below(10) {
+                    0 => drop(c.invalidate(b)),
+                    1 => drop(c.clean(b)),
+                    2 => drop(c.fill(b)),
+                    _ => {
+                        let kind = if rng.chance(0.4) { AccessKind::Write } else { AccessKind::Read };
+                        c.access(b, kind);
+                    }
+                }
+                if let Some(way) = c.probe(b) {
+                    if remembered.len() < 64 {
+                        remembered.push((b, way));
+                    } else {
+                        remembered[rng.next_below(64) as usize] = (b, way);
+                    }
+                }
+                for &(block, way) in &remembered {
+                    assert_eq!(c.holds(way, block), c.probe(block) == Some(way), "{kind} step {step} block {block:?}");
+                }
+                // A way from another block's set never holds `b`.
+                if let Some(&(_, way)) = remembered.first() {
+                    if way.set != c.geometry().set_index(b) {
+                        assert!(!c.holds(way, b), "{kind} step {step}");
+                    }
+                }
+            }
         }
     }
 

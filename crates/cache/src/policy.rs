@@ -199,6 +199,7 @@ impl Policy {
     }
 
     /// A block in `set`/`way` was re-referenced.
+    #[inline]
     pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
         match &mut self.engine {
             Engine::Stack { order } => promote_to_mru(&mut order[set * self.assoc..(set + 1) * self.assoc], way as u8),
@@ -293,10 +294,17 @@ impl Policy {
     }
 }
 
-/// Moves `way` to the front (MRU) of a set's recency slice.
+/// Moves `way` to the front (MRU) of a set's recency slice. A hit on
+/// the MRU way (every repeat hit) changes nothing; otherwise the ways
+/// ahead of it shift back by one.
+#[inline]
 fn promote_to_mru(slice: &mut [u8], way: u8) {
+    if slice[0] == way {
+        return;
+    }
     let pos = slice.iter().position(|&w| w == way).expect("way present in recency order");
-    slice[..=pos].rotate_right(1);
+    slice.copy_within(..pos, 1);
+    slice[0] = way;
 }
 
 /// Moves `way` to the back (LRU) of a set's recency slice.
@@ -318,6 +326,30 @@ mod tests {
         let names: Vec<_> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names, vec!["LRU", "LIP", "BIP", "DIP", "SRRIP", "BRRIP", "DRRIP"]);
         assert_eq!(format!("{}", PolicyKind::Drrip), "DRRIP");
+    }
+
+    /// `promote_to_mru` leaves every recency order exactly as rotating
+    /// the prefix through the promoted way did.
+    #[test]
+    fn promote_to_mru_matches_a_rotate_model() {
+        let mut rng = SplitMix64::new(0x9407);
+        for assoc in 1..=16u8 {
+            let mut order: Vec<u8> = (0..assoc).collect();
+            let mut model = order.clone();
+            for step in 0..2_000 {
+                // Bias toward the MRU way, the early-return path.
+                let way = if rng.chance(0.3) { order[0] } else { rng.next_below(assoc as u64) as u8 };
+                promote_to_mru(&mut order, way);
+                let pos = model.iter().position(|&w| w == way).unwrap();
+                model[..=pos].rotate_right(1);
+                assert_eq!(order, model, "assoc {assoc} step {step} way {way}");
+                if rng.chance(0.2) {
+                    let demoted = rng.next_below(assoc as u64) as u8;
+                    demote_to_lru(&mut order, demoted);
+                    demote_to_lru(&mut model, demoted);
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ impl SplitMix64 {
     }
 
     /// Returns the next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
@@ -56,6 +57,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Multiply-shift (Lemire); bias is negligible for simulator purposes
@@ -64,6 +66,7 @@ impl SplitMix64 {
     }
 
     /// Returns a uniformly distributed `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

@@ -169,11 +169,12 @@ pub struct CoreTimer {
     retire_millis: u64,
     /// Current local time in millicycles.
     now_millis: u64,
-    /// Cumulative base-execution millicycles (for exact stats).
-    base_millis: u64,
     /// Cumulative front-end latency millicycles (for exact stats).
     fetch_latency_millis: u64,
     mshrs: MshrFile,
+    /// The counters charged in whole cycles. `base_cycles` and
+    /// `fetch_latency_cycles` stay zero here: [`CoreTimer::stats`] derives
+    /// them from the millicycle totals when read.
     stats: CoreStats,
 }
 
@@ -184,7 +185,6 @@ impl CoreTimer {
             config,
             retire_millis: 1_000_000 / config.base_ipc_x1000,
             now_millis: 0,
-            base_millis: 0,
             fetch_latency_millis: 0,
             mshrs: MshrFile::new(config.num_mshrs),
             stats: CoreStats::default(),
@@ -201,18 +201,22 @@ impl CoreTimer {
         self.now_millis / 1000
     }
 
-    /// Accumulated composition counters.
-    pub fn stats(&self) -> &CoreStats {
-        &self.stats
+    /// Accumulated composition counters. Base and front-end latency
+    /// cycles accrue in millicycles and are rounded down to whole cycles
+    /// here, as they are read.
+    pub fn stats(&self) -> CoreStats {
+        CoreStats {
+            base_cycles: self.stats.instructions * self.retire_millis / 1000,
+            fetch_latency_cycles: self.fetch_latency_millis / 1000,
+            ..self.stats
+        }
     }
 
     /// Charges the base cost of one retired instruction.
     #[inline]
     pub fn retire_instruction(&mut self) {
         self.now_millis += self.retire_millis;
-        self.base_millis += self.retire_millis;
         self.stats.instructions += 1;
-        self.stats.base_cycles = self.base_millis / 1000;
     }
 
     /// Charges the front-end cost of an L1-I *hit* at `hit_latency`.
@@ -227,7 +231,6 @@ impl CoreTimer {
         let millis = extra * self.config.fetch_latency_sensitivity_x1000;
         self.now_millis += millis;
         self.fetch_latency_millis += millis;
-        self.stats.fetch_latency_cycles = self.fetch_latency_millis / 1000;
     }
 
     /// Charges a full fetch stall for an instruction miss with the given
@@ -416,6 +419,58 @@ mod tests {
         t.ifetch_hit(5);
         assert_eq!(t.now(), 6);
         assert_eq!(t.stats().fetch_latency_cycles, 6);
+    }
+
+    /// The stats derived when read equal counters kept up to date on
+    /// every charge, after any sequence of charges.
+    #[test]
+    fn lazy_stats_equal_eager_accounting() {
+        use slicc_common::SplitMix64;
+        let mut rng = SplitMix64::new(0x7133);
+        for ipc in [1000, 2500, 3000, 7] {
+            let cfg = TimingConfig {
+                base_ipc_x1000: ipc,
+                baseline_l1i_latency: 2,
+                num_mshrs: 4,
+                ..TimingConfig::paper_like()
+            };
+            let mut t = CoreTimer::new(cfg);
+            // The eager bookkeeping: base and front-end cycles refreshed
+            // from their millicycle totals on every charge.
+            let (mut eager, mut base_millis, mut fetch_millis) = (CoreStats::default(), 0u64, 0u64);
+            for step in 0..20_000 {
+                let before = t.stats();
+                match rng.next_below(8) {
+                    0..=3 => {
+                        t.retire_instruction();
+                        base_millis += 1_000_000 / ipc;
+                        eager.instructions += 1;
+                    }
+                    4 => {
+                        let latency = rng.next_below(6);
+                        t.ifetch_hit(latency);
+                        fetch_millis += latency.saturating_sub(2) * cfg.fetch_latency_sensitivity_x1000;
+                    }
+                    5 => {
+                        let rt = rng.next_below(200);
+                        t.ifetch_miss(rt);
+                        eager.ifetch_stall_cycles += rt + cfg.ifetch_refill_penalty;
+                    }
+                    6 => {
+                        t.data_miss(BlockAddr::new(rng.next_below(16)), rng.next_below(200), rng.chance(0.45));
+                        eager.data_stall_cycles += t.stats().data_stall_cycles - before.data_stall_cycles;
+                    }
+                    _ => {
+                        let cycles = rng.next_below(50);
+                        t.migration(cycles);
+                        eager.migration_cycles += cycles;
+                    }
+                }
+                eager.base_cycles = base_millis / 1000;
+                eager.fetch_latency_cycles = fetch_millis / 1000;
+                assert_eq!(t.stats(), eager, "ipc {ipc} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -85,7 +85,8 @@ impl Tlb {
     }
 
     /// Translates `addr`: returns whether the page was resident, filling
-    /// it on miss.
+    /// it on miss. A repeat of the last page is answered inline; any
+    /// other page takes the out-of-line `lookup`.
     #[inline]
     pub fn access(&mut self, addr: Addr) -> bool {
         let page = match self.page_shift {
@@ -96,6 +97,14 @@ impl Tlb {
             self.hits += 1;
             return true;
         }
+        self.lookup(page)
+    }
+
+    /// The translation of a page other than the last one: a hash probe
+    /// and recency update on a hit, a fill (evicting the LRU entry when
+    /// full) on a miss.
+    #[inline(never)]
+    fn lookup(&mut self, page: u64) -> bool {
         self.last_page = Some(page);
         if let Some(&slot) = self.map.get(&page) {
             self.lru.touch(slot);

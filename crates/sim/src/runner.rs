@@ -64,7 +64,7 @@ use crate::session::{RunOutcome, RunSession};
 use slicc_common::{lock_unpoisoned, CancelToken, StableHash, StableHasher};
 use slicc_obs::{ObsConfig, Observation, ProgressEvent, Reporter, WarningsOnlyReporter};
 use slicc_trace::{TraceScale, Workload, WorkloadSpec};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::collections::hash_map::Entry;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -350,8 +350,9 @@ pub struct RunnerStats {
     /// points are never cached, so they are re-attempted by every batch
     /// that names them.
     pub failed_points: u64,
-    /// Distinct [`WorkloadSpec`]s materialized. With the spec memo, a
-    /// five-mode figure column costs one build, not five.
+    /// [`WorkloadSpec`]s materialized. With the spec memo, a five-mode
+    /// figure column costs one build, not five; a spec dropped from the
+    /// full memo and asked for again is built again.
     pub spec_builds: u64,
     /// Total instructions simulated by fresh runs.
     pub simulated_instructions: u64,
@@ -370,6 +371,21 @@ impl RunnerStats {
             0.0
         }
     }
+}
+
+/// Specs the memo keeps at most. A figure needs a handful at a time (a
+/// column's modes share one), but a server sees a new spec for every
+/// fresh seed, and each spec carries its code layout and visit orders;
+/// past the cap the oldest spec is dropped (an engine still running on
+/// it keeps its own `Arc`) and rebuilt, identically, if asked for again.
+const SPEC_MEMO_CAP: usize = 16;
+
+/// The spec memo: specs by [`RunRequest::spec_key`], and their keys in
+/// the order they were built, oldest first.
+#[derive(Default)]
+struct SpecMemo {
+    specs: HashMap<u64, Arc<WorkloadSpec>>,
+    order: VecDeque<u64>,
 }
 
 /// A memoizing job pool for simulation points, and the one place that
@@ -405,7 +421,7 @@ pub struct Runner {
     slots: Condvar,
     /// Materialized traces keyed by [`RunRequest::spec_key`]: every mode
     /// variant of a (workload, scale) point shares one spec build.
-    specs: Mutex<HashMap<u64, Arc<WorkloadSpec>>>,
+    specs: Mutex<SpecMemo>,
     /// Telemetry sink for progress events. Defaults to
     /// [`WarningsOnlyReporter`] so embedding code keeps a quiet stderr
     /// while degradation warnings still surface; the binaries swap in the
@@ -475,7 +491,7 @@ impl Runner {
                 admission: ServiceConfig { max_inflight: jobs, queue_limit: 2 * jobs },
             }),
             slots: Condvar::new(),
-            specs: Mutex::new(HashMap::new()),
+            specs: Mutex::new(SpecMemo::default()),
             reporter: Mutex::new(Arc::new(WarningsOnlyReporter::stderr())),
             cancel: CancelToken::new(),
             default_deadline: Mutex::new(None),
@@ -840,14 +856,20 @@ impl Runner {
     /// same (workload, scale) wait for one build instead of racing their
     /// own; a build is milliseconds against simulations of seconds.
     fn spec_for(&self, req: &RunRequest) -> Arc<WorkloadSpec> {
-        let mut specs = lock_unpoisoned(&self.specs);
-        match specs.entry(req.spec_key()) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(v) => {
-                self.spec_builds.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(v.insert(Arc::new(req.spec())))
-            }
+        let mut memo = lock_unpoisoned(&self.specs);
+        let key = req.spec_key();
+        if let Some(spec) = memo.specs.get(&key) {
+            return Arc::clone(spec);
         }
+        self.spec_builds.fetch_add(1, Ordering::Relaxed);
+        let spec = Arc::new(req.spec());
+        if memo.order.len() == SPEC_MEMO_CAP {
+            let oldest = memo.order.pop_front().expect("a full memo is non-empty");
+            memo.specs.remove(&oldest);
+        }
+        memo.order.push_back(key);
+        memo.specs.insert(key, Arc::clone(&spec));
+        spec
     }
 
     /// Runs `req` now, on the calling thread, bypassing the run cache and
@@ -1274,6 +1296,28 @@ mod tests {
             3,
             "seed/task overrides are distinct traces, a config change is not"
         );
+    }
+
+    #[test]
+    fn spec_memo_keeps_the_newest_specs_and_rebuilds_the_dropped_ones() {
+        let runner = Runner::new(1);
+        let seeded = |seed: u64| tiny_request().with_seed(seed);
+        let first = runner.spec_for(&seeded(0));
+        for seed in 1..=SPEC_MEMO_CAP as u64 {
+            runner.spec_for(&seeded(seed));
+        }
+        assert_eq!(lock_unpoisoned(&runner.specs).specs.len(), SPEC_MEMO_CAP);
+        assert_eq!(runner.stats().spec_builds, SPEC_MEMO_CAP as u64 + 1);
+        // The newest spec is still shared; the oldest was dropped, and its
+        // rebuild is a new but equal spec.
+        let newest = seeded(SPEC_MEMO_CAP as u64);
+        assert!(Arc::ptr_eq(&runner.spec_for(&newest), &runner.spec_for(&newest)));
+        let again = runner.spec_for(&seeded(0));
+        assert!(!Arc::ptr_eq(&first, &again));
+        for t in first.threads() {
+            assert!(first.thread_trace(t).eq(again.thread_trace(t)), "thread {t:?}");
+        }
+        assert_eq!(runner.stats().spec_builds, SPEC_MEMO_CAP as u64 + 2);
     }
 
     #[test]

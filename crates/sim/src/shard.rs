@@ -10,13 +10,17 @@
 //!
 //! This module holds the private half:
 //!
-//! - [`ThreadStream`]: one thread's generator with a one-record
-//!   lookahead, `peek`/`advance` split so classification can look at a
-//!   record without consuming it;
-//! - [`run_segment`]: the private-segment executor.
+//! - [`ThreadStream`]: one thread's generator and the record it drew but
+//!   did not execute (the blocking record a segment stopped on);
+//! - [`run_segment`]: the private-segment executor, one fused loop that
+//!   draws each record from the inlined generator into a local,
+//!   classifies it and executes it. The L1-D way of the last private data
+//!   hit is memoized in the site (`CoreSite::last_dway`), and reused
+//!   whenever `Cache::holds` confirms the block is still there.
 
 use crate::system::{CoreSite, SegmentParams};
-use slicc_common::{CoreId, ThreadId};
+use slicc_cache::Way;
+use slicc_common::{BlockAddr, CoreId, ThreadId};
 use slicc_obs::{EventKind, EventSink};
 use slicc_trace::{Record, ThreadTrace, WorkloadSpec};
 
@@ -24,59 +28,39 @@ use slicc_trace::{Record, ThreadTrace, WorkloadSpec};
 pub(crate) const BATCH: usize = 100;
 
 /// One thread's record stream: a lazy trace generator and the record
-/// decoded but not yet executed.
+/// drawn but not yet executed.
 pub(crate) struct ThreadStream<'a> {
     trace: ThreadTrace<'a>,
-    /// The record [`ThreadStream::peek`] returned and
-    /// [`ThreadStream::advance`] has not consumed. It survives migration
-    /// with the rest of the stream.
+    /// The blocking record a private segment stopped on, until the engine
+    /// executes it. It survives migration with the rest of the stream.
     lookahead: Option<Record>,
-    /// Records actually executed (diagnostics; equals
-    /// `ThreadTrace::emitted` less the lookahead).
-    executed: u64,
 }
 
 impl<'a> ThreadStream<'a> {
     pub(crate) fn lazy(trace: ThreadTrace<'a>) -> Self {
-        ThreadStream { trace, lookahead: None, executed: 0 }
+        ThreadStream { trace, lookahead: None }
     }
 
-    /// The next record without consuming it. Returns `None` exactly when
-    /// the generator is exhausted.
-    #[inline]
-    pub(crate) fn peek(&mut self) -> Option<Record> {
-        if self.lookahead.is_none() {
-            self.lookahead = self.trace.next();
-        }
-        self.lookahead
-    }
-
-    /// Consumes the record last returned by [`ThreadStream::peek`].
-    #[inline]
-    pub(crate) fn advance(&mut self) {
-        self.lookahead = None;
-        self.executed += 1;
-    }
-
-    /// Peek + advance, for callers that never split the two.
+    /// The next record, consumed: the pending lookahead if there is one,
+    /// else the generator's next.
     #[inline]
     pub(crate) fn next(&mut self) -> Option<Record> {
-        let rec = self.peek()?;
-        self.advance();
-        Some(rec)
+        self.lookahead.take().or_else(|| self.trace.next())
     }
 
-    /// Records executed so far (diagnostics).
+    /// Records executed so far (diagnostics): every record drawn except
+    /// a pending lookahead.
     pub(crate) fn executed(&self) -> u64 {
-        self.executed
+        self.trace.emitted() - u64::from(self.lookahead.is_some())
     }
 }
 
 /// Why a private segment stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum StopReason {
-    /// The next record needs shared state; it was peeked, not consumed.
-    /// The engine re-peeks and executes it through the full
+    /// The next record needs shared state; it was drawn, not executed,
+    /// and waits in the stream's lookahead. The engine takes it with
+    /// [`ThreadStream::next`] and executes it through the full
     /// `System::ifetch`/`data_access` path, which ends the step.
     Blocking,
     /// The stream is exhausted: the thread completes.
@@ -93,7 +77,11 @@ pub(crate) enum StopReason {
 /// (prefetcher / PIF / bloom-accuracy probe), and its data access (if
 /// any) hits the L1-D — dirty, for stores (a store to a clean line
 /// needs a directory upgrade). Everything else stops the segment with
-/// [`StopReason::Blocking`], leaving the record un-consumed.
+/// [`StopReason::Blocking`], leaving the record in the lookahead.
+///
+/// The loop holds the record in a local: the pending lookahead is taken
+/// once on entry, every later record comes straight from the inlined
+/// generator, and the lookahead is written back only on a blocking stop.
 ///
 /// The execution bodies mirror the hit paths of `System::ifetch` /
 /// `System::data_access` exactly (see `CoreSite::private_ifetch_hit` /
@@ -108,40 +96,19 @@ pub(crate) fn run_segment(
     spec: &WorkloadSpec,
     params: &SegmentParams,
 ) -> StopReason {
+    let mut pending = stream.lookahead.take();
     for _ in 0..BATCH {
-        let Some(rec) = stream.peek() else {
+        let Some(rec) = pending.take().or_else(|| stream.trace.next()) else {
             return StopReason::Exhausted;
         };
-        // One probe per cache: the way it finds is the one the hit below
-        // updates, and nothing in between changes either cache's sets.
         let block = rec.pc.block_default();
-        let iway = if site.last_iblock == Some(block) {
-            None
-        } else if params.fetch_transition_blocks {
+        let Some((iway, data)) = classify(site, &rec, block, params) else {
+            stream.lookahead = Some(rec);
             return StopReason::Blocking;
-        } else {
-            let Some(way) = site.l1i.probe(block) else {
-                return StopReason::Blocking;
-            };
-            Some(way)
-        };
-        let data = match rec.data {
-            Some(d) => {
-                let dblock = d.addr.block_default();
-                let Some(way) = site.l1d.probe(dblock) else {
-                    return StopReason::Blocking;
-                };
-                if d.is_store && !site.l1d.is_dirty(way) {
-                    return StopReason::Blocking;
-                }
-                Some((dblock, d.is_store, way))
-            }
-            None => None,
         };
 
-        // Private: consume and execute against the site alone, in the
-        // exact order of the sequential per-record body.
-        stream.advance();
+        // Private: execute against the site alone, in the exact order of
+        // the sequential per-record body.
         site.timer.retire_instruction();
         if let Some(way) = iway {
             site.last_iblock = Some(block);
@@ -169,4 +136,129 @@ pub(crate) fn run_segment(
         }
     }
     StopReason::BatchCap
+}
+
+/// How a private record executes: the L1-I way its fetch hits (`None`
+/// when it stays in the current block), and its data block, whether it
+/// stores, and the L1-D way it hits.
+type PrivateHits = (Option<Way>, Option<(BlockAddr, bool, Way)>);
+
+/// Classifies `rec`, whose fetch is from `block`: its private hits, or
+/// `None` when it needs shared state. One probe per cache at most, and
+/// none for an L1-D block that the memoized way still holds; the ways
+/// found are the ones the hits update, since nothing in between changes
+/// either cache's sets.
+#[inline(always)]
+fn classify(site: &mut CoreSite, rec: &Record, block: BlockAddr, params: &SegmentParams) -> Option<PrivateHits> {
+    let iway = if site.last_iblock == Some(block) {
+        None
+    } else if params.fetch_transition_blocks {
+        return None;
+    } else {
+        Some(site.l1i.probe(block)?)
+    };
+    let Some(d) = rec.data else {
+        return Some((iway, None));
+    };
+    let dblock = d.addr.block_default();
+    let way = match site.last_dway {
+        Some((b, way)) if b == dblock && site.l1d.holds(way, dblock) => way,
+        _ => {
+            let way = site.l1d.probe(dblock)?;
+            site.last_dway = Some((dblock, way));
+            way
+        }
+    };
+    if d.is_store && !site.l1d.is_dirty(way) {
+        return None;
+    }
+    Some((iway, Some((dblock, d.is_store, way))))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::system::System;
+    use slicc_common::SplitMix64;
+    use slicc_trace::{TraceScale, Workload, WorkloadBuilder};
+
+    /// Runs one thread's stream on core 0 of a tiny machine, segment by
+    /// segment, executing each blocking record through the full
+    /// `System` paths, and checks that every stop resumes on exactly the
+    /// next record of the thread's trace. Returns the stops seen.
+    fn drive(spec: &WorkloadSpec, thread: ThreadId) -> [u64; 3] {
+        let reference: Vec<Record> = spec.thread_trace(thread).collect();
+        let mut sys = System::new(&SimConfig::tiny_test());
+        let params = sys.segment_params(false);
+        let core = CoreId::new(0);
+        let mut sink = EventSink::disabled();
+        let mut stream = ThreadStream::lazy(spec.thread_trace(thread));
+        let mut stops = [0u64; 3];
+        loop {
+            let before = stream.executed();
+            let stop = run_segment(sys.core_site_mut(core), &mut stream, &mut sink, core, thread, spec, &params);
+            let after = stream.executed();
+            assert_eq!(sys.timer(core).stats().instructions, after, "each executed record retires once");
+            match stop {
+                StopReason::Exhausted => {
+                    stops[2] += 1;
+                    assert_eq!(after, reference.len() as u64);
+                    assert_eq!(stream.next(), None);
+                    let again = run_segment(sys.core_site_mut(core), &mut stream, &mut sink, core, thread, spec, &params);
+                    assert_eq!(again, StopReason::Exhausted);
+                    return stops;
+                }
+                StopReason::BatchCap => {
+                    stops[1] += 1;
+                    assert_eq!(after - before, BATCH as u64);
+                }
+                StopReason::Blocking => {
+                    stops[0] += 1;
+                    let rec = stream.next().expect("a blocking stop leaves its record");
+                    assert_eq!(rec, reference[after as usize], "blocking record {after}");
+                    assert_eq!(stream.executed(), after + 1);
+                    sys.timer_mut(core).retire_instruction();
+                    let block = rec.pc.block_default();
+                    if sys.core_site(core).last_iblock != Some(block) {
+                        sys.core_site_mut(core).last_iblock = Some(block);
+                        sys.ifetch(core, block);
+                    }
+                    if let Some(d) = rec.data {
+                        sys.data_access(core, d.addr.block_default(), d.is_store);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streams_resume_on_the_next_record_after_every_stop() {
+        let mut rng = SplitMix64::new(0x5709);
+        let mut stops = [0u64; 3];
+        for _ in 0..3 {
+            let seed = rng.next_u64();
+            // A code-only workload whose segments fit the L1-I runs whole
+            // batches of private records; the presets block often.
+            let code_only = WorkloadBuilder::new("code only")
+                .seed(seed)
+                .tasks(8)
+                .segment_blocks(16)
+                .txn_type("T", 1.0, 2, 3)
+                .no_data()
+                .build();
+            let specs = [
+                Workload::TpcC1.spec(TraceScale::tiny().with_seed(seed)),
+                Workload::MapReduce.spec(TraceScale::tiny().with_seed(seed)),
+                code_only,
+            ];
+            for spec in &specs {
+                let thread = ThreadId::new(rng.next_below(8) as u32);
+                for (total, seen) in stops.iter_mut().zip(drive(spec, thread)) {
+                    *total += seen;
+                }
+            }
+        }
+        assert!(stops.iter().all(|&n| n > 0), "every stop reason must occur: {stops:?}");
+    }
 }

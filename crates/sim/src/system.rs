@@ -56,6 +56,10 @@ pub(crate) struct CoreSite {
     /// The block the core fetched from last; a record in the same block
     /// costs no fetch (it comes from the fetch buffer).
     pub(crate) last_iblock: Option<BlockAddr>,
+    /// The L1-D block of the last private data access and the way a probe
+    /// found it in. Only a hint: `Cache::holds` must confirm it before a
+    /// private segment skips the probe.
+    pub(crate) last_dway: Option<(BlockAddr, Way)>,
     /// The code segment of the last fetch, for segment-boundary events.
     pub(crate) last_segment: Option<u32>,
 }
@@ -81,6 +85,7 @@ impl CoreSite {
     /// [`System::ifetch`] exactly — TLB, L1-I hit (recency update, no
     /// eviction possible), 3C observation, timer charge — and must stay
     /// in lockstep with it.
+    #[inline]
     pub(crate) fn private_ifetch_hit(&mut self, block: BlockAddr, way: Way, p: &SegmentParams) {
         if !self.itlb.access(block.base_addr(64)) {
             self.timer.tlb_walk(p.tlb_walk_cycles, true);
@@ -96,6 +101,7 @@ impl CoreSite {
     /// `l1d.probe(block)` found the block (dirty, for stores); mirrors
     /// the hit path of [`System::data_access`] — TLB, L1-D hit, 3C
     /// observation, no timer charge — and must stay in lockstep with it.
+    #[inline]
     pub(crate) fn private_data_hit(
         &mut self,
         block: BlockAddr,
@@ -194,6 +200,7 @@ impl System {
                         .then(|| ThreeCClassifier::new(l1d_geom.num_blocks() as usize)),
                     agent: SliccAgent::new(CoreId::new(i as u16), cfg.slicc),
                     last_iblock: None,
+                    last_dway: None,
                     last_segment: None,
                 }
             })
@@ -663,7 +670,7 @@ impl System {
             out.d_misses += site.l1d.stats().misses;
             out.i_accesses += site.l1i.stats().accesses;
             out.d_accesses += site.l1d.stats().accesses;
-            core_stats.merge(site.timer.stats());
+            core_stats.merge(&site.timer.stats());
             if let Some(c) = &site.i_classifier {
                 i_bd.merge(&c.breakdown());
             }

@@ -39,7 +39,6 @@
 
 pub mod access;
 pub mod builder;
-pub mod codec;
 // Gated like slicc-common's property tests: re-add the `proptest` dev-dep
 // and enable the `proptest` feature to run (DESIGN.md §5).
 #[cfg(all(test, feature = "proptest"))]
@@ -52,12 +51,8 @@ pub mod workload;
 
 pub use access::{DataAccess, Record};
 pub use builder::WorkloadBuilder;
-pub use codec::{
-    decode_trace, decode_trace_with_limit, encode_trace, DecodeTraceError, DecodedTrace,
-    MAX_TRACE_RECORDS,
-};
 pub use segment::{CodePool, CodeSegment, SegmentId};
 pub use stats::{instruction_reuse, FootprintStats, ReuseBreakdown};
 pub use thread_gen::ThreadTrace;
-pub use validate::{validate_records, validate_structure, RecordIssue, StructureReport};
+pub use validate::{validate_structure, StructureReport};
 pub use workload::{CodeParams, DataParams, DataPattern, TraceScale, TypeSpec, Workload, WorkloadSpec};

@@ -1,51 +1,9 @@
-//! Property-based tests over trace serialization and generation.
+//! Property-based tests over trace generation.
 
-use crate::access::Record;
-use crate::codec::{decode_trace, encode_trace};
 use crate::builder::WorkloadBuilder;
 use proptest::prelude::*;
-use slicc_common::{Addr, ThreadId, TxnTypeId};
-
-fn arb_record() -> impl Strategy<Value = Record> {
-    (any::<u64>(), proptest::option::of((any::<u64>(), any::<bool>()))).prop_map(|(pc, data)| {
-        match data {
-            None => Record::compute(Addr::new(pc)),
-            Some((addr, true)) => Record::store(Addr::new(pc), Addr::new(addr)),
-            Some((addr, false)) => Record::load(Addr::new(pc), Addr::new(addr)),
-        }
-    })
-}
 
 proptest! {
-    #[test]
-    fn codec_roundtrips_arbitrary_records(
-        thread in any::<u32>(),
-        ty in any::<u16>(),
-        records in prop::collection::vec(arb_record(), 0..200),
-    ) {
-        let mut buf = Vec::new();
-        encode_trace(&mut buf, ThreadId::new(thread), TxnTypeId::new(ty), records.iter().copied())
-            .expect("vec write cannot fail");
-        let decoded = decode_trace(&mut buf.as_slice()).expect("roundtrip");
-        prop_assert_eq!(decoded.thread, ThreadId::new(thread));
-        prop_assert_eq!(decoded.txn_type, TxnTypeId::new(ty));
-        prop_assert_eq!(decoded.records, records);
-    }
-
-    #[test]
-    fn corrupting_any_byte_never_panics(
-        records in prop::collection::vec(arb_record(), 0..20),
-        corrupt_at in any::<prop::sample::Index>(),
-        corrupt_with in any::<u8>(),
-    ) {
-        let mut buf = Vec::new();
-        encode_trace(&mut buf, ThreadId::new(1), TxnTypeId::new(1), records).unwrap();
-        let idx = corrupt_at.index(buf.len());
-        buf[idx] = corrupt_with;
-        // Must return Ok or Err, never panic or loop forever.
-        let _ = decode_trace(&mut buf.as_slice());
-    }
-
     #[test]
     fn builder_specs_generate_bounded_deterministic_traces(
         tasks in 1u32..5,

@@ -14,6 +14,8 @@
 //! layouts it often fetches dead code.
 
 use slicc_common::{Addr, BlockAddr, SplitMix64};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a segment within a [`CodePool`].
 pub type SegmentId = u32;
@@ -26,11 +28,36 @@ pub const CODE_REGION_FIRST_BLOCK: u64 = 0x10_0000;
 /// out (possibly sparsely) from `first_block`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CodeSegment {
+    /// The segment's id in its pool; it seeds the visit order.
+    id: SegmentId,
     first_block: u64,
     /// Offset (in blocks) of each live block from `first_block`;
     /// strictly ascending, `offsets[0] == 0`.
     offsets: Vec<u32>,
+    visit_blocks: VisitBlocks,
 }
+
+/// A segment's block-visit order as the number of each visited block,
+/// built on first use together with the run length it was built for.
+/// Clones of the pool share the built order.
+#[derive(Clone, Default)]
+struct VisitBlocks(OnceLock<(u32, Arc<[u32]>)>);
+
+impl fmt::Debug for VisitBlocks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("VisitBlocks")
+    }
+}
+
+/// Derived from the segment's other fields, so it never tells two
+/// segments apart.
+impl PartialEq for VisitBlocks {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for VisitBlocks {}
 
 impl CodeSegment {
     /// Dead-gap length in blocks. A full set-stride of the largest cache
@@ -42,7 +69,7 @@ impl CodeSegment {
     /// perturbing set pressure.
     const GAP_BLOCKS: u32 = 1024;
 
-    fn new(first_block: u64, num_blocks: u32, gap_prob: f64, seed: u64) -> Self {
+    fn new(id: SegmentId, first_block: u64, num_blocks: u32, gap_prob: f64, seed: u64) -> Self {
         assert!(num_blocks > 0, "segments must be non-empty");
         let mut rng = SplitMix64::new(seed);
         let mut offsets = Vec::with_capacity(num_blocks as usize);
@@ -55,7 +82,7 @@ impl CodeSegment {
                 off += Self::GAP_BLOCKS;
             }
         }
-        CodeSegment { first_block, offsets }
+        CodeSegment { id, first_block, offsets, visit_blocks: VisitBlocks::default() }
     }
 
     /// The segment's first (live) cache block.
@@ -92,6 +119,27 @@ impl CodeSegment {
     /// within live block `i`.
     pub fn instr_addr(&self, i: u32, instr: u32) -> Addr {
         self.block(i).base_addr(64).offset(instr as u64 * 4)
+    }
+
+    /// The number of each block in the segment's visit order
+    /// ([`segment_visit_order`] with runs of mean `run_len` blocks), as a
+    /// `u32`: code blocks lie far below 2^32. Every thread that executes
+    /// the segment walks this one order, so it is built once, on first
+    /// use, and shared; a different `run_len` than the first caller's is
+    /// built afresh.
+    pub(crate) fn visit_blocks(&self, run_len: u32) -> Arc<[u32]> {
+        let build = || -> Arc<[u32]> {
+            segment_visit_order(self.id, self.num_blocks(), run_len)
+                .into_iter()
+                .map(|i| u32::try_from(self.block(i).raw()).expect("code blocks lie below 2^32"))
+                .collect()
+        };
+        let (built_for, blocks) = self.visit_blocks.0.get_or_init(|| (run_len, build()));
+        if *built_for == run_len {
+            Arc::clone(blocks)
+        } else {
+            build()
+        }
     }
 
     /// Whether `block` is one of this segment's *live* blocks.
@@ -160,7 +208,7 @@ impl CodePool {
     /// Panics if `num_blocks` is zero.
     pub fn add_segment(&mut self, num_blocks: u32) -> SegmentId {
         let id = self.segments.len() as SegmentId;
-        let seg = CodeSegment::new(self.next_block, num_blocks, self.gap_prob, 0x5e9 ^ (id as u64) << 20);
+        let seg = CodeSegment::new(id, self.next_block, num_blocks, self.gap_prob, 0x5e9 ^ (id as u64) << 20);
         self.next_block += seg.span_blocks() as u64;
         self.segments.push(seg);
         id
@@ -204,6 +252,28 @@ impl CodePool {
         let seg = self.segments.get(idx)?;
         seg.contains_block(block).then_some(idx as SegmentId)
     }
+}
+
+/// The fixed block-visit permutation of one segment: short sequential
+/// runs (basic blocks / small functions) in a shuffled order (the call
+/// graph). Derived from the segment id only, so every thread walks the
+/// same layout.
+pub(crate) fn segment_visit_order(seg: SegmentId, num_blocks: u32, run_len: u32) -> Vec<u32> {
+    let mut rng = SplitMix64::new(0xc0de_1a11 ^ (seg as u64).wrapping_mul(0x9e37_79b9));
+    // Cut 0..num_blocks into runs of 1..=run_len blocks.
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    let mut i = 0;
+    while i < num_blocks {
+        let len = (1 + rng.next_below(run_len.max(1) as u64) as u32).min(num_blocks - i);
+        runs.push((i, len));
+        i += len;
+    }
+    // Fisher-Yates shuffle of the runs.
+    for k in (1..runs.len()).rev() {
+        let j = rng.next_below(k as u64 + 1) as usize;
+        runs.swap(k, j);
+    }
+    runs.into_iter().flat_map(|(start, len)| start..start + len).collect()
 }
 
 #[cfg(test)]

@@ -6,10 +6,15 @@
 //! the mix, and expands the segment-visit plan; iteration then walks the
 //! plan emitting instruction fetches and data references. The same
 //! `(spec, thread)` pair always regenerates the identical stream.
+//!
+//! The walk reads each segment's block-visit order as block numbers,
+//! built once per spec and shared by every thread (see
+//! `CodeSegment::visit_blocks`), so moving to the next block is one load.
 
 use crate::access::{DataAccess, Record};
 use crate::workload::{DataPattern, WorkloadSpec, DB_REGION_FIRST_BLOCK};
-use slicc_common::{Addr, SplitMix64, ThreadId, TxnTypeId};
+use slicc_common::{Addr, BlockAddr, SplitMix64, ThreadId, TxnTypeId};
+use std::sync::Arc;
 
 /// Capacity of the recently-touched private data block window.
 const RECENT_WINDOW: usize = 8;
@@ -44,10 +49,17 @@ pub struct ThreadTrace<'a> {
     thread: ThreadId,
     txn_type: TxnTypeId,
     plan: Vec<u32>,
-    /// Per plan-entry: the segment's fixed block-visit permutation (the
-    /// code's layout — identical for every thread executing the segment).
-    orders: Vec<std::sync::Arc<Vec<u32>>>,
+    /// The current visit's segment in its fixed block-visit order (the
+    /// code's layout), as block numbers. Shared with every other thread
+    /// executing the segment.
+    order: Arc<[u32]>,
+    /// The spec's sequential run length, which shapes the orders.
+    run_len: u32,
     rng: SplitMix64,
+    instrs_per_block: u32,
+    passes_per_visit: u32,
+    /// [`SplitMix64::odds`] of the spec's `skip_prob`.
+    skip_odds: u64,
 
     // Cursor into the plan: within a visit, the segment is walked as
     // clusters of CLUSTER_BLOCKS consecutive order-positions, each
@@ -136,23 +148,8 @@ impl<'a> ThreadTrace<'a> {
         let mut rng = spec.thread_rng(thread);
         let txn_type = spec.choose_type(&mut rng);
         let plan = spec.expand_plan(txn_type, &mut rng);
-        let mut order_cache: std::collections::HashMap<u32, std::sync::Arc<Vec<u32>>> =
-            std::collections::HashMap::new();
-        let orders = plan
-            .iter()
-            .map(|&seg| {
-                order_cache
-                    .entry(seg)
-                    .or_insert_with(|| {
-                        std::sync::Arc::new(segment_visit_order(
-                            seg,
-                            spec.pool.segment(seg).num_blocks(),
-                            spec.code.sequential_run_blocks.max(1),
-                        ))
-                    })
-                    .clone()
-            })
-            .collect();
+        let run_len = spec.code.sequential_run_blocks.max(1);
+        let order = spec.pool.segment(plan[0]).visit_blocks(run_len);
         let d = &spec.data;
         let data = match d.pattern {
             DataPattern::OltpMix { p_hot, p_recent, hot_store_frac } => DataGen::Oltp {
@@ -183,8 +180,12 @@ impl<'a> ThreadTrace<'a> {
             thread,
             txn_type,
             plan,
-            orders,
+            order,
+            run_len,
             rng,
+            instrs_per_block: spec.code.instrs_per_block,
+            passes_per_visit: spec.code.passes_per_visit,
+            skip_odds: SplitMix64::odds(spec.code.skip_prob),
             visit: 0,
             cluster: 0,
             pass: 0,
@@ -203,10 +204,9 @@ impl<'a> ThreadTrace<'a> {
     }
 
     /// The first instruction's address in the block under the cursor.
+    #[inline]
     fn current_block_pc(&self) -> Addr {
-        let pos = self.cluster * CLUSTER_BLOCKS + self.block;
-        let block_index = self.orders[self.visit][pos as usize];
-        self.spec.pool.segment(self.plan[self.visit]).instr_addr(block_index, 0)
+        BlockAddr::new(u64::from(self.order[(self.cluster * CLUSTER_BLOCKS + self.block) as usize])).base_addr(64)
     }
 
     /// The thread this trace belongs to.
@@ -257,6 +257,7 @@ impl<'a> ThreadTrace<'a> {
     }
 
     /// Generates this instruction's data reference, if any.
+    #[inline(always)]
     fn gen_data(&mut self) -> Option<DataAccess> {
         if !self.rng.hit(self.data_odds) {
             return None;
@@ -295,8 +296,7 @@ impl<'a> ThreadTrace<'a> {
     /// Number of blocks in the current cluster (the last cluster of a
     /// segment may be short).
     fn cluster_len(&self) -> u32 {
-        let n = self.spec.pool.segment(self.plan[self.visit]).num_blocks();
-        (n - self.cluster * CLUSTER_BLOCKS).min(CLUSTER_BLOCKS)
+        (self.order.len() as u32 - self.cluster * CLUSTER_BLOCKS).min(CLUSTER_BLOCKS)
     }
 
     /// Moves the cursor to the next block / cluster pass / cluster /
@@ -306,7 +306,7 @@ impl<'a> ThreadTrace<'a> {
         loop {
             self.block += 1;
             // Conditional control flow occasionally skips a block.
-            if self.block < len && self.rng.chance(self.spec.code.skip_prob) {
+            if self.block < len && self.rng.hit(self.skip_odds) {
                 continue;
             }
             break;
@@ -314,17 +314,17 @@ impl<'a> ThreadTrace<'a> {
         if self.block >= len {
             self.block = 0;
             self.pass += 1;
-            if self.pass >= self.spec.code.passes_per_visit {
+            if self.pass >= self.passes_per_visit {
                 self.pass = 0;
                 self.cluster += 1;
-                let n = self.spec.pool.segment(self.plan[self.visit]).num_blocks();
-                if self.cluster * CLUSTER_BLOCKS >= n {
+                if self.cluster * CLUSTER_BLOCKS >= self.order.len() as u32 {
                     self.cluster = 0;
                     self.visit += 1;
                     if self.visit >= self.plan.len() {
                         self.finished = true;
                         return;
                     }
+                    self.order = self.spec.pool.segment(self.plan[self.visit]).visit_blocks(self.run_len);
                 }
             }
         }
@@ -332,31 +332,12 @@ impl<'a> ThreadTrace<'a> {
     }
 }
 
-/// The fixed block-visit permutation of one segment: short sequential
-/// runs (basic blocks / small functions) in a shuffled order (the call
-/// graph). Derived from the segment id only, so every thread walks the
-/// same layout.
-fn segment_visit_order(seg: u32, num_blocks: u32, run_len: u32) -> Vec<u32> {
-    let mut rng = SplitMix64::new(0xc0de_1a11 ^ (seg as u64).wrapping_mul(0x9e37_79b9));
-    // Cut 0..num_blocks into runs of 1..=2*run_len-1 blocks (mean run_len).
-    let mut runs: Vec<(u32, u32)> = Vec::new();
-    let mut i = 0;
-    while i < num_blocks {
-        let len = (1 + rng.next_below(run_len.max(1) as u64) as u32).min(num_blocks - i);
-        runs.push((i, len));
-        i += len;
-    }
-    // Fisher-Yates shuffle of the runs.
-    for k in (1..runs.len()).rev() {
-        let j = rng.next_below(k as u64 + 1) as usize;
-        runs.swap(k, j);
-    }
-    runs.into_iter().flat_map(|(start, len)| start..start + len).collect()
-}
-
 impl Iterator for ThreadTrace<'_> {
     type Item = Record;
 
+    /// Inlined into its caller, the engine's segment loop, so a record
+    /// goes from the generator to the classifier in registers.
+    #[inline(always)]
     fn next(&mut self) -> Option<Record> {
         if self.finished {
             return None;
@@ -366,7 +347,7 @@ impl Iterator for ThreadTrace<'_> {
         self.emitted += 1;
 
         self.instr += 1;
-        if self.instr >= self.spec.code.instrs_per_block {
+        if self.instr >= self.instrs_per_block {
             self.instr = 0;
             self.advance_block();
         }
@@ -540,6 +521,39 @@ mod tests {
                     let want = (offset + pos / STREAM_ACCESSES_PER_BLOCK) % partition;
                     assert_eq!(cursor.next(), want, "partition {partition} offset {offset} pos {pos}");
                 }
+            }
+        }
+    }
+
+    /// Every segment's shared block order, read as the walk reads it
+    /// (each block's base address), is the visit permutation mapped
+    /// through `instr_addr`, one copy per spec; a different run length
+    /// gets its own order.
+    #[test]
+    fn per_spec_address_orders_match_the_visit_order() {
+        use crate::segment::{segment_visit_order, CodeSegment};
+        fn addrs(blocks: &[u32]) -> Vec<Addr> {
+            blocks.iter().map(|&b| BlockAddr::new(u64::from(b)).base_addr(64)).collect()
+        }
+        fn want(seg: &CodeSegment, id: u32, run_len: u32) -> Vec<Addr> {
+            segment_visit_order(id, seg.num_blocks(), run_len).iter().map(|&i| seg.instr_addr(i, 0)).collect()
+        }
+        let mut rng = SplitMix64::new(0x0dd5);
+        for w in Workload::ALL {
+            for scale in [TraceScale::tiny(), TraceScale::small()] {
+                let spec = w.spec(scale.with_seed(rng.next_u64()));
+                let run_len = spec.code.sequential_run_blocks.max(1);
+                for (id, seg) in spec.pool.iter() {
+                    let blocks = seg.visit_blocks(run_len);
+                    assert_eq!(addrs(&blocks), want(seg, id, run_len), "{w} segment {id}");
+                    assert!(Arc::ptr_eq(&blocks, &seg.visit_blocks(run_len)), "{w}: one copy per spec");
+                    let other = 1 + rng.next_below(6) as u32;
+                    assert_eq!(addrs(&seg.visit_blocks(other)), want(seg, id, other), "{w} segment {id} run length {other}");
+                }
+                // A cloned spec shares the built orders.
+                let clone = spec.clone();
+                let (id, seg) = spec.pool.iter().next().expect("a segment");
+                assert!(Arc::ptr_eq(&seg.visit_blocks(run_len), &clone.pool.segment(id).visit_blocks(run_len)));
             }
         }
     }

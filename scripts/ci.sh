@@ -12,6 +12,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 # broken or points at a private item.
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace --offline
 
+# Figures identity lane: the small-scale report (about 20 s on two
+# CPUs) must stay byte-identical to tests/data/figures-small.txt. A
+# deliberate model change re-pins that file in the same commit, as it
+# re-pins the golden digests.
+./target/release/figures all --scale small --jobs 2 2> /dev/null \
+    | diff -u tests/data/figures-small.txt -
+echo "figures identity ok"
+
 # Obs smoke: an observed tiny run must emit valid Chrome trace JSON and
 # an interval series whose CSV/JSON agree on the epoch count.
 obs_prefix="$(mktemp -u /tmp/slicc-ci-obs.XXXXXX)"

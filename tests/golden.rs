@@ -8,6 +8,7 @@
 //! change lands, re-capture with `cargo test --test golden -- --nocapture`
 //! and update the table in the same commit that changes the model.
 
+use slicc_cache::PolicyKind;
 use slicc_sim::{ObsConfig, RunControl, RunRequest, RunSession, SchedulerMode, SimConfig};
 use slicc_trace::{TraceScale, Workload};
 
@@ -224,6 +225,64 @@ fn other_workloads_and_prefetchers_match_their_golden_digests() {
         println!("    {what} 0x{got:016x}");
         if got != want {
             drifted.push((what, SchedulerMode::Baseline, want, got));
+        }
+    }
+    assert!(drifted.is_empty(), "simulated results drifted from the golden capture: {drifted:x?}");
+}
+
+/// Tiny TPC-C-1 with 3C classification, per mode in [`MODES`] order:
+/// private L1-I and L1-D hits feed both classifiers.
+const GOLDEN_CLASSIFIED: [u64; 5] = [
+    0xc018e9b2113d65d1,
+    0x1dbc5247cd08e241,
+    0x46fc09b099df1201,
+    0xe84397928e241e6f,
+    0xc6675f266d520d50,
+];
+
+/// Tiny TPC-C-10 under `SimConfig::tiny_test()`, per mode in [`MODES`]
+/// order: the larger private region and its lower hot-set share.
+const GOLDEN_TPCC10: [u64; 5] = [
+    0x8aa7c61e01f1d38b,
+    0x2b8de585a8e620aa,
+    0x58ce7bb9b31dc97d,
+    0x99da6091a947b63c,
+    0x9f69c90de748e869,
+];
+
+/// Tiny TPC-C-1 under the insertion and RRIP policies whose hit and
+/// insert paths LRU does not take: the stack promote and demote (LIP,
+/// BIP, DIP) and the RRIP hit update (SRRIP). Baseline, then SLICC-SW.
+const GOLDEN_POLICIES: [(PolicyKind, [u64; 2]); 4] = [
+    (PolicyKind::Lip, [0x984861061aae6722, 0x2d0e26c15ffa1ca9]),
+    (PolicyKind::Bip, [0x8c1ea56f8d40a08a, 0x3a5160ad959ec0c1]),
+    (PolicyKind::Dip, [0x14fb173966f3daae, 0xd2b79f5b294194f5]),
+    (PolicyKind::Srrip, [0x3d1ad6c00413226c, 0xeff69165d6bf6f63]),
+];
+
+/// Classification, TPC-C-10 and the replacement policies, pinned to
+/// digests captured before the fused record path landed.
+#[test]
+fn classification_tpcc10_and_policies_match_their_golden_digests() {
+    let mut drifted = Vec::new();
+    let mut check = |what: String, cfg: SimConfig, workload: Workload, want: u64| {
+        let got = tiny_digest(workload, cfg);
+        println!("    {what} 0x{got:016x}");
+        if got != want {
+            drifted.push((what, want, got));
+        }
+    };
+    for (mode, want) in MODES.into_iter().zip(GOLDEN_CLASSIFIED) {
+        let cfg = SimConfig::tiny_test().with_classification().with_mode(mode);
+        check(format!("classified {mode:?}"), cfg, Workload::TpcC1, want);
+    }
+    for (mode, want) in MODES.into_iter().zip(GOLDEN_TPCC10) {
+        check(format!("TPC-C-10 {mode:?}"), SimConfig::tiny_test().with_mode(mode), Workload::TpcC10, want);
+    }
+    for (policy, wants) in GOLDEN_POLICIES {
+        for (mode, want) in [SchedulerMode::Baseline, SchedulerMode::SliccSw].into_iter().zip(wants) {
+            let cfg = SimConfig::tiny_test().with_policy(policy).with_mode(mode);
+            check(format!("{policy} {mode:?}"), cfg, Workload::TpcC1, want);
         }
     }
     assert!(drifted.is_empty(), "simulated results drifted from the golden capture: {drifted:x?}");

@@ -352,14 +352,3 @@ fn transaction_latency_metrics_are_populated() {
     assert!(m.p95_txn_latency as f64 >= m.mean_txn_latency * 0.5);
     assert!(m.p95_txn_latency <= m.cycles);
 }
-
-#[test]
-fn trace_codec_roundtrips_through_the_simulator_workloads() {
-    use slicc_trace::{decode_trace, encode_trace};
-    let spec = Workload::MapReduce.spec(TraceScale::tiny());
-    let t = slicc_common::ThreadId::new(1);
-    let mut buf = Vec::new();
-    encode_trace(&mut buf, t, spec.thread_type(t), spec.thread_trace(t)).unwrap();
-    let decoded = decode_trace(&mut buf.as_slice()).unwrap();
-    assert_eq!(decoded.records.len(), spec.thread_trace(t).count());
-}
