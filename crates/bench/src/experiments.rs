@@ -10,7 +10,7 @@
 use crate::format::{bar_chart, f1, f2, pct, Table};
 use slicc_cache::PolicyKind;
 use slicc_core::{HwCostConfig, SliccParams, PIF_STORAGE_BYTES};
-use slicc_sim::{ObsConfig, RunRequest, Runner, SchedulerMode, SimConfig, SimConfigBuilder};
+use slicc_sim::{ObsConfig, RunRequest, Runner, SchedulerMode, SimConfig};
 use slicc_trace::{instruction_reuse, FootprintStats, TraceScale, Workload};
 
 /// How big the simulated runs are.
@@ -168,9 +168,9 @@ fn req(w: Workload, scale: ExperimentScale, cfg: SimConfig) -> RunRequest {
         .with_obs(ObsConfig::disabled().with_metrics())
 }
 
-/// The SLICC-SW builder most sweeps and ablations start from.
-fn sw_builder() -> SimConfigBuilder {
-    SimConfigBuilder::paper_baseline().mode(SchedulerMode::SliccSw)
+/// The SLICC-SW machine most sweeps and ablations start from.
+fn sw() -> SimConfig {
+    SimConfig::paper_baseline().with_mode(SchedulerMode::SliccSw)
 }
 
 /// Figure 1: I-/D-MPKI (3C breakdown) and relative performance as a
@@ -285,13 +285,8 @@ fn fig7(scale: ExperimentScale, runner: &Runner) -> String {
         reqs.push(req(w, scale, base_cfg()));
         for fill in fills {
             for matched in matches {
-                let cfg = sw_builder()
-                    .slicc_params(
-                        SliccParams::paper_default().with_fill_up(fill).with_matched(matched).with_dilution(0),
-                    )
-                    .exact_search(true)
-                    .build()
-                    .expect("figure 7 sweep point is valid");
+                let params = SliccParams::paper_default().with_fill_up(fill).with_matched(matched).with_dilution(0);
+                let cfg = SimConfig { exact_search: true, ..sw().with_slicc_params(params) };
                 reqs.push(req(w, scale, cfg));
             }
         }
@@ -331,10 +326,7 @@ fn fig8(scale: ExperimentScale, runner: &Runner) -> String {
     for w in workloads {
         reqs.push(req(w, scale, base_cfg()));
         for &dilution in &dilutions {
-            let cfg = sw_builder()
-                .slicc_params(SliccParams::paper_default().with_fill_up(128).with_dilution(dilution))
-                .build()
-                .expect("figure 8 sweep point is valid");
+            let cfg = sw().with_slicc_params(SliccParams::paper_default().with_fill_up(128).with_dilution(dilution));
             reqs.push(req(w, scale, cfg));
         }
     }
@@ -370,11 +362,7 @@ fn fig9(scale: ExperimentScale, runner: &Runner) -> String {
     let mut reqs = Vec::new();
     for w in workloads {
         for bits in sizes {
-            let cfg = sw_builder()
-                .bloom_bits(bits)
-                .measure_bloom_accuracy()
-                .build()
-                .expect("figure 9 sweep point is valid");
+            let cfg = SimConfig { bloom_bits: bits, measure_bloom_accuracy: true, ..sw() };
             reqs.push(req(w, scale, cfg));
         }
     }
@@ -586,28 +574,24 @@ fn bpki(scale: ExperimentScale, runner: &Runner) -> String {
 /// paper's figures; see DESIGN.md §4).
 fn ablations(scale: ExperimentScale, runner: &Runner) -> String {
     let w = Workload::TpcC1;
-    let valid = "ablation variant is valid";
-    let mut variants: Vec<(String, SimConfig)> =
-        vec![("default".into(), sw_builder().build().expect(valid))];
+    let mut variants: Vec<(String, SimConfig)> = vec![("default".into(), sw())];
     // Search mechanism: bloom signature vs idealized exact contents.
-    variants.push(("exact search (no bloom)".into(), sw_builder().exact_search(true).build().expect(valid)));
+    variants.push(("exact search (no bloom)".into(), SimConfig { exact_search: true, ..sw() }));
     // Migration context size.
     for blocks in [0u32, 16, 64] {
-        variants.push((
-            format!("context = {blocks} blocks"),
-            sw_builder().migration_context_blocks(blocks).build().expect(valid),
-        ));
+        let mut cfg = sw();
+        cfg.migration.context_blocks = blocks;
+        variants.push((format!("context = {blocks} blocks"), cfg));
     }
     // Work stealing off (strictly local queues).
-    variants.push(("work stealing off".into(), sw_builder().work_stealing(false).build().expect(valid)));
+    variants.push(("work stealing off".into(), SimConfig { work_stealing: false, ..sw() }));
     // Migration target congestion bound.
     for ql in [1usize, 2, 8] {
-        variants
-            .push((format!("queue limit = {ql}"), sw_builder().migration_queue_limit(ql).build().expect(valid)));
+        variants.push((format!("queue limit = {ql}"), SimConfig { migration_queue_limit: ql, ..sw() }));
     }
     // Thread pool depth.
     for pool in [2u32, 3, 6] {
-        variants.push((format!("pool = {pool}N"), sw_builder().pool_multiplier(pool).build().expect(valid)));
+        variants.push((format!("pool = {pool}N"), SimConfig { pool_multiplier: pool, ..sw() }));
     }
 
     let mut reqs = vec![req(w, scale, base_cfg())];
@@ -719,11 +703,14 @@ fn scaling(scale: ExperimentScale, runner: &Runner) -> String {
     let shapes = [(4usize, 2u32, 2u32), (8, 4, 2), (16, 4, 4), (32, 8, 4)];
     let mut reqs = Vec::new();
     for (cores, cols, rows) in shapes {
-        let machine = SimConfigBuilder::paper_baseline()
-            .cores(cores, cols, rows)
-            .l2(cores as u64 * 1024 * 1024, cores)
-            .build()
-            .expect("scaled machine is valid");
+        let machine = SimConfig {
+            cores,
+            noc_cols: cols,
+            noc_rows: rows,
+            l2_size: cores as u64 * 1024 * 1024,
+            l2_banks: cores,
+            ..SimConfig::paper_baseline()
+        };
         reqs.push(req(Workload::TpcC1, scale, machine.clone()));
         reqs.push(req(Workload::TpcC1, scale, machine.with_mode(SchedulerMode::SliccSw)));
     }

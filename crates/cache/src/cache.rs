@@ -635,4 +635,40 @@ mod tests {
             }
         }
     }
+
+    /// Random read/write traffic on random shapes, under every policy:
+    /// occupancy never passes the capacity (or a set its ways), every
+    /// resident block sits in its indexed set, a just-missed block hits,
+    /// and the counters balance.
+    #[test]
+    fn random_traffic_keeps_occupancy_and_stats_balanced_under_every_policy() {
+        use slicc_common::SplitMix64;
+        let mut rng = SplitMix64::new(0x0cc0);
+        for kind in PolicyKind::ALL {
+            for _ in 0..16 {
+                let sets = 2u64 << rng.next_below(4); // 2..16 sets
+                let assoc = 1u32 << rng.next_below(3); // 1..4 ways
+                let geom = CacheGeometry::new(sets * u64::from(assoc) * 64, assoc, 64);
+                let mut c = Cache::new(geom, kind, rng.next_u64());
+                for step in 0..rng.next_below(400) + 1 {
+                    let b = BlockAddr::new(rng.next_below(512));
+                    let access = if rng.chance(0.5) { AccessKind::Write } else { AccessKind::Read };
+                    if c.access(b, access).is_miss() {
+                        assert!(c.access(b, AccessKind::Read).is_hit(), "{kind} step {step}: a fill must hit");
+                    }
+                    assert!(c.occupancy() as u64 <= geom.num_blocks(), "{kind} step {step}");
+                }
+                for set in 0..geom.num_sets() as usize {
+                    assert!(c.blocks_in_set(set).count() <= assoc as usize, "{kind}");
+                    assert!(c.blocks_in_set(set).all(|b| geom.set_index(b) == set), "{kind}");
+                }
+                let s = c.stats();
+                assert_eq!(s.hits + s.misses, s.accesses, "{kind}");
+                assert!(s.write_misses <= s.misses, "{kind}");
+                assert!(s.dirty_evictions <= s.evictions, "{kind}");
+                // Everything resident arrived through a miss.
+                assert!(c.occupancy() as u64 <= s.misses, "{kind}");
+            }
+        }
+    }
 }

@@ -285,11 +285,16 @@ mod tests {
         let mut c = ThreeCClassifier::new(16);
         let mut rng = SplitMix64::new(11);
         let mut total = 0u64;
+        let mut distinct = std::collections::HashSet::new();
         for _ in 0..5000 {
-            c.observe_miss(BlockAddr::new(rng.next_below(64)));
+            let b = BlockAddr::new(rng.next_below(64));
+            c.observe_miss(b);
+            distinct.insert(b);
             total += 1;
         }
         assert_eq!(c.breakdown().total(), total);
+        // First touches, and only they, are compulsory.
+        assert_eq!(c.breakdown().compulsory, distinct.len() as u64);
     }
 
     #[test]
@@ -313,5 +318,28 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _ = ThreeCClassifier::new(0);
+    }
+
+    /// A fully associative LRU cache as large as the shadow evicts exactly
+    /// what the shadow evicts, so none of its misses is a conflict miss.
+    #[test]
+    fn fully_associative_lru_never_has_conflict_misses() {
+        use crate::cache::{AccessKind, Cache};
+        use crate::policy::PolicyKind;
+        use slicc_common::{CacheGeometry, SplitMix64};
+        let mut rng = SplitMix64::new(0xfa11);
+        for _ in 0..32 {
+            let mut cache = Cache::new(CacheGeometry::new(32 * 64, 32, 64), PolicyKind::Lru, 1); // 1 set x 32 ways
+            let mut c = ThreeCClassifier::new(32);
+            for _ in 0..rng.next_below(500) + 1 {
+                let b = BlockAddr::new(rng.next_below(96));
+                if cache.access(b, AccessKind::Read).is_miss() {
+                    c.observe_miss(b);
+                } else {
+                    c.observe(b);
+                }
+            }
+            assert_eq!(c.breakdown().conflict, 0);
+        }
     }
 }

@@ -41,10 +41,6 @@ pub mod mshr;
 pub mod pif;
 pub mod policy;
 pub mod prefetch;
-// Gated like slicc-common's property tests: re-add the `proptest` dev-dep
-// and enable the `proptest` feature to run (DESIGN.md §5).
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
 pub mod stats;
 
 pub use bloom::{BloomSignature, SignatureAccuracy};

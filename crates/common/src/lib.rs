@@ -52,12 +52,6 @@ pub mod json;
 pub mod latency;
 pub mod mask;
 pub mod merge;
-// Property tests reference the external `proptest` crate, which is kept out
-// of the manifest so the workspace resolves offline (see DESIGN.md §5). To
-// run them, re-add `proptest = "1"` under [dev-dependencies] and test with
-// `--features proptest`.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
 pub mod rng;
 pub mod sync;
 

@@ -42,10 +42,6 @@ pub mod mc;
 pub mod msv;
 pub mod mtq;
 pub mod params;
-// Gated like slicc-common's property tests: re-add the `proptest` dev-dep
-// and enable the `proptest` feature to run (DESIGN.md §5).
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
 pub mod scout;
 pub mod team;
 

@@ -186,4 +186,34 @@ mod tests {
     fn zero_cores_panics() {
         let _ = TeamFormer::new(0);
     }
+
+    /// Random arrivals over random core counts: every thread lands in
+    /// exactly one team, teams are single-type, bounded, classified by
+    /// size, keep arrival order inside and come out oldest-first.
+    #[test]
+    fn random_arrivals_partition_into_ordered_teams() {
+        use slicc_common::SplitMix64;
+        let mut rng = SplitMix64::new(0x7ea5);
+        for _ in 0..200 {
+            let n_cores = rng.next_below(31) as usize + 1;
+            let former = TeamFormer::new(n_cores);
+            let ts: Vec<(ThreadId, TxnTypeId)> = (0..rng.next_below(121) as u32)
+                .map(|i| (ThreadId::new(i), TxnTypeId::new(rng.next_below(5) as u16)))
+                .collect();
+            let teams = former.form_teams(&ts);
+            let mut seen: Vec<ThreadId> = teams.iter().flat_map(|p| p.members.iter().copied()).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, ts.iter().map(|&(t, _)| t).collect::<Vec<_>>(), "{n_cores} cores");
+            for plan in &teams {
+                assert!(!plan.members.is_empty() && plan.members.len() <= former.max_team_size());
+                assert_eq!(former.classify(plan.members.len()), plan.kind);
+                assert!(plan.members.iter().all(|m| ts[m.index()].1 == plan.txn_type));
+                assert!(plan.members.windows(2).all(|w| w[0] < w[1]), "members keep arrival order");
+                if plan.kind == TeamKind::Stray {
+                    assert!(2 * plan.members.len() < n_cores);
+                }
+            }
+            assert!(teams.windows(2).all(|w| w[0].arrival <= w[1].arrival), "teams come out oldest-first");
+        }
+    }
 }

@@ -87,11 +87,6 @@ impl ObsConfig {
         }
     }
 
-    /// Whether any observation is requested.
-    pub fn enabled(&self) -> bool {
-        self.events || self.epoch_cycles.is_some() || self.metrics
-    }
-
     /// Returns a copy with event tracing on.
     pub fn with_events(mut self) -> Self {
         self.events = true;
@@ -153,13 +148,12 @@ mod tests {
     fn disabled_config_is_default_and_inert() {
         let cfg = ObsConfig::default();
         assert_eq!(cfg, ObsConfig::disabled());
-        assert!(!cfg.enabled());
+        assert!(!cfg.events && cfg.epoch_cycles.is_none() && !cfg.metrics);
     }
 
     #[test]
     fn builders_enable_and_clamp() {
         let cfg = ObsConfig::disabled().with_event_capacity(0).with_sample_every(0).with_epochs(0);
-        assert!(cfg.enabled());
         assert!(cfg.events);
         assert_eq!(cfg.event_capacity, 1);
         assert_eq!(cfg.sample_every, 1);
@@ -169,7 +163,6 @@ mod tests {
     #[test]
     fn metrics_flag_enables_observation_without_events() {
         let cfg = ObsConfig::disabled().with_metrics();
-        assert!(cfg.enabled());
         assert!(cfg.metrics);
         assert!(!cfg.events);
         assert_eq!(cfg.epoch_cycles, None);

@@ -520,20 +520,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Deterministic PRNG for property-style tests (proptest is not
-    // available offline): SplitMix64, the canonical seed expander.
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-    }
+    use slicc_common::SplitMix64;
 
     #[test]
     fn bucket_layout_covers_the_domain() {
@@ -551,12 +538,12 @@ mod tests {
 
     #[test]
     fn prop_every_value_lands_in_a_bucket_containing_it() {
-        let mut rng = SplitMix64(0x511cc);
+        let mut rng = SplitMix64::new(0x511cc);
         for _ in 0..10_000 {
             // Spread values across all magnitudes by masking with a
             // random width.
-            let width = rng.next() % 64;
-            let v = rng.next() >> width;
+            let width = rng.next_u64() % 64;
+            let v = rng.next_u64() >> width;
             let b = log2_bucket(v);
             // Lower edge: everything below this bucket is smaller.
             if b > 0 {
@@ -572,13 +559,13 @@ mod tests {
 
     #[test]
     fn prop_histogram_count_sum_and_buckets_reconcile() {
-        let mut rng = SplitMix64(0xfeed);
+        let mut rng = SplitMix64::new(0xfeed);
         let mut plain = Log2Hist::new();
         let atomic = Histogram::new();
         let mut expect_sum = 0u64;
         const N: u64 = 4_096;
         for _ in 0..N {
-            let v = rng.next() >> (rng.next() % 64);
+            let v = rng.next_u64() >> (rng.next_u64() % 64);
             plain.record(v);
             atomic.record(v);
             expect_sum = expect_sum.wrapping_add(v);
@@ -593,11 +580,11 @@ mod tests {
 
     #[test]
     fn prop_absorb_equals_recording_directly() {
-        let mut rng = SplitMix64(0xabcd);
+        let mut rng = SplitMix64::new(0xabcd);
         let mut plain = Log2Hist::new();
         let direct = Histogram::new();
         for _ in 0..1_000 {
-            let v = rng.next() % 1_000_000;
+            let v = rng.next_u64() % 1_000_000;
             plain.record(v);
             direct.record(v);
         }
@@ -668,12 +655,12 @@ mod tests {
 
     #[test]
     fn prop_snapshot_is_name_sorted_regardless_of_registration_order() {
-        let mut rng = SplitMix64(0x0ddba11);
+        let mut rng = SplitMix64::new(0x0ddba11);
         let reg = MetricsRegistry::new();
         let mut names: Vec<String> = (0..50).map(|i| format!("m_{:02}", i)).collect();
         // Fisher–Yates shuffle with the deterministic PRNG.
         for i in (1..names.len()).rev() {
-            names.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+            names.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
         }
         for n in &names {
             reg.counter(n, "");

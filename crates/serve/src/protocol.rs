@@ -27,15 +27,12 @@
 //! or a typed [`ProtocolError`] — it never panics, and every error
 //! classifies itself as *resyncable* (skip the offending frame, keep the
 //! connection) or *fatal* (the framing itself is broken or abusive;
-//! close). The property tests in `tests/serve_properties.rs` and the
-//! always-on smoke fuzz in `tests/serve.rs` pin this down.
+//! close). Seeded fuzz loops, here and in `tests/serve.rs`, pin this down.
 
 use std::fmt;
 
 use slicc_common::{parse_json, JsonValue};
-use slicc_sim::{
-    DeadlineConfig, RunRequest, SchedulerMode, SimConfigBuilder,
-};
+use slicc_sim::{DeadlineConfig, RunRequest, SchedulerMode, SimConfig};
 use slicc_trace::{TraceScale, Workload};
 
 /// Upper bound on one frame, terminator included. Large enough for any
@@ -418,36 +415,20 @@ pub fn submission_from_json(json: &JsonValue) -> Result<RunRequest, ProtocolErro
         }
     };
 
-    let workload = match str_field("workload")?.ok_or_else(|| bad("missing workload".into()))? {
-        "tpcc1" => Workload::TpcC1,
-        "tpcc10" => Workload::TpcC10,
-        "tpce" => Workload::TpcE,
-        "mapreduce" => Workload::MapReduce,
-        other => return Err(bad(format!("unknown workload {other:?}"))),
-    };
-    let mode = match str_field("mode")?.unwrap_or("base") {
-        "base" => SchedulerMode::Baseline,
-        "slicc" => SchedulerMode::Slicc,
-        "slicc-sw" => SchedulerMode::SliccSw,
-        "slicc-pp" => SchedulerMode::SliccPp,
-        "steps" => SchedulerMode::Steps,
-        other => return Err(bad(format!("unknown mode {other:?}"))),
-    };
-    let scale = match str_field("scale")?.unwrap_or("tiny") {
-        "tiny" => TraceScale::tiny(),
-        "small" => TraceScale::small(),
-        "paper" => TraceScale::paper_like(),
-        other => return Err(bad(format!("unknown scale {other:?}"))),
-    };
+    let workload = str_field("workload")?.ok_or_else(|| bad("missing workload".into()))?;
+    let workload = Workload::parse(workload).ok_or_else(|| bad(format!("unknown workload {workload:?}")))?;
+    let mode = str_field("mode")?.unwrap_or("base");
+    let mode = SchedulerMode::parse(mode).ok_or_else(|| bad(format!("unknown mode {mode:?}")))?;
+    let scale = str_field("scale")?.unwrap_or("tiny");
+    let scale = TraceScale::parse(scale).ok_or_else(|| bad(format!("unknown scale {scale:?}")))?;
     let machine = match str_field("machine")?.unwrap_or("paper") {
-        "paper" => SimConfigBuilder::paper_baseline(),
-        "tiny" => SimConfigBuilder::tiny_test(),
+        "paper" => SimConfig::paper_baseline(),
+        "tiny" => SimConfig::tiny_test(),
         other => return Err(bad(format!("unknown machine {other:?}"))),
     };
 
-    let config = machine
-        .mode(mode)
-        .build().map_err(|e| bad(format!("invalid machine config: {e}")))?;
+    let config = machine.with_mode(mode);
+    config.try_validate().map_err(|e| bad(format!("invalid machine config: {e}")))?;
 
     let mut req = RunRequest::new(workload, scale, config);
     if let Some(seed) = u64_field("seed")? {
@@ -589,6 +570,42 @@ mod tests {
         match decode_response(&frame(&wire)).unwrap() {
             Response::Error { message, .. } => assert_eq!(message, "a b  c"),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Random byte soups: both decoders are total and deterministic, and
+    /// the frames a stream yields do not depend on where reads cut it.
+    #[test]
+    fn random_bytes_decode_deterministically_and_frame_independently_of_chunking() {
+        use slicc_common::SplitMix64;
+        // Every frame `wire` yields when pushed in pieces of the given sizes.
+        fn frames(wire: &[u8], cuts: &[usize]) -> Vec<Vec<u8>> {
+            let mut fb = FrameBuffer::new();
+            let mut out = Vec::new();
+            let mut rest = wire;
+            for &cut in cuts.iter().chain([&wire.len()]) {
+                let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+                rest = tail;
+                fb.push(chunk);
+                while let Some(f) = fb.next_frame().expect("frames stay under the bound") {
+                    out.push(f);
+                }
+            }
+            out
+        }
+        let mut rng = SplitMix64::new(0xc0de);
+        for _ in 0..500 {
+            let mut wire: Vec<u8> = (0..rng.next_below(512)).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(decode_request(&wire), decode_request(&wire));
+            assert_eq!(decode_response(&wire), decode_response(&wire));
+            for _ in 0..rng.next_below(8) {
+                if !wire.is_empty() {
+                    let i = rng.next_below(wire.len() as u64) as usize;
+                    wire[i] = b'\n';
+                }
+            }
+            let cuts: Vec<usize> = (0..rng.next_below(24)).map(|_| rng.next_below(96) as usize).collect();
+            assert_eq!(frames(&wire, &[]), frames(&wire, &cuts));
         }
     }
 }

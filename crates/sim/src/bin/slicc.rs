@@ -1,9 +1,10 @@
 //! `slicc` — command-line driver for the SLICC chip-multiprocessor
 //! simulator.
 //!
-//! Arguments parse into a [`RunRequest`] via [`SimConfigBuilder`], so every
-//! invalid combination is rejected with an error naming the offending
-//! option before any simulation starts. Run `slicc --help` for the full
+//! Arguments parse into a [`RunRequest`] whose [`SimConfig`] starts from
+//! the Table-2 preset; [`SimConfig::try_validate`] runs before any
+//! simulation starts, so every invalid combination is rejected with an
+//! error naming the offending option. Run `slicc --help` for the full
 //! option list.
 
 #![forbid(unsafe_code)]
@@ -12,7 +13,7 @@ use slicc_cache::PolicyKind;
 use slicc_common::{atomic_write, install_sigint_cancel, sigint_count};
 use slicc_sim::{
     chrome_trace_json, DeadlineConfig, InjectedFault, ObsConfig, ProgressEvent, ProgressKind,
-    RunError, RunRequest, RunResult, Runner, SchedulerMode, SimConfigBuilder, TraceMeta,
+    RunError, RunRequest, RunResult, Runner, SchedulerMode, SimConfig, TraceMeta,
 };
 use slicc_trace::{TraceScale, Workload};
 use std::path::{Path, PathBuf};
@@ -126,7 +127,7 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut scale = TraceScale::small();
     let mut tasks: Option<u32> = None;
     let mut seed: Option<u64> = None;
-    let mut builder = SimConfigBuilder::paper_baseline();
+    let mut config = SimConfig::paper_baseline();
     let mut compare = false;
     let mut keep_going = false;
     let mut progress = ProgressKind::Plain;
@@ -153,31 +154,17 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
         match opt.as_str() {
             "--help" | "-h" => return Ok(Command::Help),
             "--workload" => {
-                workload = match value(args, &mut i, &opt)?.as_str() {
-                    "tpcc1" => Workload::TpcC1,
-                    "tpcc10" => Workload::TpcC10,
-                    "tpce" => Workload::TpcE,
-                    "mapreduce" => Workload::MapReduce,
-                    w => return Err(CliError::new(&opt, format!("unknown workload '{w}'"))),
-                }
+                let w = value(args, &mut i, &opt)?;
+                workload = Workload::parse(&w)
+                    .ok_or_else(|| CliError::new(&opt, format!("unknown workload '{w}'")))?;
             }
             "--mode" => {
-                mode = match value(args, &mut i, &opt)?.as_str() {
-                    "base" => SchedulerMode::Baseline,
-                    "slicc" => SchedulerMode::Slicc,
-                    "slicc-sw" => SchedulerMode::SliccSw,
-                    "slicc-pp" => SchedulerMode::SliccPp,
-                    "steps" => SchedulerMode::Steps,
-                    m => return Err(CliError::new(&opt, format!("unknown mode '{m}'"))),
-                }
+                let m = value(args, &mut i, &opt)?;
+                mode = SchedulerMode::parse(&m).ok_or_else(|| CliError::new(&opt, format!("unknown mode '{m}'")))?;
             }
             "--scale" => {
-                scale = match value(args, &mut i, &opt)?.as_str() {
-                    "tiny" => TraceScale::tiny(),
-                    "small" => TraceScale::small(),
-                    "paper" => TraceScale::paper_like(),
-                    s => return Err(CliError::new(&opt, format!("unknown scale '{s}'"))),
-                }
+                let s = value(args, &mut i, &opt)?;
+                scale = TraceScale::parse(&s).ok_or_else(|| CliError::new(&opt, format!("unknown scale '{s}'")))?;
             }
             "--tasks" => tasks = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--seed" => seed = Some(number(&opt, &value(args, &mut i, &opt)?)?),
@@ -187,32 +174,28 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .into_iter()
                     .find(|k| k.name().eq_ignore_ascii_case(&p))
                     .ok_or_else(|| CliError::new(&opt, format!("unknown policy '{p}'")))?;
-                builder = builder.policy(policy);
+                config = config.with_policy(policy);
             }
             "--l1i-kib" => {
                 let kib: u64 = number(&opt, &value(args, &mut i, &opt)?)?;
-                builder = builder.l1i_size(kib * 1024);
+                config = config.with_l1i_size(kib * 1024);
             }
-            "--next-line" => builder = builder.next_line(1),
-            "--pif-bound" => builder = builder.pif_model(),
-            "--pif-real" => builder = builder.real_pif(),
-            "--fill-up" => builder = builder.fill_up(number(&opt, &value(args, &mut i, &opt)?)?),
-            "--matched" => builder = builder.matched(number(&opt, &value(args, &mut i, &opt)?)?),
-            "--dilution" => builder = builder.dilution(number(&opt, &value(args, &mut i, &opt)?)?),
-            "--classify" => builder = builder.classify_3c(),
+            "--next-line" => config = config.with_next_line(1),
+            "--pif-bound" => config = config.with_pif_model(),
+            "--pif-real" => config = config.with_real_pif(),
+            "--fill-up" => config.slicc = config.slicc.with_fill_up(number(&opt, &value(args, &mut i, &opt)?)?),
+            "--matched" => config.slicc = config.slicc.with_matched(number(&opt, &value(args, &mut i, &opt)?)?),
+            "--dilution" => config.slicc = config.slicc.with_dilution(number(&opt, &value(args, &mut i, &opt)?)?),
+            "--classify" => config = config.with_classification(),
             "--baseline-compare" => compare = true,
-            "--fuel-steps" => {
-                builder = builder.watchdog_steps(number(&opt, &value(args, &mut i, &opt)?)?)
-            }
-            "--fuel-cycles" => {
-                builder = builder.watchdog_cycles(number(&opt, &value(args, &mut i, &opt)?)?)
-            }
+            "--fuel-steps" => config.watchdog.max_heap_steps = Some(number(&opt, &value(args, &mut i, &opt)?)?),
+            "--fuel-cycles" => config.watchdog.max_cycles = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--deadline-ms" => deadline_ms = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--inject" => {
                 let spec = value(args, &mut i, &opt)?;
                 let fault = InjectedFault::parse(&spec)
                     .ok_or_else(|| CliError::new(&opt, format!("unknown fault spec '{spec}'")))?;
-                builder = builder.inject_fault(fault);
+                config.fault_injection = Some(fault);
             }
             "--cache-bytes" => cache_bytes = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--keep-going" => keep_going = true,
@@ -235,10 +218,8 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     // --mode is applied last: the PIF helpers default to baseline
     // scheduling, but an explicit (or default) --mode always wins, matching
     // the original CLI's behaviour.
-    let config = builder
-        .mode(mode)
-        .build()
-        .map_err(|e| CliError::new("configuration", e.to_string()))?;
+    let config = config.with_mode(mode);
+    config.try_validate().map_err(|e| CliError::new("configuration", e.to_string()))?;
     let mut request = RunRequest::new(workload, scale, config);
     if let Some(t) = tasks {
         request = request.with_tasks(t);
@@ -586,7 +567,7 @@ mod tests {
                 assert!(request.config.fault_injection.is_none());
                 assert!(cache_bytes.is_none(), "default budget lives in the runner");
                 assert!(!request.deadline.is_enabled(), "no deadline unless asked");
-                assert!(!request.obs.enabled(), "observation must be off by default");
+                assert_eq!(request.obs, ObsConfig::disabled(), "observation must be off by default");
             }
             Command::Help => panic!("empty args must run, not print help"),
         }

@@ -53,6 +53,19 @@ impl SchedulerMode {
         }
     }
 
+    /// Parses the CLI and `SUBMIT` spelling: `base`, `slicc`, `slicc-sw`,
+    /// `slicc-pp` or `steps`.
+    pub fn parse(s: &str) -> Option<SchedulerMode> {
+        match s {
+            "base" => Some(SchedulerMode::Baseline),
+            "slicc" => Some(SchedulerMode::Slicc),
+            "slicc-sw" => Some(SchedulerMode::SliccSw),
+            "slicc-pp" => Some(SchedulerMode::SliccPp),
+            "steps" => Some(SchedulerMode::Steps),
+            _ => None,
+        }
+    }
+
     /// Whether this mode migrates threads between cores.
     pub const fn is_slicc(self) -> bool {
         matches!(self, SchedulerMode::Slicc | SchedulerMode::SliccSw | SchedulerMode::SliccPp)
@@ -243,9 +256,25 @@ impl DeadlineConfig {
 
 /// Full machine + algorithm configuration.
 ///
-/// [`SimConfig::paper_baseline`] reproduces Table 2; the `with_*` methods
-/// derive the variants used across the evaluation, and
-/// [`SimConfigBuilder`] is the validated write path.
+/// [`SimConfig::paper_baseline`] reproduces Table 2 and
+/// [`SimConfig::tiny_test`] its miniature; the `with_*` methods derive the
+/// variants used across the evaluation, and any other knob is a public
+/// field (`SimConfig { exact_search: true, ..SimConfig::paper_baseline() }`).
+/// [`SimConfig::try_validate`] checks the result; every run also checks it
+/// before it simulates.
+///
+/// # Example
+///
+/// ```
+/// use slicc_sim::{SchedulerMode, SimConfig};
+///
+/// let cfg = SimConfig { seed: 7, ..SimConfig::tiny_test() }.with_mode(SchedulerMode::Slicc);
+/// assert!(cfg.try_validate().is_ok());
+///
+/// // Invalid shapes are rejected with an error naming the field:
+/// let err = SimConfig { l1i_assoc: 0, ..SimConfig::tiny_test() }.try_validate().unwrap_err();
+/// assert!(err.to_string().contains("l1i_assoc"));
+/// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// Number of cores (Table 2: 16, on a 4×4 torus).
@@ -487,10 +516,8 @@ impl SimConfig {
         CacheGeometry::new(self.l1d_size, self.l1d_assoc, 64)
     }
 
-    /// Validates cross-field invariants, returning the first violation.
-    ///
-    /// This is the full rule set behind [`SimConfigBuilder::build`]; see
-    /// [`ConfigError`] for the individual invariants.
+    /// Validates cross-field invariants, returning the first violation;
+    /// see [`ConfigError`] for the individual invariants.
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         if self.cores < 1 {
             return Err(ConfigError::NoCores);
@@ -527,19 +554,6 @@ impl SimConfig {
             }
         }
         Ok(())
-    }
-
-    /// Validates cross-field invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant with the corresponding
-    /// [`ConfigError`] message. Fallible callers (the builder, the CLI)
-    /// use [`SimConfig::try_validate`] instead.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -725,249 +739,6 @@ impl StableHash for SimConfig {
     }
 }
 
-/// Validated construction of [`SimConfig`]s.
-///
-/// The builder is the write path for configurations: setters stage changes
-/// and [`SimConfigBuilder::build`] runs the full
-/// [`SimConfig::try_validate`] rule set, so a zero-way cache or a
-/// `fill_up_t` larger than the L1-I can never reach the engine. Setters
-/// mirror the experiment knobs the evaluation sweeps.
-///
-/// # Example
-///
-/// ```
-/// use slicc_sim::{SchedulerMode, SimConfigBuilder};
-///
-/// let cfg = SimConfigBuilder::tiny_test().mode(SchedulerMode::Slicc).seed(7).build().unwrap();
-/// assert_eq!(cfg.mode, SchedulerMode::Slicc);
-///
-/// // Invalid shapes are rejected with an error naming the field:
-/// let err = SimConfigBuilder::tiny_test().l1i(4 * 1024, 0).build().unwrap_err();
-/// assert!(err.to_string().contains("l1i_assoc"));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Starts from the Table-2 baseline machine.
-    pub fn paper_baseline() -> Self {
-        SimConfigBuilder { cfg: SimConfig::paper_baseline() }
-    }
-
-    /// Starts from the miniature test machine.
-    pub fn tiny_test() -> Self {
-        SimConfigBuilder { cfg: SimConfig::tiny_test() }
-    }
-
-    /// Starts from an existing configuration (e.g. to derive a variant).
-    pub fn from_config(cfg: SimConfig) -> Self {
-        SimConfigBuilder { cfg }
-    }
-
-    /// Sets the core count and torus shape together (they must agree, so
-    /// the builder exposes them as one knob).
-    pub fn cores(mut self, cores: usize, noc_cols: u32, noc_rows: u32) -> Self {
-        self.cfg.cores = cores;
-        self.cfg.noc_cols = noc_cols;
-        self.cfg.noc_rows = noc_rows;
-        self
-    }
-
-    /// Sets L1-I capacity (bytes) and associativity.
-    pub fn l1i(mut self, size: u64, assoc: u32) -> Self {
-        self.cfg.l1i_size = size;
-        self.cfg.l1i_assoc = assoc;
-        self
-    }
-
-    /// Sets L1-I capacity, keeping the associativity (Figure 1 sweeps).
-    pub fn l1i_size(mut self, size: u64) -> Self {
-        self.cfg.l1i_size = size;
-        self
-    }
-
-    /// Sets L1-D capacity (bytes) and associativity.
-    pub fn l1d(mut self, size: u64, assoc: u32) -> Self {
-        self.cfg.l1d_size = size;
-        self.cfg.l1d_assoc = assoc;
-        self
-    }
-
-    /// Sets L1-D capacity, keeping the associativity (Figure 1 sweeps).
-    pub fn l1d_size(mut self, size: u64) -> Self {
-        self.cfg.l1d_size = size;
-        self
-    }
-
-    /// Sets the L1 replacement policy (Figure 2).
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.cfg.l1_policy = policy;
-        self
-    }
-
-    /// Replaces the capacity→latency table (latency ablations).
-    pub fn latency_table(mut self, table: LatencyTable) -> Self {
-        self.cfg.latency_table = table;
-        self
-    }
-
-    /// Sets L2 capacity and bank count (scaling experiments).
-    pub fn l2(mut self, size: u64, banks: usize) -> Self {
-        self.cfg.l2_size = size;
-        self.cfg.l2_banks = banks;
-        self
-    }
-
-    /// Sets the execution mode.
-    pub fn mode(mut self, mode: SchedulerMode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Enables a next-line L1-I prefetcher of `degree`.
-    pub fn next_line(mut self, degree: u64) -> Self {
-        self.cfg.next_line_prefetch = Some(degree);
-        self
-    }
-
-    /// Runs the real PIF prefetcher under baseline scheduling.
-    pub fn real_pif(mut self) -> Self {
-        self.cfg = self.cfg.with_real_pif();
-        self
-    }
-
-    /// Models PIF as the paper does: big L1-I at small-cache latency.
-    pub fn pif_model(mut self) -> Self {
-        self.cfg = self.cfg.with_pif_model();
-        self
-    }
-
-    /// Replaces the SLICC thresholds wholesale (Figures 7/8).
-    pub fn slicc_params(mut self, params: SliccParams) -> Self {
-        self.cfg.slicc = params;
-        self
-    }
-
-    /// Sets `fill-up_t` only.
-    pub fn fill_up(mut self, fill_up_t: u32) -> Self {
-        self.cfg.slicc = self.cfg.slicc.with_fill_up(fill_up_t);
-        self
-    }
-
-    /// Sets `matched_t` only.
-    pub fn matched(mut self, matched_t: u32) -> Self {
-        self.cfg.slicc = self.cfg.slicc.with_matched(matched_t);
-        self
-    }
-
-    /// Sets `dilution_t` only.
-    pub fn dilution(mut self, dilution_t: u32) -> Self {
-        self.cfg.slicc = self.cfg.slicc.with_dilution(dilution_t);
-        self
-    }
-
-    /// Sets the bloom-signature size in bits (Figure 9).
-    pub fn bloom_bits(mut self, bits: u64) -> Self {
-        self.cfg.bloom_bits = bits;
-        self
-    }
-
-    /// Enables 3C miss classification (Figure 1).
-    pub fn classify_3c(mut self) -> Self {
-        self.cfg.classify_3c = true;
-        self
-    }
-
-    /// Sets the in-flight thread pool multiple.
-    pub fn pool_multiplier(mut self, multiplier: u32) -> Self {
-        self.cfg.pool_multiplier = multiplier;
-        self
-    }
-
-    /// Sets the migration target queue bound (§5.7 ablations).
-    pub fn migration_queue_limit(mut self, limit: usize) -> Self {
-        self.cfg.migration_queue_limit = limit;
-        self
-    }
-
-    /// Sets the migrated-context size in cache blocks (cost ablations).
-    pub fn migration_context_blocks(mut self, blocks: u32) -> Self {
-        self.cfg.migration.context_blocks = blocks;
-        self
-    }
-
-    /// Enables/disables idle-core work stealing (§5.7 ablations).
-    pub fn work_stealing(mut self, enabled: bool) -> Self {
-        self.cfg.work_stealing = enabled;
-        self
-    }
-
-    /// Answers remote searches from exact contents instead of bloom
-    /// signatures (idealized-search ablation).
-    pub fn exact_search(mut self, enabled: bool) -> Self {
-        self.cfg.exact_search = enabled;
-        self
-    }
-
-    /// Measures bloom-signature accuracy against ground truth (Figure 9).
-    pub fn measure_bloom_accuracy(mut self) -> Self {
-        self.cfg.measure_bloom_accuracy = true;
-        self
-    }
-
-    /// Sets the STEPS context-switch cost (§6 sensitivity).
-    pub fn steps_switch_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.steps_switch_cycles = cycles;
-        self
-    }
-
-    /// Sets the RNG seed for stochastic cache policies.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Replaces the watchdog fuel budget wholesale.
-    pub fn watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.cfg.watchdog = watchdog;
-        self
-    }
-
-    /// Arms the watchdog's cycle bound.
-    pub fn watchdog_cycles(mut self, max_cycles: Cycle) -> Self {
-        self.cfg.watchdog.max_cycles = Some(max_cycles);
-        self
-    }
-
-    /// Arms the watchdog's heap-step bound.
-    pub fn watchdog_steps(mut self, max_heap_steps: u64) -> Self {
-        self.cfg.watchdog.max_heap_steps = Some(max_heap_steps);
-        self
-    }
-
-    /// Injects a deterministic fault (fault-isolation drills).
-    pub fn inject_fault(mut self, fault: InjectedFault) -> Self {
-        self.cfg.fault_injection = Some(fault);
-        self
-    }
-
-    /// Applies an arbitrary mutation for knobs without a dedicated setter.
-    /// Validation still runs at [`SimConfigBuilder::build`], so this
-    /// cannot smuggle an invalid configuration past the rule set.
-    pub fn tweak(mut self, f: impl FnOnce(&mut SimConfig)) -> Self {
-        f(&mut self.cfg);
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        self.cfg.try_validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -975,7 +746,7 @@ mod tests {
     #[test]
     fn baseline_matches_table_2() {
         let c = SimConfig::paper_baseline();
-        c.validate();
+        assert_eq!(c.try_validate(), Ok(()));
         assert_eq!(c.cores, 16);
         assert_eq!(c.l1i_size, 32 * 1024);
         assert_eq!(c.l1i_latency(), 3);
@@ -1008,51 +779,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "torus")]
-    fn bad_torus_panics() {
-        let mut c = SimConfig::paper_baseline();
-        c.cores = 12;
-        c.validate();
-    }
-
-    #[test]
-    fn builder_validates_on_build() {
-        let cfg = SimConfigBuilder::paper_baseline().mode(SchedulerMode::Slicc).seed(42).build().unwrap();
+    fn presets_with_overrides_validate() {
+        let cfg = SimConfig { seed: 42, ..SimConfig::paper_baseline() }.with_mode(SchedulerMode::Slicc);
+        assert_eq!(cfg.try_validate(), Ok(()));
         assert_eq!(cfg.mode, SchedulerMode::Slicc);
         assert_eq!(cfg.seed, 42);
     }
 
     #[test]
-    fn builder_rejects_zero_way_cache() {
-        let err = SimConfigBuilder::paper_baseline().l1i(32 * 1024, 0).build().unwrap_err();
+    fn zero_way_cache_is_rejected() {
+        let err = SimConfig { l1i_assoc: 0, ..SimConfig::paper_baseline() }.try_validate().unwrap_err();
         assert_eq!(err, ConfigError::ZeroWayCache { cache: "l1i" });
         assert!(err.to_string().contains("l1i_assoc"));
     }
 
     #[test]
-    fn builder_rejects_fill_up_beyond_blocks() {
+    fn fill_up_beyond_blocks_is_rejected() {
         // The tiny machine's 4 KiB L1-I holds 64 blocks; fill-up_t 65 can
         // never fire — but exactly 64 is legal (Figure 7 sweeps up to the
         // full block count).
-        let err = SimConfigBuilder::tiny_test()
-            .mode(SchedulerMode::Slicc)
-            .fill_up(65)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::FillUpExceedsBlocks { fill_up_t: 65, blocks: 64 });
-        assert!(SimConfigBuilder::tiny_test().mode(SchedulerMode::Slicc).fill_up(64).build().is_ok());
+        let with_fill_up = |fill_up_t| {
+            let mut c = SimConfig::tiny_test().with_mode(SchedulerMode::Slicc);
+            c.slicc = c.slicc.with_fill_up(fill_up_t);
+            c.try_validate()
+        };
+        assert_eq!(with_fill_up(65), Err(ConfigError::FillUpExceedsBlocks { fill_up_t: 65, blocks: 64 }));
+        assert_eq!(with_fill_up(64), Ok(()));
     }
 
     #[test]
-    fn builder_rejects_bad_torus() {
-        let err = SimConfigBuilder::paper_baseline().cores(12, 4, 4).build().unwrap_err();
-        assert!(matches!(err, ConfigError::TorusMismatch { cores: 12, cols: 4, rows: 4 }));
+    fn bad_torus_is_rejected() {
+        let err = SimConfig { cores: 12, ..SimConfig::paper_baseline() }.try_validate().unwrap_err();
+        assert_eq!(err, ConfigError::TorusMismatch { cores: 12, cols: 4, rows: 4 });
         assert!(err.to_string().contains("torus"));
     }
 
     #[test]
-    fn builder_tweak_cannot_skip_validation() {
-        let err = SimConfigBuilder::paper_baseline().tweak(|c| c.pool_multiplier = 0).build().unwrap_err();
+    fn zero_pool_multiplier_is_rejected() {
+        let err = SimConfig { pool_multiplier: 0, ..SimConfig::paper_baseline() }.try_validate().unwrap_err();
         assert_eq!(err, ConfigError::ZeroPoolMultiplier);
     }
 
@@ -1063,7 +827,7 @@ mod tests {
         assert_eq!(stable_hash_of(&base), stable_hash_of(&SimConfig::paper_baseline()));
         let slicc = SimConfig::paper_baseline().with_mode(SchedulerMode::Slicc);
         assert_ne!(stable_hash_of(&base), stable_hash_of(&slicc));
-        let seeded = SimConfigBuilder::paper_baseline().seed(1).build().unwrap();
+        let seeded = SimConfig { seed: 1, ..SimConfig::paper_baseline() };
         assert_ne!(stable_hash_of(&base), stable_hash_of(&seeded));
     }
 
@@ -1074,39 +838,29 @@ mod tests {
         // its healthy twin in the run cache.
         use slicc_common::stable_hash_of;
         let base = SimConfig::paper_baseline();
-        let fueled = SimConfigBuilder::paper_baseline().watchdog_steps(10).build().unwrap();
+        let fueled = SimConfig {
+            watchdog: WatchdogConfig { max_heap_steps: Some(10), ..WatchdogConfig::disabled() },
+            ..SimConfig::paper_baseline()
+        };
         assert_ne!(stable_hash_of(&base), stable_hash_of(&fueled));
-        let cycles = SimConfigBuilder::paper_baseline().watchdog_cycles(10).build().unwrap();
+        let cycles = SimConfig {
+            watchdog: WatchdogConfig { max_cycles: Some(10), ..WatchdogConfig::disabled() },
+            ..SimConfig::paper_baseline()
+        };
         assert_ne!(stable_hash_of(&base), stable_hash_of(&cycles));
         assert_ne!(stable_hash_of(&fueled), stable_hash_of(&cycles));
-        let faulty = SimConfigBuilder::paper_baseline().inject_fault(InjectedFault::Panic).build().unwrap();
+        let faulty = SimConfig { fault_injection: Some(InjectedFault::Panic), ..SimConfig::paper_baseline() };
         assert_ne!(stable_hash_of(&base), stable_hash_of(&faulty));
     }
 
     #[test]
     fn every_injected_fault_hashes_distinctly_including_payloads() {
         use slicc_common::stable_hash_of;
-        let mut keys: Vec<u64> = InjectedFault::ALL
-            .iter()
-            .map(|f| {
-                stable_hash_of(
-                    &SimConfigBuilder::paper_baseline().inject_fault(*f).build().unwrap(),
-                )
-            })
-            .collect();
+        let key = |fault| stable_hash_of(&SimConfig { fault_injection: Some(fault), ..SimConfig::paper_baseline() });
+        let mut keys: Vec<u64> = InjectedFault::ALL.into_iter().map(key).collect();
         // Payloads must feed the hash too, not just the ordinal.
-        keys.push(stable_hash_of(
-            &SimConfigBuilder::paper_baseline()
-                .inject_fault(InjectedFault::StallAt { step: 7 })
-                .build()
-                .unwrap(),
-        ));
-        keys.push(stable_hash_of(
-            &SimConfigBuilder::paper_baseline()
-                .inject_fault(InjectedFault::SlowConsumer { delay_ms: 77 })
-                .build()
-                .unwrap(),
-        ));
+        keys.push(key(InjectedFault::StallAt { step: 7 }));
+        keys.push(key(InjectedFault::SlowConsumer { delay_ms: 77 }));
         let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
         assert_eq!(distinct.len(), keys.len(), "fault keys must not collide: {keys:x?}");
     }
@@ -1135,6 +889,41 @@ mod tests {
     }
 
     #[test]
+    fn point_names_parse_to_their_variants() {
+        use slicc_trace::{TraceScale, Workload};
+        let modes = [
+            ("base", SchedulerMode::Baseline),
+            ("slicc", SchedulerMode::Slicc),
+            ("slicc-sw", SchedulerMode::SliccSw),
+            ("slicc-pp", SchedulerMode::SliccPp),
+            ("steps", SchedulerMode::Steps),
+        ];
+        for (name, mode) in modes {
+            assert_eq!(SchedulerMode::parse(name), Some(mode), "{name:?}");
+        }
+        let workloads = [
+            ("tpcc1", Workload::TpcC1),
+            ("tpcc10", Workload::TpcC10),
+            ("tpce", Workload::TpcE),
+            ("mapreduce", Workload::MapReduce),
+        ];
+        for (name, workload) in workloads {
+            assert_eq!(Workload::parse(name), Some(workload), "{name:?}");
+        }
+        let scales =
+            [("tiny", TraceScale::tiny()), ("small", TraceScale::small()), ("paper", TraceScale::paper_like())];
+        for (name, scale) in scales {
+            assert_eq!(TraceScale::parse(name), Some(scale), "{name:?}");
+        }
+        // Display names, other cases and near misses are not spellings.
+        for bad in ["", "Base", "SLICC-SW", "sliccsw", "turbo", "TPC-C-1", "tpcc", "tpcx", "Tiny", "medium", "paper_like"] {
+            assert_eq!(SchedulerMode::parse(bad), None, "{bad:?}");
+            assert_eq!(Workload::parse(bad), None, "{bad:?}");
+            assert_eq!(TraceScale::parse(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
     fn deadline_config_budget_and_enablement() {
         assert!(!DeadlineConfig::disabled().is_enabled());
         assert_eq!(DeadlineConfig::disabled().budget(), None);
@@ -1148,13 +937,13 @@ mod tests {
         let c = SimConfig::paper_baseline();
         assert!(!c.watchdog.is_enabled());
         assert!(c.fault_injection.is_none());
-        assert!(SimConfigBuilder::tiny_test().watchdog_steps(0).build().unwrap().watchdog.is_enabled());
+        assert!(WatchdogConfig { max_heap_steps: Some(0), ..WatchdogConfig::disabled() }.is_enabled());
     }
 
     #[test]
     fn tiny_test_config_is_consistent() {
         let c = SimConfig::tiny_test();
-        c.validate();
+        assert_eq!(c.try_validate(), Ok(()));
         assert_eq!(c.l1i_geometry().num_blocks(), 64);
         // A 48-block segment fits; two do not.
         assert!(48 <= c.l1i_geometry().num_blocks());

@@ -168,8 +168,6 @@ struct EpochPlan {
 
 struct Team {
     members: Vec<ThreadId>,
-    #[allow(dead_code)]
-    txn_type: TxnTypeId,
     kind: TeamKind,
     next_member: usize,
     done_members: usize,
@@ -263,18 +261,8 @@ pub struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// Builds the engine: constructs all thread traces, runs the scout
-    /// phase (SLICC-Pp), and forms teams (type-aware modes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation; [`Engine::try_new`] reports that
-    /// as a typed error instead.
-    pub fn new(spec: &'a WorkloadSpec, cfg: &SimConfig) -> Self {
-        Engine::try_new(spec, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the engine, rejecting invalid configurations as typed
-    /// errors instead of panicking.
+    /// phase (SLICC-Pp), and forms teams (type-aware modes). An invalid
+    /// configuration is a typed error.
     pub fn try_new(spec: &'a WorkloadSpec, cfg: &SimConfig) -> Result<Self, SimError> {
         Engine::try_new_with(spec, cfg, &ObsConfig::disabled())
     }
@@ -417,7 +405,6 @@ impl<'a> Engine<'a> {
             }
             self.teams.push(Team {
                 members: plan.members,
-                txn_type: plan.txn_type,
                 kind: plan.kind,
                 next_member: 0,
                 done_members: 0,
@@ -490,7 +477,6 @@ impl<'a> Engine<'a> {
             }
             self.teams.push(Team {
                 members: plan.members,
-                txn_type: plan.txn_type,
                 kind: plan.kind,
                 next_member: 0,
                 done_members: 0,
@@ -498,18 +484,6 @@ impl<'a> Engine<'a> {
                 lead: CoreId::new(0),
                 active: false,
             });
-        }
-    }
-
-    /// Runs the event loop to completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event loop stalls or the watchdog fires;
-    /// [`Engine::try_execute`] reports those as typed errors instead.
-    pub fn execute(&mut self) {
-        if let Err(e) = self.try_execute() {
-            panic!("{e}");
         }
     }
 
@@ -1360,7 +1334,7 @@ impl<'a> Engine<'a> {
     }
 
     /// The recorded migration events (empty unless
-    /// [`Engine::record_events`] was called before [`Engine::execute`]).
+    /// [`Engine::record_events`] was called before [`Engine::try_execute`]).
     pub fn events(&self) -> &[MigrationEvent] {
         &self.events
     }

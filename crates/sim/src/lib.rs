@@ -50,9 +50,13 @@
 //! [`RunError::Overloaded`] instead of queueing without bound (see
 //! [`mod@service`]).
 //!
-//! Configurations are built through [`SimConfigBuilder`], which validates
-//! cross-field invariants and reports violations as typed
-//! [`ConfigError`]s. Custom [`slicc_trace::WorkloadSpec`]s that no preset
+//! A configuration is a [`SimConfig`] preset
+//! ([`SimConfig::paper_baseline`], [`SimConfig::tiny_test`]) changed
+//! through its `with_*` methods and public fields.
+//! [`SimConfig::try_validate`] checks the cross-field invariants and
+//! reports a violation as a typed [`ConfigError`]; every run checks them
+//! before it simulates, and a caller that wants the error early calls it
+//! directly. Custom [`slicc_trace::WorkloadSpec`]s that no preset
 //! [`slicc_trace::Workload`] describes run through a [`RunSession`]
 //! (`RunSession::new(&spec, &cfg)?.run()`), the single engine entry
 //! point that composes control and observation at the boundary.
@@ -71,8 +75,7 @@ pub mod system;
 pub mod telemetry;
 
 pub use config::{
-    ConfigError, DeadlineConfig, InjectedFault, SchedulerMode, SimConfig, SimConfigBuilder,
-    WatchdogConfig,
+    ConfigError, DeadlineConfig, InjectedFault, SchedulerMode, SimConfig, WatchdogConfig,
 };
 pub use engine::{Engine, MigrationEvent, RunControl};
 pub use error::{HotThread, LivelockSnapshot, PointSummary, RunError, SimError};

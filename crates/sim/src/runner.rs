@@ -1148,7 +1148,7 @@ impl Default for Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{InjectedFault, SimConfigBuilder};
+    use crate::config::InjectedFault;
 
     fn tiny_request() -> RunRequest {
         RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test())
@@ -1342,10 +1342,7 @@ mod tests {
     }
 
     fn panicking_request() -> RunRequest {
-        let config = SimConfigBuilder::tiny_test()
-            .inject_fault(InjectedFault::Panic)
-            .build()
-            .expect("fault injection is a valid config");
+        let config = SimConfig { fault_injection: Some(InjectedFault::Panic), ..SimConfig::tiny_test() };
         RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config)
     }
 
@@ -1395,10 +1392,8 @@ mod tests {
     fn without_retries_a_starved_point_fails_on_the_first_attempt() {
         // A 1-step fuel budget livelocks. The point runs once: more fuel
         // is a watchdog setting, not something the runner retries.
-        let config = SimConfigBuilder::tiny_test()
-            .watchdog_steps(1)
-            .build()
-            .expect("tiny config with a 1-step fuel budget is valid");
+        let mut config = SimConfig::tiny_test();
+        config.watchdog.max_heap_steps = Some(1);
         let starved = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config);
         let runner = Runner::new(1);
         let err = runner.run(&starved).expect_err("1 step of fuel must livelock");

@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_with_a_typed_rejection_and_recovers() {
-        use crate::config::{InjectedFault, SimConfigBuilder};
+        use crate::config::InjectedFault;
         let runner = Arc::new(Runner::new(1));
         let service = SimService::new(
             Arc::clone(&runner),
@@ -528,10 +528,10 @@ mod tests {
         );
         // A slow point holds the only slot long enough for the shed to be
         // deterministic.
-        let slow_config = SimConfigBuilder::tiny_test()
-            .inject_fault(InjectedFault::SlowConsumer { delay_ms: 400 })
-            .build()
-            .expect("valid config");
+        let slow_config = SimConfig {
+            fault_injection: Some(InjectedFault::SlowConsumer { delay_ms: 400 }),
+            ..SimConfig::tiny_test()
+        };
         let slow = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), slow_config);
 
         std::thread::scope(|scope| {

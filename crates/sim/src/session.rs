@@ -118,7 +118,7 @@ impl<'a> RunSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ConfigError, SimConfigBuilder};
+    use crate::config::{ConfigError, SchedulerMode};
     use slicc_common::CancelToken;
     use slicc_trace::{TraceScale, Workload};
     use std::time::Instant;
@@ -190,10 +190,67 @@ mod tests {
         // A budget of N admits exactly N steps; zero trips immediately —
         // the same contract the pre-session loop enforced per step.
         let (spec, _) = tiny();
-        let cfg = SimConfigBuilder::tiny_test().watchdog_steps(0).build().unwrap();
+        let mut cfg = SimConfig::tiny_test();
+        cfg.watchdog.max_heap_steps = Some(0);
         match RunSession::new(&spec, &cfg).unwrap().run() {
             Err(SimError::Livelock(snap)) => assert_eq!(snap.heap_steps, 1),
             other => panic!("expected Livelock, got {:?}", other.err()),
+        }
+    }
+
+    /// A small random workload: one or two transaction types over 12-block
+    /// segments with layout gaps, random loop lengths, shared segments,
+    /// task count, data ratio and seed.
+    fn random_builder_spec(rng: &mut slicc_common::SplitMix64) -> WorkloadSpec {
+        use slicc_trace::{CodeParams, DataParams, DataPattern, WorkloadBuilder};
+        let mut builder = WorkloadBuilder::new("random")
+            .seed(rng.next_u64())
+            .tasks(rng.next_below(4) as u32 + 1)
+            .segment_blocks(12)
+            .code_gap_prob(0.3)
+            .shared_segments(rng.next_below(3) as usize)
+            .code_params(CodeParams {
+                instrs_per_block: 8,
+                passes_per_visit: 2,
+                skip_prob: 0.05,
+                sequential_run_blocks: 2,
+            })
+            .data_params(DataParams {
+                data_ratio: rng.next_f64() * 0.5,
+                store_frac: 0.45,
+                pattern: DataPattern::OltpMix { p_hot: 0.3, p_recent: 0.5, hot_store_frac: 0.01 },
+                db_blocks: 10_000,
+                hot_blocks: 16,
+            });
+        for i in 0..rng.next_below(2) + 1 {
+            let specific = rng.next_below(2) as usize + 1;
+            let loop_iters = rng.next_below(6) as u32 + 2;
+            builder = builder.txn_type(format!("type{i}"), 1.0 + i as f64, specific, loop_iters);
+        }
+        builder.build()
+    }
+
+    /// Every mode, on random builder workloads: a rerun is digest-identical,
+    /// every thread completes, every traced instruction retires once, and
+    /// the miss and migration counters stay consistent.
+    #[test]
+    fn random_builder_workloads_are_deterministic_and_conserve_work() {
+        let mut rng = slicc_common::SplitMix64::new(0x5e55);
+        for case in 0..8 {
+            let spec = random_builder_spec(&mut rng);
+            let traced: u64 = spec.threads().map(|t| spec.thread_trace(t).count() as u64).sum();
+            for mode in SchedulerMode::WITH_STEPS {
+                let cfg = SimConfig::tiny_test().with_mode(mode);
+                let m = RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics;
+                let again = RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics;
+                assert_eq!(m.digest(), again.digest(), "case {case} {mode}: rerun diverged");
+                assert_eq!(m.completed_threads, u64::from(spec.num_tasks), "case {case} {mode}");
+                assert_eq!(m.instructions, traced, "case {case} {mode}");
+                assert!(m.cycles > 0, "case {case} {mode}");
+                assert!(m.i_misses <= m.i_accesses, "case {case} {mode}");
+                assert!(m.d_misses <= m.d_accesses, "case {case} {mode}");
+                assert_eq!(m.migrations, m.matched_migrations + m.idle_migrations, "case {case} {mode}");
+            }
         }
     }
 }

@@ -189,7 +189,7 @@ mod tests {
     /// next record of the thread's trace. Returns the stops seen.
     fn drive(spec: &WorkloadSpec, thread: ThreadId) -> [u64; 3] {
         let reference: Vec<Record> = spec.thread_trace(thread).collect();
-        let mut sys = System::new(&SimConfig::tiny_test());
+        let mut sys = System::try_new(&SimConfig::tiny_test()).expect("tiny machine is valid");
         let params = sys.segment_params(false);
         let core = CoreId::new(0);
         let mut sink = EventSink::disabled();

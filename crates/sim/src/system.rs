@@ -166,18 +166,8 @@ pub struct System {
 }
 
 impl System {
-    /// Builds the machine described by `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`SimConfig::validate`]. Fallible callers
-    /// (the engine's error path) use [`System::try_new`].
-    pub fn new(cfg: &SimConfig) -> Self {
-        System::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Builds the machine described by `cfg`, rejecting invalid
-    /// configurations as typed errors instead of panicking.
+    /// configurations as typed errors.
     pub fn try_new(cfg: &SimConfig) -> Result<Self, crate::ConfigError> {
         cfg.try_validate()?;
         let l1i_geom = cfg.l1i_geometry();
@@ -554,13 +544,6 @@ impl System {
             let issue = now + noc_one_way + self.l2.hit_latency();
             let done = self.dram.access(block, issue, false);
             round_trip += done - issue;
-        }
-        if resp.dirty_writeback {
-            // The L2 victim's write-back occupies a DRAM bank but is off
-            // the critical path of this request.
-            // (The victim block address is in `resp.back_invalidate` when
-            // L1 sharers existed; for timing we model bank pressure only
-            // when we know the block.)
         }
         (resp, round_trip)
     }

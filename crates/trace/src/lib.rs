@@ -39,10 +39,6 @@
 
 pub mod access;
 pub mod builder;
-// Gated like slicc-common's property tests: re-add the `proptest` dev-dep
-// and enable the `proptest` feature to run (DESIGN.md §5).
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
 pub mod segment;
 pub mod stats;
 pub mod thread_gen;

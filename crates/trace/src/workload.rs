@@ -61,6 +61,16 @@ impl TraceScale {
         TraceScale { tasks: 8, segment_blocks: 48, seed: 0x51cc }
     }
 
+    /// Parses the CLI and `SUBMIT` spelling: `tiny`, `small` or `paper`.
+    pub fn parse(s: &str) -> Option<TraceScale> {
+        match s {
+            "tiny" => Some(TraceScale::tiny()),
+            "small" => Some(TraceScale::small()),
+            "paper" => Some(TraceScale::paper_like()),
+            _ => None,
+        }
+    }
+
     /// Returns a copy with a different task count.
     pub fn with_tasks(mut self, tasks: u32) -> Self {
         self.tasks = tasks;
@@ -292,6 +302,18 @@ impl Workload {
             Workload::TpcC10 => "TPC-C-10",
             Workload::TpcE => "TPC-E",
             Workload::MapReduce => "MapReduce",
+        }
+    }
+
+    /// Parses the CLI and `SUBMIT` spelling: `tpcc1`, `tpcc10`, `tpce` or
+    /// `mapreduce`.
+    pub fn parse(s: &str) -> Option<Workload> {
+        match s {
+            "tpcc1" => Some(Workload::TpcC1),
+            "tpcc10" => Some(Workload::TpcC10),
+            "tpce" => Some(Workload::TpcE),
+            "mapreduce" => Some(Workload::MapReduce),
+            _ => None,
         }
     }
 

@@ -20,9 +20,9 @@ use std::collections::HashMap;
 fn main() {
     let spec = Workload::TpcC1.spec(TraceScale::small());
     let cfg = SimConfig::paper_baseline().with_mode(SchedulerMode::SliccSw);
-    let mut engine = Engine::new(&spec, &cfg);
+    let mut engine = Engine::try_new(&spec, &cfg).expect("paper machine is valid");
     engine.record_events();
-    engine.execute();
+    engine.try_execute().expect("run completes");
 
     // Which segment dominates each core's final L1-I contents?
     println!("final L1-I contents by code segment (collective structure):");

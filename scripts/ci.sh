@@ -6,6 +6,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# Perfbench lane: perfbench is its own package outside the workspace, so
+# the lines above never compile it. Build it now and run its unit tests, so
+# a change to the public API it uses fails here, not in the slow bench
+# lane at the end.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Doc lane: rustdoc must build warning-free, so no intra-doc link is

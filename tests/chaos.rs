@@ -9,7 +9,6 @@ use std::time::Duration;
 
 use slicc_sim::{
     DeadlineConfig, InjectedFault, RunError, RunRequest, Runner, SchedulerMode, SimConfig,
-    SimConfigBuilder,
 };
 use slicc_trace::{TraceScale, Workload};
 
@@ -22,11 +21,10 @@ fn healthy_request() -> RunRequest {
 /// `StallAt` spins the event loop forever, which only the watchdog (or a
 /// deadline) can turn into a typed error.
 fn faulty_request(fault: InjectedFault) -> RunRequest {
-    let mut builder = SimConfigBuilder::tiny_test().inject_fault(fault);
+    let mut config = SimConfig { fault_injection: Some(fault), ..SimConfig::tiny_test() };
     if matches!(fault, InjectedFault::StallAt { .. }) {
-        builder = builder.watchdog_steps(500);
+        config.watchdog.max_heap_steps = Some(500);
     }
-    let config = builder.build().expect("fault injection is a valid config");
     RunRequest::new(Workload::TpcE, TraceScale::tiny(), config)
 }
 

@@ -153,8 +153,8 @@ fn engine_is_deterministic() {
 fn engine_exposes_progress() {
     let spec = figure4_workload(2, 3, 4);
     let config = cfg(SchedulerMode::Slicc);
-    let mut engine = Engine::new(&spec, &config);
-    engine.execute();
+    let mut engine = Engine::try_new(&spec, &config).expect("valid config");
+    engine.try_execute().expect("run completes");
     assert_eq!(engine.completed(), 2);
     let m = engine.into_metrics();
     assert_eq!(m.completed_threads, 2);

@@ -3,11 +3,11 @@
 //! mode and every Table-1 workload, at miniature scale.
 //!
 //! Every run is constructed through the typed [`RunRequest`] entry point
-//! (with [`SimConfigBuilder`] for non-preset machines), the same path the
-//! CLI and the figure harness use.
+//! (non-preset machines are a [`SimConfig`] preset with fields changed),
+//! the same path the CLI and the figure harness use.
 
 use slicc_cache::PolicyKind;
-use slicc_sim::{RunMetrics, RunRequest, SchedulerMode, SimConfig, SimConfigBuilder};
+use slicc_sim::{RunMetrics, RunRequest, SchedulerMode, SimConfig};
 use slicc_trace::{TraceScale, Workload};
 
 /// Executes one request and returns its metrics.
@@ -27,11 +27,7 @@ fn run_tiny(workload: Workload, mode: SchedulerMode) -> RunMetrics {
 /// The tiny-machine PIF analogue: far more capacity than the whole
 /// workload's code, at unchanged latency.
 fn tiny_pif_bound() -> SimConfig {
-    SimConfigBuilder::tiny_test()
-        .l1i_size(256 * 1024)
-        .tweak(|c| c.l1i_latency_override = Some(3))
-        .build()
-        .expect("PIF-bound machine is valid")
+    SimConfig { l1i_latency_override: Some(3), ..SimConfig::tiny_test().with_l1i_size(256 * 1024) }
 }
 
 #[test]
@@ -256,20 +252,16 @@ fn bigger_l1i_reduces_misses_but_latency_tempers_speedup() {
     // The Figure 1 trade-off at miniature scale.
     let small = sim(tiny(Workload::TpcC1, SchedulerMode::Baseline).with_tasks(64));
     // 32x the cache at +4 cycles of latency.
-    let big_cfg = SimConfigBuilder::tiny_test()
-        .l1i_size(128 * 1024)
-        .latency_table(slicc_common::LatencyTable::from_entries(vec![(4 * 1024, 3), (128 * 1024, 7)]))
-        .build()
-        .expect("big-L1I machine is valid");
+    let big_cfg = SimConfig {
+        latency_table: slicc_common::LatencyTable::from_entries(vec![(4 * 1024, 3), (128 * 1024, 7)]),
+        ..SimConfig::tiny_test().with_l1i_size(128 * 1024)
+    };
     let big = sim(
         RunRequest::new(Workload::TpcC1, TraceScale::tiny(), big_cfg.clone()).with_tasks(64),
     );
     assert!(big.i_mpki() < 0.5 * small.i_mpki(), "32x capacity must slash misses");
     // And the same cache at the small cache's latency is faster still.
-    let ideal_cfg = SimConfigBuilder::from_config(big_cfg)
-        .tweak(|c| c.l1i_latency_override = Some(3))
-        .build()
-        .expect("ideal-latency machine is valid");
+    let ideal_cfg = SimConfig { l1i_latency_override: Some(3), ..big_cfg };
     let ideal =
         sim(RunRequest::new(Workload::TpcC1, TraceScale::tiny(), ideal_cfg).with_tasks(64));
     assert!(ideal.cycles <= big.cycles, "removing the latency penalty can only help");
@@ -331,11 +323,7 @@ fn tlb_statistics_follow_the_paper_pattern() {
 
 #[test]
 fn disabling_work_stealing_changes_makespan_not_correctness() {
-    let no_steal_cfg = SimConfigBuilder::tiny_test()
-        .mode(SchedulerMode::SliccSw)
-        .work_stealing(false)
-        .build()
-        .expect("no-steal machine is valid");
+    let no_steal_cfg = SimConfig { work_stealing: false, ..SimConfig::tiny_test().with_mode(SchedulerMode::SliccSw) };
     let a = sim(tiny(Workload::TpcC1, SchedulerMode::SliccSw).with_tasks(32));
     let b = sim(
         RunRequest::new(Workload::TpcC1, TraceScale::tiny(), no_steal_cfg).with_tasks(32),

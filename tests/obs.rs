@@ -17,7 +17,7 @@
 
 use slicc_sim::{
     chrome_trace_json, ObsConfig, RunError, RunRequest, Runner, SchedulerMode, SimConfig,
-    SimConfigBuilder, TraceMeta,
+    TraceMeta, WatchdogConfig,
 };
 use slicc_trace::{TraceScale, Workload};
 use std::time::Instant;
@@ -121,10 +121,10 @@ fn livelock_snapshot_carries_recent_events_and_series_tail() {
     let req = RunRequest::new(
         Workload::TpcC1,
         TraceScale::tiny(),
-        SimConfigBuilder::tiny_test()
-            .watchdog_steps(200)
-            .build()
-            .expect("tiny config with a tight fuel budget is valid"),
+        SimConfig {
+            watchdog: WatchdogConfig { max_heap_steps: Some(200), max_cycles: None },
+            ..SimConfig::tiny_test()
+        },
     )
     .with_obs(ObsConfig::disabled().with_events().with_epochs(50));
     let runner = Runner::new(1);

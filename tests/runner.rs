@@ -5,7 +5,7 @@
 
 use slicc_sim::{
     InjectedFault, RunError, RunRequest, RunResult, Runner, SchedulerMode, ServiceConfig,
-    SimConfig, SimConfigBuilder, SimService,
+    SimConfig, SimService, WatchdogConfig,
 };
 use slicc_trace::{TraceScale, Workload};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,18 +105,15 @@ fn faulty_points_are_isolated_and_a_rerun_skips_completed_ones() {
     let panicking = RunRequest::new(
         Workload::TpcE,
         TraceScale::tiny(),
-        SimConfigBuilder::tiny_test()
-            .inject_fault(InjectedFault::Panic)
-            .build()
-            .expect("tiny config with fault injection is valid"),
+        SimConfig { fault_injection: Some(InjectedFault::Panic), ..SimConfig::tiny_test() },
     );
     let livelocking = RunRequest::new(
         Workload::MapReduce,
         TraceScale::tiny(),
-        SimConfigBuilder::tiny_test()
-            .watchdog_steps(1)
-            .build()
-            .expect("tiny config with a 1-step fuel budget is valid"),
+        SimConfig {
+            watchdog: WatchdogConfig { max_heap_steps: Some(1), max_cycles: None },
+            ..SimConfig::tiny_test()
+        },
     );
     let batch = vec![ok1, ok2, panicking, livelocking];
 
@@ -324,10 +321,8 @@ fn a_dying_flight_owner_wakes_waiters_with_a_typed_error_and_frees_its_slot() {
 /// A tiny point whose finished result is held for `delay_ms` before its
 /// flight is filled, so a test can observe the flight in the air.
 fn slow_request(delay_ms: u64) -> RunRequest {
-    let config = SimConfigBuilder::tiny_test()
-        .inject_fault(InjectedFault::SlowConsumer { delay_ms })
-        .build()
-        .expect("tiny config with a slow consumer is valid");
+    let config =
+        SimConfig { fault_injection: Some(InjectedFault::SlowConsumer { delay_ms }), ..SimConfig::tiny_test() };
     RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config).with_seed(31)
 }
 

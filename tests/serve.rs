@@ -15,14 +15,13 @@ use slicc_serve::{
     ServerConfig, Submitted, TransportFault, MAX_FRAME,
 };
 use slicc_sim::{
-    DeadlineConfig, ProgressEvent, Reporter, RunRequest, Runner, ServiceConfig, SimConfigBuilder,
+    DeadlineConfig, ProgressEvent, Reporter, RunRequest, Runner, ServiceConfig, SimConfig,
     SimService,
 };
 use slicc_trace::{TraceScale, Workload};
 
 fn tiny_request(seed: u64) -> RunRequest {
-    let config = SimConfigBuilder::tiny_test().build().expect("tiny machine builds");
-    RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config).with_seed(seed)
+    RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test()).with_seed(seed)
 }
 
 fn tiny_submit_body(seed: u64) -> String {
@@ -170,8 +169,7 @@ fn hostile_frames_get_typed_errors_and_the_server_keeps_serving() {
     assert_eq!((pressure.inflight, pressure.queue_depth), (0, 0), "nothing leaked");
 }
 
-/// Always-on smoke fuzz (the `proptest`-gated twin lives in
-/// `tests/serve_properties.rs`): random byte blobs — raw, and mutated
+/// Always-on smoke fuzz: random byte blobs — raw, and mutated
 /// valid requests — driven through a full connection handler. Nothing
 /// may panic, and the service must end every conversation with zero
 /// in-flight slots and zero queue depth.
