@@ -808,10 +808,22 @@ mod tests {
     }
 
     #[test]
-    fn bad_torus_is_rejected() {
+    fn builder_rejects_bad_torus() {
+        // A config built by struct update still meets the torus check.
         let err = SimConfig { cores: 12, ..SimConfig::paper_baseline() }.try_validate().unwrap_err();
         assert_eq!(err, ConfigError::TorusMismatch { cores: 12, cols: 4, rows: 4 });
         assert!(err.to_string().contains("torus"));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bad_torus_panics() {
+        // More cores than torus nodes: try_validate rejects the config
+        // because the last core would have no place on the grid.
+        let c = SimConfig { cores: 20, ..SimConfig::paper_baseline() };
+        assert_eq!(c.try_validate(), Err(ConfigError::TorusMismatch { cores: 20, cols: 4, rows: 4 }));
+        let noc = slicc_noc::Torus::new(c.noc_cols, c.noc_rows);
+        noc.coords(slicc_common::CoreId::new(c.cores as u16 - 1));
     }
 
     #[test]
