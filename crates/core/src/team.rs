@@ -28,8 +28,6 @@ pub enum TeamKind {
 pub struct TeamPlan {
     /// Member threads, oldest first.
     pub members: Vec<ThreadId>,
-    /// The transaction type all members share.
-    pub txn_type: TxnTypeId,
     /// Size classification.
     pub kind: TeamKind,
     /// Arrival position of the oldest member (the team's timestamp:
@@ -82,25 +80,25 @@ impl TeamFormer {
                 Some((_, members, _)) => {
                     members.push(thread);
                     if members.len() == self.max_team_size() {
-                        let (t, members, arr) = open.remove(
+                        let (_, members, arr) = open.remove(
                             open.iter().position(|(t, _, _)| *t == ty).expect("entry exists"),
                         );
-                        done.push(self.plan(t, members, arr));
+                        done.push(self.plan(members, arr));
                     }
                 }
                 None => open.push((ty, vec![thread], arrival)),
             }
         }
-        for (t, members, arr) in open {
-            done.push(self.plan(t, members, arr));
+        for (_, members, arr) in open {
+            done.push(self.plan(members, arr));
         }
         done.sort_by_key(|p| p.arrival);
         done
     }
 
-    fn plan(&self, txn_type: TxnTypeId, members: Vec<ThreadId>, arrival: usize) -> TeamPlan {
+    fn plan(&self, members: Vec<ThreadId>, arrival: usize) -> TeamPlan {
         let kind = self.classify(members.len());
-        TeamPlan { members, txn_type, kind, arrival }
+        TeamPlan { members, kind, arrival }
     }
 }
 
@@ -110,6 +108,15 @@ mod tests {
 
     fn threads(spec: &[(u32, u16)]) -> Vec<(ThreadId, TxnTypeId)> {
         spec.iter().map(|&(t, ty)| (ThreadId::new(t), TxnTypeId::new(ty))).collect()
+    }
+
+    /// The type every member of `plan` has in the input `ts`; panics if
+    /// the members do not all share one type.
+    fn plan_type(ts: &[(ThreadId, TxnTypeId)], plan: &TeamPlan) -> TxnTypeId {
+        let type_of = |m: &ThreadId| ts.iter().find(|(t, _)| t == m).expect("member is an input").1;
+        let ty = type_of(&plan.members[0]);
+        assert!(plan.members.iter().all(|m| type_of(m) == ty), "mixed-type team {plan:?}");
+        ty
     }
 
     #[test]
@@ -130,8 +137,9 @@ mod tests {
         let ts = threads(&[(0, 0), (1, 1), (2, 0), (3, 0), (4, 1)]);
         let teams = f.form_teams(&ts);
         assert_eq!(teams.len(), 2);
-        assert_eq!(teams[0].txn_type, TxnTypeId::new(0));
+        assert_eq!(plan_type(&ts, &teams[0]), TxnTypeId::new(0));
         assert_eq!(teams[0].members, vec![ThreadId::new(0), ThreadId::new(2), ThreadId::new(3)]);
+        assert_eq!(plan_type(&ts, &teams[1]), TxnTypeId::new(1));
         assert_eq!(teams[1].members, vec![ThreadId::new(1), ThreadId::new(4)]);
     }
 
@@ -155,7 +163,7 @@ mod tests {
         // arrival of the oldest member, not completion.
         let ts = threads(&[(10, 1), (11, 0), (12, 0), (13, 1)]);
         let teams = f.form_teams(&ts);
-        assert_eq!(teams[0].txn_type, TxnTypeId::new(1));
+        assert_eq!(plan_type(&ts, &teams[0]), TxnTypeId::new(1));
         assert_eq!(teams[0].arrival, 0);
         assert_eq!(teams[1].arrival, 1);
     }
@@ -207,7 +215,7 @@ mod tests {
             for plan in &teams {
                 assert!(!plan.members.is_empty() && plan.members.len() <= former.max_team_size());
                 assert_eq!(former.classify(plan.members.len()), plan.kind);
-                assert!(plan.members.iter().all(|m| ts[m.index()].1 == plan.txn_type));
+                plan_type(&ts, plan);
                 assert!(plan.members.windows(2).all(|w| w[0] < w[1]), "members keep arrival order");
                 if plan.kind == TeamKind::Stray {
                     assert!(2 * plan.members.len() < n_cores);

@@ -18,10 +18,7 @@ use std::sync::Arc;
 
 use slicc_common::install_shutdown_cancel;
 use slicc_serve::{Server, ServerConfig};
-use slicc_sim::{
-    DeadlineConfig, JsonLinesReporter, PlainReporter, ProgressKind, QuietReporter, Reporter,
-    Runner, ServiceConfig, SimService,
-};
+use slicc_sim::{DeadlineConfig, ProgressKind, Runner, ServiceConfig, SimService};
 
 const USAGE: &str = "\
 slicc-serve: serve SLICC simulations over TCP
@@ -60,10 +57,9 @@ struct Options {
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let default_jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut opts = Options {
         addr: "127.0.0.1:0".to_string(),
-        jobs: default_jobs,
+        jobs: Runner::default_parallelism(),
         queue_limit: None,
         server: ServerConfig::default(),
         cache_bytes: None,
@@ -124,11 +120,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let reporter: Arc<dyn Reporter> = match opts.progress {
-        ProgressKind::Quiet => Arc::new(QuietReporter),
-        ProgressKind::Plain => Arc::new(PlainReporter::stderr()),
-        ProgressKind::Json => Arc::new(JsonLinesReporter::stderr()),
-    };
+    let reporter = opts.progress.reporter();
 
     let runner = Arc::new(Runner::new(opts.jobs));
     if let Some(bytes) = opts.cache_bytes {

@@ -50,12 +50,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-/// Heap steps between external-control checks in a controlled session:
-/// the cancellation flag (a relaxed atomic load) and the wall-clock
-/// deadline (a real clock read) are polled together on this power-of-two
-/// cadence, and not at all in a quiescent session. The first check lands
-/// on step 1 so even a 0 ms budget or pre-cancelled token trips
-/// deterministically.
+/// Heap steps between external-control checks: the cancellation flag (a
+/// relaxed atomic load) and the wall-clock deadline (a real clock read,
+/// only when one is set) are polled together on this power-of-two
+/// cadence. The first check lands on step 1 so even a 0 ms budget or
+/// pre-cancelled token trips deterministically.
 const CONTROL_CHECK_MASK: u64 = 63;
 
 /// External run control: a cooperative cancellation token plus an
@@ -77,24 +76,6 @@ impl RunControl {
     pub fn unbounded() -> Self {
         RunControl::default()
     }
-}
-
-/// One migration, as recorded by [`Engine::events`] when event recording
-/// is enabled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MigrationEvent {
-    /// The migrating thread.
-    pub thread: ThreadId,
-    /// Source core.
-    pub from: CoreId,
-    /// Destination core.
-    pub to: CoreId,
-    /// Source-core local time of the migration.
-    pub at: Cycle,
-    /// Instructions the thread had executed when it migrated.
-    pub thread_instructions: u64,
-    /// Whether the target came from the remote segment search (vs idle).
-    pub matched: bool,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -231,8 +212,6 @@ pub struct Engine<'a> {
     steps_switch_cycles: u64,
     steps_team_size: usize,
     context_switches: u64,
-    record_events: bool,
-    events: Vec<MigrationEvent>,
     /// Monotone counter stamping when each core last went idle. Idle-core
     /// selection prefers the least-recently-vacated core: the paper does
     /// not specify the choice, and picking the most recently vacated one
@@ -241,14 +220,9 @@ pub struct Engine<'a> {
     vacated_seq: Vec<u64>,
     watchdog: WatchdogConfig,
     fault: Option<InjectedFault>,
-    /// Whether external control is armed. Selects the controlled loop
-    /// body; the quiescent body never touches `cancel` or `deadline`.
-    controlled: bool,
-    /// Cooperative stop flag, polled every `CONTROL_CHECK_MASK + 1` heap
-    /// steps in a controlled session (a relaxed atomic load).
-    cancel: CancelToken,
-    /// Absolute wall-clock deadline, polled on the same cadence.
-    deadline: Option<Instant>,
+    /// Cancellation token and wall-clock deadline, polled every
+    /// `CONTROL_CHECK_MASK + 1` heap steps.
+    ctrl: RunControl,
     /// Typed event trace (a disabled no-op sink unless the run is
     /// observed with event tracing on; see [`slicc_obs::ObsConfig`]).
     sink: EventSink,
@@ -264,16 +238,18 @@ impl<'a> Engine<'a> {
     /// phase (SLICC-Pp), and forms teams (type-aware modes). An invalid
     /// configuration is a typed error.
     pub fn try_new(spec: &'a WorkloadSpec, cfg: &SimConfig) -> Result<Self, SimError> {
-        Engine::try_new_with(spec, cfg, &ObsConfig::disabled())
+        Engine::try_new_with(spec, cfg, &ObsConfig::disabled(), RunControl::default())
     }
 
     /// Shared construction behind [`Engine::try_new`] and
     /// [`RunSession::run`]: builds the system, stages every thread trace,
-    /// runs the scout phase (SLICC-Pp), and forms teams.
+    /// runs the scout phase (SLICC-Pp), and forms teams. The event loop
+    /// observes per `obs` and polls `ctrl`.
     pub(crate) fn try_new_with(
         spec: &'a WorkloadSpec,
         cfg: &SimConfig,
         obs: &ObsConfig,
+        ctrl: RunControl,
     ) -> Result<Self, SimError> {
         let mut sys = System::try_new(cfg)?;
         // The engine always defers cross-core effects to step barriers:
@@ -351,15 +327,11 @@ impl<'a> Engine<'a> {
             steps_switch_cycles: cfg.steps_switch_cycles,
             steps_team_size: cfg.steps_team_size.max(1),
             context_switches: 0,
-            record_events: false,
-            events: Vec::new(),
             vacate_clock: 0,
             vacated_seq: vec![0; n],
             watchdog: cfg.watchdog,
             fault: cfg.fault_injection,
-            controlled: false,
-            cancel: CancelToken::new(),
-            deadline: None,
+            ctrl,
             sink: if obs.events {
                 EventSink::new(n, obs.event_capacity, obs.sample_every)
             } else {
@@ -487,14 +459,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Arms external run control and switches the engine onto the
-    /// controlled loop body (the session's `.control()` lowers to this).
-    pub(crate) fn attach_control(&mut self, ctrl: RunControl) {
-        self.controlled = true;
-        self.cancel = ctrl.cancel;
-        self.deadline = ctrl.deadline;
-    }
-
     /// Lowers the run configuration into plain loop bounds (see
     /// [`EpochPlan`]).
     fn epoch_plan(&self) -> EpochPlan {
@@ -519,17 +483,6 @@ impl<'a> Engine<'a> {
         if let Some(InjectedFault::Panic) = self.fault {
             panic!("injected fault: panic on execute (SimConfig::fault_injection)");
         }
-        // Quiescent-mode specialization: each arm monomorphizes its own
-        // loop body, so an uncontrolled session compiles to a loop with
-        // no atomic loads, no clock reads, and no `Option` unwraps.
-        if self.controlled {
-            self.run_loop::<true>()
-        } else {
-            self.run_loop::<false>()
-        }
-    }
-
-    fn run_loop<const CONTROLLED: bool>(&mut self) -> Result<(), SimError> {
         let plan = self.epoch_plan();
         let total = self.threads.len();
         let mut heap_steps: u64 = 0;
@@ -558,13 +511,13 @@ impl<'a> Engine<'a> {
                 }
                 return Err(SimError::Livelock(Box::new(self.livelock_snapshot(heap_steps, core))));
             }
-            if CONTROLLED && heap_steps & CONTROL_CHECK_MASK == 1 {
-                if self.cancel.is_cancelled() {
+            if heap_steps & CONTROL_CHECK_MASK == 1 {
+                if self.ctrl.cancel.is_cancelled() {
                     return Err(SimError::Cancelled(Box::new(
                         self.livelock_snapshot(heap_steps, core),
                     )));
                 }
-                if let Some(deadline) = self.deadline {
+                if let Some(deadline) = self.ctrl.deadline {
                     if Instant::now() >= deadline {
                         return Err(SimError::DeadlineExceeded(Box::new(
                             self.livelock_snapshot(heap_steps, core),
@@ -885,16 +838,6 @@ impl<'a> Engine<'a> {
             self.matched_migrations += 1;
         } else {
             self.idle_migrations += 1;
-        }
-        if self.record_events {
-            self.events.push(MigrationEvent {
-                thread: tid,
-                from: core,
-                to: target,
-                at: self.sys.timer(core).now(),
-                thread_instructions: self.threads.executed(tid.index()),
-                matched,
-            });
         }
         if self.sink.is_enabled() {
             let reason = if matched { MigrationReason::Matched } else { MigrationReason::Idle };
@@ -1326,17 +1269,6 @@ impl<'a> Engine<'a> {
     /// Threads completed so far.
     pub fn completed(&self) -> usize {
         self.completed
-    }
-
-    /// Enables migration-event recording (see [`Engine::events`]).
-    pub fn record_events(&mut self) {
-        self.record_events = true;
-    }
-
-    /// The recorded migration events (empty unless
-    /// [`Engine::record_events`] was called before [`Engine::try_execute`]).
-    pub fn events(&self) -> &[MigrationEvent] {
-        &self.events
     }
 
     /// Migrations performed so far.

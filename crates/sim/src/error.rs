@@ -3,12 +3,13 @@
 //!
 //! The layering mirrors the call stack. The engine reports *what went
 //! wrong inside one simulation* ([`SimError`]: invalid configuration, a
-//! stalled event loop, an exhausted watchdog fuel budget). The runner
-//! wraps that — plus panics caught at the worker boundary — into a
-//! [`RunError`] that also identifies *which point* failed
-//! ([`PointSummary`]: workload, scale, seed, and the stable run-cache
-//! key), so a failed point in a hundred-point sweep can be reproduced
-//! with one `slicc` invocation.
+//! stalled event loop, an exhausted watchdog fuel budget, a cancellation,
+//! a blown deadline). The runner wraps that in [`RunError::Sim`], which
+//! also identifies *which point* failed ([`PointSummary`]: workload,
+//! scale, seed, and the stable run-cache key), so a failed point in a
+//! hundred-point sweep can be reproduced with one `slicc` invocation.
+//! The other [`RunError`] variants are the runner's own failures: a
+//! caught panic, a lost worker, a shed submission.
 
 use crate::config::ConfigError;
 use crate::runner::RunRequest;
@@ -203,6 +204,15 @@ impl fmt::Display for PointSummary {
 /// Every variant carries the [`PointSummary`] of the point that failed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RunError {
+    /// The simulation itself failed: an invalid configuration, a stalled
+    /// loop, the watchdog, a cancellation or a deadline. A point
+    /// cancelled before it started carries an empty (all-zero) snapshot.
+    Sim {
+        /// The failed point.
+        point: PointSummary,
+        /// What went wrong inside the simulation.
+        error: SimError,
+    },
     /// The simulation panicked; the panic message is preserved.
     Panicked {
         /// The failed point.
@@ -210,52 +220,11 @@ pub enum RunError {
         /// The panic payload, rendered to a string.
         payload: String,
     },
-    /// The watchdog aborted the point for lack of forward progress.
-    Livelock {
-        /// The failed point.
-        point: PointSummary,
-        /// Diagnostic state at abort time.
-        snapshot: Box<LivelockSnapshot>,
-    },
-    /// The event loop stalled with threads still in flight.
-    Stalled {
-        /// The failed point.
-        point: PointSummary,
-        /// Threads that did complete.
-        completed: u64,
-        /// Threads the workload dispatched in total.
-        total: u64,
-        /// Threads dispatched but never finished.
-        in_flight: u64,
-    },
-    /// The point's configuration violates an invariant.
-    Config {
-        /// The failed point.
-        point: PointSummary,
-        /// The violated invariant.
-        error: ConfigError,
-    },
     /// The worker executing the point died without reporting a result
     /// (a runner bug; never expected under panic containment).
     Lost {
         /// The failed point.
         point: PointSummary,
-    },
-    /// The point was cancelled (Ctrl-C or a harness). A point cancelled
-    /// before it started carries an empty (all-zero) snapshot.
-    Cancelled {
-        /// The cancelled point.
-        point: PointSummary,
-        /// What the machine was doing when it stopped.
-        snapshot: Box<LivelockSnapshot>,
-    },
-    /// The point exceeded its wall-clock deadline
-    /// (see [`crate::DeadlineConfig`]).
-    DeadlineExceeded {
-        /// The failed point.
-        point: PointSummary,
-        /// Diagnostic state at abort time.
-        snapshot: Box<LivelockSnapshot>,
     },
     /// The submission was shed by admission control before any
     /// simulation work: every execution slot was busy and the wait queue
@@ -279,27 +248,15 @@ pub enum RunError {
 impl RunError {
     /// Wraps an engine-level error with the identity of the failed point.
     pub fn from_sim(point: PointSummary, error: SimError) -> Self {
-        match error {
-            SimError::Config(error) => RunError::Config { point, error },
-            SimError::Stalled { completed, total, in_flight } => {
-                RunError::Stalled { point, completed, total, in_flight }
-            }
-            SimError::Livelock(snapshot) => RunError::Livelock { point, snapshot },
-            SimError::Cancelled(snapshot) => RunError::Cancelled { point, snapshot },
-            SimError::DeadlineExceeded(snapshot) => RunError::DeadlineExceeded { point, snapshot },
-        }
+        RunError::Sim { point, error }
     }
 
     /// The identity of the failed point.
     pub fn point(&self) -> &PointSummary {
         match self {
-            RunError::Panicked { point, .. }
-            | RunError::Livelock { point, .. }
-            | RunError::Stalled { point, .. }
-            | RunError::Config { point, .. }
+            RunError::Sim { point, .. }
+            | RunError::Panicked { point, .. }
             | RunError::Lost { point }
-            | RunError::Cancelled { point, .. }
-            | RunError::DeadlineExceeded { point, .. }
             | RunError::Overloaded { point, .. } => point,
         }
     }
@@ -313,38 +270,33 @@ impl RunError {
     /// True for cancellation outcomes (the point did not fail on its own
     /// merits; it was asked to stop).
     pub fn is_cancellation(&self) -> bool {
-        matches!(self, RunError::Cancelled { .. })
+        matches!(self, RunError::Sim { error: SimError::Cancelled(_), .. })
     }
 }
 
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            RunError::Sim { point, error } => match error {
+                SimError::Livelock(snapshot) => write!(f, "point {point} livelocked: {snapshot}"),
+                SimError::Stalled { completed, total, in_flight } => write!(
+                    f,
+                    "point {point} stalled: {completed}/{total} threads complete, {in_flight} in flight"
+                ),
+                SimError::Config(error) => write!(f, "point {point} rejected: {error}"),
+                SimError::Cancelled(snapshot) if snapshot.heap_steps == 0 => {
+                    write!(f, "point {point} cancelled before it started")
+                }
+                SimError::Cancelled(snapshot) => write!(f, "point {point} cancelled: {snapshot}"),
+                SimError::DeadlineExceeded(snapshot) => {
+                    write!(f, "point {point} exceeded its deadline: {snapshot}")
+                }
+            },
             RunError::Panicked { point, payload } => {
                 write!(f, "point {point} panicked: {payload}")
             }
-            RunError::Livelock { point, snapshot } => {
-                write!(f, "point {point} livelocked: {snapshot}")
-            }
-            RunError::Stalled { point, completed, total, in_flight } => write!(
-                f,
-                "point {point} stalled: {completed}/{total} threads complete, {in_flight} in flight"
-            ),
-            RunError::Config { point, error } => {
-                write!(f, "point {point} rejected: {error}")
-            }
             RunError::Lost { point } => {
                 write!(f, "point {point} lost: worker died without reporting a result")
-            }
-            RunError::Cancelled { point, snapshot } => {
-                if snapshot.heap_steps == 0 {
-                    write!(f, "point {point} cancelled before it started")
-                } else {
-                    write!(f, "point {point} cancelled: {snapshot}")
-                }
-            }
-            RunError::DeadlineExceeded { point, snapshot } => {
-                write!(f, "point {point} exceeded its deadline: {snapshot}")
             }
             RunError::Overloaded { point, retry_after, inflight, limit } => {
                 write!(
@@ -361,7 +313,7 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RunError::Config { error, .. } => Some(error),
+            RunError::Sim { error, .. } => Some(error),
             _ => None,
         }
     }
@@ -396,19 +348,29 @@ mod tests {
     #[test]
     fn sim_errors_wrap_into_run_errors() {
         let e = RunError::from_sim(point(), SimError::Stalled { completed: 1, total: 4, in_flight: 2 });
-        assert!(matches!(e, RunError::Stalled { completed: 1, total: 4, in_flight: 2, .. }));
+        assert!(matches!(
+            e,
+            RunError::Sim { error: SimError::Stalled { completed: 1, total: 4, in_flight: 2 }, .. }
+        ));
+        assert!(e.to_string().contains("stalled: 1/4 threads complete, 2 in flight"), "got: {e}");
         let snap = Box::new(LivelockSnapshot { heap_steps: 9, ..Default::default() });
         let e = RunError::from_sim(point(), SimError::Livelock(snap));
-        assert!(matches!(e, RunError::Livelock { .. }));
+        assert!(matches!(e, RunError::Sim { error: SimError::Livelock(_), .. }));
+        assert!(e.to_string().contains("livelocked"), "got: {e}");
         assert!(e.to_string().contains("9 heap steps"), "got: {e}");
+        let config = SimError::Config(ConfigError::ZeroThreadQueue);
+        let e = RunError::from_sim(point(), config.clone());
+        assert!(e.to_string().contains("rejected: "), "got: {e}");
+        let source = std::error::Error::source(&e).expect("a wrapped engine error is the source");
+        assert_eq!(source.to_string(), config.to_string());
     }
 
     #[test]
     fn cancellation_and_deadline_wrap_with_their_snapshots() {
         let snap = Box::new(LivelockSnapshot { heap_steps: 5, ..Default::default() });
         let e = RunError::from_sim(point(), SimError::DeadlineExceeded(snap));
-        assert!(matches!(e, RunError::DeadlineExceeded { .. }));
-        assert!(e.to_string().contains("deadline"), "got: {e}");
+        assert!(matches!(e, RunError::Sim { error: SimError::DeadlineExceeded(_), .. }));
+        assert!(e.to_string().contains("exceeded its deadline"), "got: {e}");
         assert!(e.to_string().contains("5 heap steps"), "got: {e}");
         assert!(!e.is_cancellation());
 
@@ -418,8 +380,8 @@ mod tests {
         );
         assert!(started.is_cancellation());
         assert!(started.to_string().contains("cancelled"), "got: {started}");
-        let unstarted =
-            RunError::Cancelled { point: point(), snapshot: Box::default() };
+        let unstarted = RunError::from_sim(point(), SimError::Cancelled(Box::default()));
+        assert!(unstarted.is_cancellation());
         assert!(unstarted.to_string().contains("before it started"), "got: {unstarted}");
     }
 

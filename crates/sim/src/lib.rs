@@ -77,7 +77,7 @@ pub mod telemetry;
 pub use config::{
     ConfigError, DeadlineConfig, InjectedFault, SchedulerMode, SimConfig, WatchdogConfig,
 };
-pub use engine::{Engine, MigrationEvent, RunControl};
+pub use engine::{Engine, RunControl};
 pub use error::{HotThread, LivelockSnapshot, PointSummary, RunError, SimError};
 pub use metrics::RunMetrics;
 pub use runner::{RunRequest, RunResult, Runner, RunnerStats};

@@ -228,48 +228,17 @@ impl RunRequest {
     }
 
     /// Runs this point now, on the calling thread, bypassing any cache,
-    /// reporting simulation failures as typed errors.
+    /// reporting simulation failures as typed errors. The request's own
+    /// [`DeadlineConfig`] applies, measured from the start of the run;
+    /// nothing else can interrupt it.
     pub fn try_execute(&self) -> Result<RunResult, SimError> {
-        self.try_execute_with_spec(&self.spec())
-    }
-
-    /// [`RunRequest::try_execute`] against an already-materialized spec,
-    /// so callers holding a memoized [`WorkloadSpec`] (the [`Runner`])
-    /// skip trace generation. `spec` must equal [`RunRequest::spec`] for
-    /// this request or the result describes a different experiment.
-    /// Honours the request's own [`DeadlineConfig`]; external
-    /// cancellation needs [`RunRequest::try_execute_controlled`].
-    pub fn try_execute_with_spec(&self, spec: &WorkloadSpec) -> Result<RunResult, SimError> {
-        match self.deadline.budget() {
-            // Nothing can interrupt this point, so run the quiescent
-            // session: its loop body polls no control state at all.
-            None => {
-                let started = Instant::now();
-                let outcome = RunSession::new(spec, &self.config)?.observe(self.obs).run()?;
-                Ok(RunResult::of(outcome, started))
-            }
-            Some(budget) => {
-                let ctrl = RunControl {
-                    cancel: CancelToken::new(),
-                    deadline: Some(Instant::now() + budget),
-                };
-                self.try_execute_controlled(spec, &ctrl)
-            }
-        }
-    }
-
-    /// [`RunRequest::try_execute_with_spec`] under explicit external
-    /// [`RunControl`] (the [`Runner`]'s cancellation token plus the
-    /// resolved deadline). The control's deadline wins over the request's
-    /// own: the caller has already resolved which applies.
-    pub fn try_execute_controlled(
-        &self,
-        spec: &WorkloadSpec,
-        ctrl: &RunControl,
-    ) -> Result<RunResult, SimError> {
+        let spec = self.spec();
         let started = Instant::now();
-        let outcome =
-            RunSession::new(spec, &self.config)?.observe(self.obs).control(ctrl.clone()).run()?;
+        let ctrl = RunControl {
+            cancel: CancelToken::new(),
+            deadline: self.deadline.budget().map(|budget| started + budget),
+        };
+        let outcome = RunSession::new(&spec, &self.config)?.observe(self.obs).control(ctrl).run()?;
         Ok(RunResult::of(outcome, started))
     }
 }
@@ -532,9 +501,10 @@ impl Runner {
     }
 
     /// The runner's cancellation token. Cancelling it makes every
-    /// in-flight simulation abort with [`RunError::Cancelled`] at its
-    /// next engine step, and every not-yet-started point fail fast
-    /// without simulating. Completed points keep their cached results.
+    /// in-flight simulation abort with [`SimError::Cancelled`] (wrapped in
+    /// [`RunError::Sim`]) at its next control check, and every
+    /// not-yet-started point fail fast without simulating. Completed
+    /// points keep their cached results.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -872,19 +842,9 @@ impl Runner {
         spec
     }
 
-    /// Runs `req` now, on the calling thread, bypassing the run cache and
-    /// admission control entirely: nothing is looked up, banked, shed, or
-    /// counted toward hit/miss stats. The spec memo, default deadline,
-    /// and cancellation token still apply, so the result is
-    /// digest-identical to what a cached [`Runner::run`] of the same
-    /// request would compute — which is exactly what the governance
-    /// invariance tests use it for (a reference run untouched by cache
-    /// policy).
-    pub fn execute_uncached(&self, req: &RunRequest) -> Result<RunResult, RunError> {
-        self.execute_point(req)
-    }
-
-    /// Executes one point with panic containment: a panic anywhere in the
+    /// Executes one point on the memoized spec, under the runner's
+    /// cancellation token and the request's deadline (or the runner's
+    /// default), with panic containment: a panic anywhere in the
     /// simulation (or an engine-level [`SimError`]) becomes a [`RunError`]
     /// carrying the point's identity, instead of unwinding into the pool.
     /// A point runs once: a deterministic simulation that failed would
@@ -894,16 +854,15 @@ impl Runner {
         let point = PointSummary::of(req);
         if self.cancel.is_cancelled() {
             // heap_steps = 0 reads as "cancelled before it started".
-            return Err(RunError::Cancelled { point, snapshot: Box::default() });
+            return Err(RunError::from_sim(point, SimError::Cancelled(Box::default())));
         }
         let spec = self.spec_for(req);
+        let started = Instant::now();
         let budget = req.deadline.budget().or_else(|| self.default_deadline());
-        let ctrl = RunControl {
-            cancel: self.cancel.clone(),
-            deadline: budget.map(|b| Instant::now() + b),
-        };
+        let ctrl = RunControl { cancel: self.cancel.clone(), deadline: budget.map(|b| started + b) };
         let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
-            req.try_execute_controlled(&spec, &ctrl)
+            let session = RunSession::new(&spec, &req.config)?.observe(req.obs).control(ctrl);
+            Ok(RunResult::of(session.run()?, started))
         })) {
             Ok(Ok(result)) => Ok(result),
             Ok(Err(sim_error)) => Err(RunError::from_sim(point, sim_error)),
@@ -1397,7 +1356,7 @@ mod tests {
         let starved = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config);
         let runner = Runner::new(1);
         let err = runner.run(&starved).expect_err("1 step of fuel must livelock");
-        assert!(matches!(err, RunError::Livelock { .. }), "got {err}");
+        assert!(matches!(err, RunError::Sim { error: SimError::Livelock(_), .. }), "got {err}");
         let stats = runner.stats();
         assert_eq!(stats.cache_misses, 1, "one point, one attempt");
         assert_eq!(stats.failed_points, 1);
@@ -1412,7 +1371,7 @@ mod tests {
             .run(&tiny_request().with_seed(99))
             .expect_err("a cancelled runner must not start new work");
         match &err {
-            RunError::Cancelled { snapshot, .. } => {
+            RunError::Sim { error: SimError::Cancelled(snapshot), .. } => {
                 assert_eq!(snapshot.heap_steps, 0, "the point never started simulating");
             }
             other => panic!("expected Cancelled, got {other}"),
@@ -1434,7 +1393,7 @@ mod tests {
         let healthy = tiny_request().with_mode(SchedulerMode::Slicc);
         let results = runner.run_all(&[doomed.clone(), healthy]);
         match &results[0] {
-            Err(RunError::DeadlineExceeded { point, snapshot }) => {
+            Err(RunError::Sim { point, error: SimError::DeadlineExceeded(snapshot) }) => {
                 assert_eq!(point.key, doomed.stable_key());
                 assert!(snapshot.heap_steps > 0, "the snapshot must show where it stopped");
             }
@@ -1449,7 +1408,7 @@ mod tests {
         runner.set_default_deadline(Some(Duration::ZERO));
         assert!(matches!(
             runner.run(&tiny_request()),
-            Err(RunError::DeadlineExceeded { .. })
+            Err(RunError::Sim { error: SimError::DeadlineExceeded(_), .. })
         ));
         // A generous per-request deadline overrides the impossible default.
         let roomy = tiny_request().with_deadline(DeadlineConfig::from_ms(60_000));
@@ -1480,16 +1439,14 @@ mod tests {
     }
 
     #[test]
-    fn execute_uncached_bypasses_cache_and_stats() {
-        let runner = Runner::new(1);
-        let req = tiny_request();
-        let cached = expect_ok(runner.run(&req));
-        let direct = runner.execute_uncached(&req).expect("uncached run completes");
-        assert!(!direct.from_cache);
-        assert_eq!(direct.metrics.digest(), cached.metrics.digest());
-        let stats = runner.stats();
-        assert_eq!(stats.cache_misses, 1, "the uncached run is not a miss");
-        assert_eq!(stats.cache_hits, 0, "...and not a hit");
+    fn try_execute_honours_its_own_deadline_without_a_runner() {
+        let doomed = tiny_request().with_deadline(DeadlineConfig::from_ms(0));
+        match doomed.try_execute() {
+            Err(SimError::DeadlineExceeded(snapshot)) => {
+                assert_eq!(snapshot.heap_steps, 1, "first control check lands on step 1");
+            }
+            other => panic!("expected DeadlineExceeded, got {:?}", other.err()),
+        }
     }
 
     #[test]

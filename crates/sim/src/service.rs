@@ -497,7 +497,7 @@ mod tests {
             ServiceConfig { max_inflight: 2, queue_limit: 16 },
         );
         let req = tiny_request(2);
-        let reference = runner.execute_uncached(&req).expect("reference run completes");
+        let reference = req.try_execute().expect("reference run completes");
 
         let digests: Vec<u64> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)

@@ -1,11 +1,8 @@
 //! The single engine entry point: [`RunSession`].
 //!
-//! PR 5 grew the engine a 2×2×2 matrix of free-function entry points
-//! (run / try-run, observed, controlled — since removed), and the
-//! cross-cutting concerns each axis bolted on — cancellation polling,
-//! deadline clock reads, the observation seam — leaked into the per-step
-//! hot path, costing ~3.4% aggregate sim-ips. The session collapses the
-//! matrix into one builder:
+//! A session stages one simulation — a workload spec on a machine — and
+//! composes the cross-cutting concerns at the boundary, before the event
+//! loop starts:
 //!
 //! ```
 //! use slicc_sim::{RunControl, RunSession, SimConfig};
@@ -21,16 +18,13 @@
 //! assert!(outcome.metrics.instructions > 0);
 //! ```
 //!
-//! Everything cross-cutting is configured **once at the boundary** and
-//! lowered before the loop starts:
-//!
-//! - watchdog fuel and injected stalls lower into a precomputed epoch
-//!   plan of plain integer bounds (no `Option` unwraps per step);
-//! - cancellation and deadlines are polled only in a *controlled*
-//!   session (`.control()` was called), together, every 64 heap steps —
-//!   a quiescent session monomorphizes a loop body with no atomic loads
-//!   and no clock reads at all, compiling to the pre-resilience hot
-//!   path;
+//! - the configuration is validated in [`RunSession::new`];
+//! - watchdog fuel and injected stalls lower into plain integer loop
+//!   bounds;
+//! - control (`.control()`) hands the engine a cancellation token and a
+//!   deadline, which its one event loop polls every 64 heap steps; a
+//!   session without control gets [`RunControl::default`], which never
+//!   fires;
 //! - observation (`.observe()`) attaches the event sink and interval
 //!   sampler at engine construction and never enters the per-access
 //!   path when disabled.
@@ -53,7 +47,7 @@ pub struct RunSession<'a> {
     spec: &'a WorkloadSpec,
     cfg: &'a SimConfig,
     obs: ObsConfig,
-    ctrl: Option<RunControl>,
+    ctrl: RunControl,
 }
 
 /// What a finished [`RunSession`] produced: the metrics, plus the
@@ -73,16 +67,14 @@ impl<'a> RunSession<'a> {
     /// the boundary — rather than mid-sweep.
     pub fn new(spec: &'a WorkloadSpec, cfg: &'a SimConfig) -> Result<Self, SimError> {
         cfg.try_validate()?;
-        Ok(RunSession { spec, cfg, obs: ObsConfig::disabled(), ctrl: None })
+        Ok(RunSession { spec, cfg, obs: ObsConfig::disabled(), ctrl: RunControl::default() })
     }
 
     /// Arms external run control: the event loop polls `ctrl`'s
     /// cancellation token and wall-clock deadline every 64 heap steps.
-    /// Control never changes the metrics of a run it does not abort;
-    /// sessions that skip this call run the quiescent loop body, which
-    /// performs no control polling at all.
+    /// Control never changes the metrics of a run it does not abort.
     pub fn control(mut self, ctrl: RunControl) -> Self {
-        self.ctrl = Some(ctrl);
+        self.ctrl = ctrl;
         self
     }
 
@@ -98,10 +90,7 @@ impl<'a> RunSession<'a> {
     /// finalizes the outcome. Consumes the session: a run is executed
     /// exactly once.
     pub fn run(self) -> Result<RunOutcome, SimError> {
-        let mut engine = Engine::try_new_with(self.spec, self.cfg, &self.obs)?;
-        if let Some(ctrl) = self.ctrl {
-            engine.attach_control(ctrl);
-        }
+        let mut engine = Engine::try_new_with(self.spec, self.cfg, &self.obs, self.ctrl)?;
         engine.try_execute()?;
         // Metrics capture happens outside the engine (the registry is
         // built from the finished metrics), so only events or an interval
@@ -149,13 +138,13 @@ mod tests {
     #[test]
     fn control_that_never_fires_changes_nothing() {
         let (spec, cfg) = tiny();
-        let quiescent = RunSession::new(&spec, &cfg).unwrap().run().unwrap();
+        let uncontrolled = RunSession::new(&spec, &cfg).unwrap().run().unwrap();
         let controlled = RunSession::new(&spec, &cfg)
             .unwrap()
             .control(RunControl::unbounded())
             .run()
             .unwrap();
-        assert_eq!(quiescent.metrics.digest(), controlled.metrics.digest());
+        assert_eq!(uncontrolled.metrics.digest(), controlled.metrics.digest());
         assert!(controlled.obs.is_none(), "control alone attaches no artifacts");
     }
 

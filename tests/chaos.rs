@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use slicc_sim::{
     DeadlineConfig, InjectedFault, RunError, RunRequest, Runner, SchedulerMode, SimConfig,
+    SimError,
 };
 use slicc_trace::{TraceScale, Workload};
 
@@ -91,7 +92,7 @@ fn an_expired_deadline_is_not_banked_and_the_point_recovers_on_resume() {
     let sibling = healthy_request().with_seed(9);
     let results = runner.run_all(&[doomed.clone(), sibling.clone()]);
     match &results[0] {
-        Err(RunError::DeadlineExceeded { snapshot, .. }) => {
+        Err(RunError::Sim { error: SimError::DeadlineExceeded(snapshot), .. }) => {
             assert!(snapshot.heap_steps > 0, "the snapshot must show where it stopped");
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -130,11 +131,11 @@ fn cancellation_stops_new_work_but_keeps_everything_banked() {
 /// Session-level drill: cancellation and deadlines delivered straight
 /// through [`slicc_sim::RunSession::control`] abort with diagnostic
 /// snapshots, and the abort is contained — the same spec re-runs
-/// quiescently afterwards with byte-identical healthy metrics.
+/// without control afterwards with byte-identical healthy metrics.
 #[test]
 fn run_session_cancel_and_deadline_drills_abort_cleanly_and_are_contained() {
     use slicc_common::CancelToken;
-    use slicc_sim::{RunControl, RunSession, SimError};
+    use slicc_sim::{RunControl, RunSession};
     use std::time::Instant;
 
     let spec = Workload::TpcC1.spec(TraceScale::tiny());
@@ -167,8 +168,8 @@ fn run_session_cancel_and_deadline_drills_abort_cleanly_and_are_contained() {
         other => panic!("expected DeadlineExceeded, got {:?}", other.err()),
     }
 
-    // Containment: the aborted runs leave no residue — a fresh quiescent
-    // session still produces the healthy digest.
+    // Containment: the aborted runs leave no residue — a fresh
+    // uncontrolled session still produces the healthy digest.
     let again = RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
     assert_eq!(again, reference, "an aborted session must not change later runs");
 }
@@ -194,12 +195,12 @@ fn cache_thrash_under_a_tiny_byte_budget_is_bounded_and_digest_stable() {
     let runner = Runner::new(2);
     let reference: Vec<u64> = points
         .iter()
-        .map(|p| runner.execute_uncached(p).expect("reference run").metrics.digest())
+        .map(|p| p.try_execute().expect("reference run").metrics.digest())
         .collect();
 
     // Size the budget off a real entry so the drill survives codec
     // changes: room for one resident result, never two.
-    let probe = runner.execute_uncached(&points[0]).expect("probe run");
+    let probe = points[0].try_execute().expect("probe run");
     let budget = result_weight(&probe) * 3 / 2;
     runner.set_cache_bytes(budget);
 
@@ -242,12 +243,12 @@ fn stampede_storm_of_identical_and_distinct_clients_coalesces_to_one_flight() {
         ServiceConfig { max_inflight: 4, queue_limit: 32 },
     );
     let hot = healthy_request().with_seed(1000);
-    let hot_digest = runner.execute_uncached(&hot).expect("reference").metrics.digest();
+    let hot_digest = hot.try_execute().expect("reference").metrics.digest();
     let cold: Vec<RunRequest> =
         (0..DISTINCT_CLIENTS as u64).map(|s| healthy_request().with_seed(s)).collect();
     let cold_digests: Vec<u64> = cold
         .iter()
-        .map(|p| runner.execute_uncached(p).expect("reference").metrics.digest())
+        .map(|p| p.try_execute().expect("reference").metrics.digest())
         .collect();
 
     let (service, hot, cold) = (&service, &hot, &cold);
@@ -346,7 +347,7 @@ fn eviction_racing_coalesced_waiters_still_serves_identical_results() {
     // waiter deterministically attaches to it instead of racing a new
     // simulation after the (impossible) cache insert.
     let req = faulty_request(InjectedFault::SlowConsumer { delay_ms: 400 }).with_seed(77);
-    let reference = runner.execute_uncached(&req).expect("reference").metrics.digest();
+    let reference = req.try_execute().expect("reference").metrics.digest();
 
     let (service, req) = (&service, &req);
     std::thread::scope(|scope| {

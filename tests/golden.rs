@@ -58,18 +58,17 @@ fn digest_is_stable_across_runs_and_sensitive_to_results() {
     assert_ne!(a, digest_of(SchedulerMode::Baseline), "different runs must differ");
 }
 
-/// Every [`RunSession`] composition — quiescent, observed,
+/// Every [`RunSession`] composition — uncontrolled, observed,
 /// controlled-but-never-fired — must simulate the same machine: each
-/// reproduces the golden digest in every mode. This is the equivalence
-/// contract that let PR 6 collapse the engine's entry-point matrix into
-/// the one session builder.
+/// reproduces the golden digest in every mode. Neither observation nor
+/// control may change what a completed run simulates.
 #[test]
 fn run_session_compositions_all_match_the_golden_digest_in_every_mode() {
     for (mode, want) in GOLDEN {
         let spec = Workload::TpcC1.spec(TraceScale::tiny());
         let cfg = SimConfig::tiny_test().with_mode(mode);
 
-        let quiescent =
+        let uncontrolled =
             RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
         let observed = RunSession::new(&spec, &cfg)
             .unwrap()
@@ -87,7 +86,7 @@ fn run_session_compositions_all_match_the_golden_digest_in_every_mode() {
             .digest();
 
         for (what, got) in [
-            ("quiescent session", quiescent),
+            ("uncontrolled session", uncontrolled),
             ("observed session", observed),
             ("controlled session", controlled),
         ] {

@@ -16,8 +16,8 @@
 //! `cargo test --release -p slicc-sim --test obs -- --ignored`.
 
 use slicc_sim::{
-    chrome_trace_json, ObsConfig, RunError, RunRequest, Runner, SchedulerMode, SimConfig,
-    TraceMeta, WatchdogConfig,
+    chrome_trace_json, ObsConfig, RunError, RunRequest, RunSession, Runner, SchedulerMode,
+    SimConfig, SimError, TraceMeta, WatchdogConfig,
 };
 use slicc_trace::{TraceScale, Workload};
 use std::time::Instant;
@@ -130,7 +130,7 @@ fn livelock_snapshot_carries_recent_events_and_series_tail() {
     let runner = Runner::new(1);
     let results = runner.run_all(std::slice::from_ref(&req));
     match &results[0] {
-        Err(RunError::Livelock { snapshot, .. }) => {
+        Err(RunError::Sim { error: SimError::Livelock(snapshot), .. }) => {
             assert!(
                 !snapshot.recent_events.is_empty(),
                 "an observed livelock must ship its recent event window"
@@ -167,7 +167,8 @@ fn full_observation_costs_at_most_fifteen_percent_over_a_bare_run() {
     let spec = bare.spec();
     let secs = |req: &RunRequest| {
         let start = Instant::now();
-        req.try_execute_with_spec(&spec).expect("point completes");
+        let session = RunSession::new(&spec, &req.config).expect("valid config");
+        session.observe(req.obs).run().expect("point completes");
         start.elapsed().as_secs_f64()
     };
     secs(&bare); // warm-up

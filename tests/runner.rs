@@ -5,7 +5,7 @@
 
 use slicc_sim::{
     InjectedFault, RunError, RunRequest, RunResult, Runner, SchedulerMode, ServiceConfig,
-    SimConfig, SimService, WatchdogConfig,
+    SimConfig, SimError, SimService, WatchdogConfig,
 };
 use slicc_trace::{TraceScale, Workload};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -133,7 +133,7 @@ fn faulty_points_are_isolated_and_a_rerun_skips_completed_ones() {
         other => panic!("expected Panicked for point 2, got {other:?}"),
     }
     match &results[3] {
-        Err(RunError::Livelock { point, snapshot }) => {
+        Err(RunError::Sim { point, error: SimError::Livelock(snapshot) }) => {
             assert_eq!(point.key, batch[3].stable_key());
             assert!(snapshot.heap_steps > 0, "snapshot must record the consumed fuel");
         }
@@ -181,7 +181,7 @@ fn a_submission_storm_coalesces_to_one_simulation_per_distinct_point() {
         .collect();
     let reference: Vec<u64> = points
         .iter()
-        .map(|p| runner.execute_uncached(p).expect("reference run").metrics.digest())
+        .map(|p| p.try_execute().expect("reference run").metrics.digest())
         .collect();
 
     let (service, points, reference) = (&service, &points, &reference);
@@ -336,7 +336,7 @@ fn cross_path_a_batch_attaches_to_a_submitted_flight() {
     let slow = slow_request(400);
     let other = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test())
         .with_seed(32);
-    let reference = runner.execute_uncached(&slow).expect("reference run").metrics.digest();
+    let reference = slow.try_execute().expect("reference run").metrics.digest();
 
     let (service, slow, runner_ref) = (&service, &slow, &runner);
     let batch = std::thread::scope(|scope| {
@@ -365,7 +365,7 @@ fn cross_path_a_submit_attaches_to_a_batch_flight() {
     let service =
         SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 0 });
     let slow = slow_request(400);
-    let reference = runner.execute_uncached(&slow).expect("reference run").metrics.digest();
+    let reference = slow.try_execute().expect("reference run").metrics.digest();
 
     let (service, slow, runner_ref) = (&service, &slow, &runner);
     let submitted = std::thread::scope(|scope| {

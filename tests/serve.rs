@@ -37,8 +37,7 @@ fn tiny_server(max_inflight: usize, queue_limit: usize, cfg: ServerConfig) -> Se
 /// The digest an *unserved* run of `seed` computes — the invariance
 /// reference every served sibling must match byte-for-byte.
 fn reference_digest(seed: u64) -> String {
-    let runner = Runner::new(1);
-    let result = runner.execute_uncached(&tiny_request(seed)).expect("reference run");
+    let result = tiny_request(seed).try_execute().expect("reference run");
     format!("{:016x}", result.metrics.digest())
 }
 
