@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full CI gate: release build, test suite, and lint-clean clippy.
+# The full CI gate: release build, test suite, lint-clean clippy and
+# rustfmt-clean sources.
 # Run from anywhere; operates on the workspace that contains this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +13,9 @@ cargo test -q
 # lane at the end.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Format lane: the workspace follows rustfmt.toml; perfbench is its own
+# workspace and is not checked here.
+cargo fmt --check
 
 # Doc lane: rustdoc must build warning-free, so no intra-doc link is
 # broken or points at a private item.
