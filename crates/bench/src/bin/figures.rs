@@ -145,7 +145,11 @@ fn main() {
             Ok(section) => {
                 let _ = writeln!(report, "{section}");
                 reporter.report(ProgressEvent::Note {
-                    message: format!("[{}] done in {:.1}s", e.name(), start.elapsed().as_secs_f64()),
+                    message: format!(
+                        "[{}] done in {:.1}s",
+                        e.name(),
+                        start.elapsed().as_secs_f64()
+                    ),
                 });
             }
             Err(payload) => {
@@ -164,9 +168,8 @@ fn main() {
                     eprintln!("error: cannot write {}: {e}", path.display());
                     std::process::exit(1);
                 }
-                reporter.report(ProgressEvent::Note {
-                    message: format!("wrote {}", path.display()),
-                });
+                reporter
+                    .report(ProgressEvent::Note { message: format!("wrote {}", path.display()) });
             }
             None => print!("{report}"),
         }

@@ -164,8 +164,7 @@ fn base_cfg() -> SimConfig {
 /// figures point runs with metrics capture on, which is digest-invariant
 /// (tests/golden.rs pins this).
 fn req(w: Workload, scale: ExperimentScale, cfg: SimConfig) -> RunRequest {
-    RunRequest::new(w, scale.trace_scale(), cfg)
-        .with_obs(ObsConfig::disabled().with_metrics())
+    RunRequest::new(w, scale.trace_scale(), cfg).with_obs(ObsConfig::disabled().with_metrics())
 }
 
 /// The SLICC-SW machine most sweeps and ablations start from.
@@ -203,14 +202,23 @@ fn fig1(scale: ExperimentScale, runner: &Runner) -> String {
         let which = if sweep_i { "L1-I" } else { "L1-D" };
         out.push_str(&format!("### Sweeping {which} (other L1 fixed at 32 KiB)\n\n"));
         let mut t = Table::new(vec![
-            "workload", "size KiB", "latency", "conflict", "capacity", "compulsory", "MPKI", "speedup",
+            "workload",
+            "size KiB",
+            "latency",
+            "conflict",
+            "capacity",
+            "compulsory",
+            "MPKI",
+            "speedup",
         ]);
         for w in workloads {
             let baseline = results.next().expect("baseline result");
             for &kb in &sizes_kb {
-                let lat = if sweep_i { base_cfg().with_l1i_size(kb * 1024).l1i_latency() } else { 3 };
+                let lat =
+                    if sweep_i { base_cfg().with_l1i_size(kb * 1024).l1i_latency() } else { 3 };
                 let m = results.next().expect("sweep result");
-                let bd = if sweep_i { m.i_breakdown } else { m.d_breakdown }.expect("classification on");
+                let bd =
+                    if sweep_i { m.i_breakdown } else { m.d_breakdown }.expect("classification on");
                 let total = if sweep_i { m.i_mpki() } else { m.d_mpki() };
                 let scale_mpki = |count: u64| 1000.0 * count as f64 / m.instructions.max(1) as f64;
                 t.row(vec![
@@ -285,7 +293,10 @@ fn fig7(scale: ExperimentScale, runner: &Runner) -> String {
         reqs.push(req(w, scale, base_cfg()));
         for fill in fills {
             for matched in matches {
-                let params = SliccParams::paper_default().with_fill_up(fill).with_matched(matched).with_dilution(0);
+                let params = SliccParams::paper_default()
+                    .with_fill_up(fill)
+                    .with_matched(matched)
+                    .with_dilution(0);
                 let cfg = SimConfig { exact_search: true, ..sw().with_slicc_params(params) };
                 reqs.push(req(w, scale, cfg));
             }
@@ -296,7 +307,8 @@ fn fig7(scale: ExperimentScale, runner: &Runner) -> String {
     let mut out = String::from(
         "## Figure 7 — fill-up_t x matched_t sweep (dilution_t = 0, zero-overhead exact search)\n\n",
     );
-    let mut t = Table::new(vec!["workload", "fill-up_t", "matched_t", "I-MPKI", "D-MPKI", "speedup"]);
+    let mut t =
+        Table::new(vec!["workload", "fill-up_t", "matched_t", "I-MPKI", "D-MPKI", "speedup"]);
     for w in workloads {
         let baseline = results.next().expect("baseline result");
         for fill in fills {
@@ -326,7 +338,9 @@ fn fig8(scale: ExperimentScale, runner: &Runner) -> String {
     for w in workloads {
         reqs.push(req(w, scale, base_cfg()));
         for &dilution in &dilutions {
-            let cfg = sw().with_slicc_params(SliccParams::paper_default().with_fill_up(128).with_dilution(dilution));
+            let cfg = sw().with_slicc_params(
+                SliccParams::paper_default().with_fill_up(128).with_dilution(dilution),
+            );
             reqs.push(req(w, scale, cfg));
         }
     }
@@ -334,8 +348,7 @@ fn fig8(scale: ExperimentScale, runner: &Runner) -> String {
 
     let mut out =
         String::from("## Figure 8 — dilution_t sweep (fill-up_t = 128, matched_t = 4)\n\n");
-    let mut t =
-        Table::new(vec!["workload", "dilution_t", "I-MPKI", "D-MPKI", "mig/KI", "speedup"]);
+    let mut t = Table::new(vec!["workload", "dilution_t", "I-MPKI", "D-MPKI", "mig/KI", "speedup"]);
     for w in workloads {
         let baseline = results.next().expect("baseline result");
         for &dilution in &dilutions {
@@ -445,7 +458,8 @@ fn fig11(scale: ExperimentScale, runner: &Runner) -> String {
     let mut t =
         Table::new(vec!["workload", "Base", "Next-Line", "SLICC", "SLICC-Pp", "SLICC-SW", "PIF"]);
     for w in Workload::ALL {
-        let [base, nl, slicc, pp, sw, pif] = chunks.next().expect("six results per workload") else {
+        let [base, nl, slicc, pp, sw, pif] = chunks.next().expect("six results per workload")
+        else {
             unreachable!("chunk size is six");
         };
         t.row(vec![
@@ -482,7 +496,13 @@ fn fig11(scale: ExperimentScale, runner: &Runner) -> String {
 fn table1(scale: ExperimentScale) -> String {
     let mut out = String::from("## Table 1 — workload parameters\n\n");
     let mut t = Table::new(vec![
-        "workload", "types", "tasks", "segments", "code KiB", "mean thread I-KiB", "instructions",
+        "workload",
+        "types",
+        "tasks",
+        "segments",
+        "code KiB",
+        "mean thread I-KiB",
+        "instructions",
     ]);
     for w in Workload::ALL {
         let spec = w.spec(scale.trace_scale());
@@ -508,9 +528,21 @@ fn table2() -> String {
     let mut t = Table::new(vec!["parameter", "value"]);
     let rows: Vec<(&str, String)> = vec![
         ("cores", format!("{} ({}x{} torus)", c.cores, c.noc_cols, c.noc_rows)),
-        ("L1-I", format!("{} KiB, {}-way, {}-cycle", c.l1i_size / 1024, c.l1i_assoc, c.l1i_latency())),
+        (
+            "L1-I",
+            format!("{} KiB, {}-way, {}-cycle", c.l1i_size / 1024, c.l1i_assoc, c.l1i_latency()),
+        ),
         ("L1-D", format!("{} KiB, {}-way", c.l1d_size / 1024, c.l1d_assoc)),
-        ("L2", format!("{} MiB, {}-way, {} banks, {}-cycle", c.l2_size / (1024 * 1024), c.l2_assoc, c.l2_banks, c.l2_hit_latency)),
+        (
+            "L2",
+            format!(
+                "{} MiB, {}-way, {} banks, {}-cycle",
+                c.l2_size / (1024 * 1024),
+                c.l2_assoc,
+                c.l2_banks,
+                c.l2_hit_latency
+            ),
+        ),
         ("DRAM", "DDR3-1600, 2 channels, 8 banks/channel, open page".into()),
         ("SLICC fill-up_t", c.slicc.fill_up_t.to_string()),
         ("SLICC matched_t", c.slicc.matched_t.to_string()),
@@ -534,9 +566,21 @@ fn table3() -> String {
     t.row(vec!["Missed-Tag Queue (MTQ)".into(), b.mtq_bits.to_string(), String::new()]);
     t.row(vec!["Miss Shift-Vector (MSV)".into(), b.msv_bits.to_string(), String::new()]);
     t.row(vec!["Cache Signature (bloom)".into(), b.bloom_bits.to_string(), String::new()]);
-    t.row(vec!["Cache monitor subtotal".into(), b.monitor_bits.to_string(), b.monitor_bits.div_ceil(8).to_string()]);
-    t.row(vec!["Thread queue".into(), b.thread_queue_bits.to_string(), (b.thread_queue_bits / 8).to_string()]);
-    t.row(vec!["Team management table".into(), b.team_table_bits.to_string(), (b.team_table_bits / 8).to_string()]);
+    t.row(vec![
+        "Cache monitor subtotal".into(),
+        b.monitor_bits.to_string(),
+        b.monitor_bits.div_ceil(8).to_string(),
+    ]);
+    t.row(vec![
+        "Thread queue".into(),
+        b.thread_queue_bits.to_string(),
+        (b.thread_queue_bits / 8).to_string(),
+    ]);
+    t.row(vec![
+        "Team management table".into(),
+        b.team_table_bits.to_string(),
+        (b.team_table_bits / 8).to_string(),
+    ]);
     t.row(vec!["Grand total".into(), b.total_bits.to_string(), b.total_bytes().to_string()]);
     out.push_str(&t.render());
     out.push_str(&format!(
@@ -557,7 +601,8 @@ fn bpki(scale: ExperimentScale, runner: &Runner) -> String {
         .collect();
     let mut results = runner.run_metrics(&reqs).into_iter();
 
-    let mut out = String::from("## Section 5.8 — remote search broadcasts per kilo-instruction\n\n");
+    let mut out =
+        String::from("## Section 5.8 — remote search broadcasts per kilo-instruction\n\n");
     let mut t = Table::new(vec!["workload", "SLICC", "SLICC-Pp", "SLICC-SW"]);
     for w in workloads {
         let mut cells = vec![w.name().to_owned()];
@@ -587,7 +632,8 @@ fn ablations(scale: ExperimentScale, runner: &Runner) -> String {
     variants.push(("work stealing off".into(), SimConfig { work_stealing: false, ..sw() }));
     // Migration target congestion bound.
     for ql in [1usize, 2, 8] {
-        variants.push((format!("queue limit = {ql}"), SimConfig { migration_queue_limit: ql, ..sw() }));
+        variants
+            .push((format!("queue limit = {ql}"), SimConfig { migration_queue_limit: ql, ..sw() }));
     }
     // Thread pool depth.
     for pool in [2u32, 3, 6] {
@@ -628,7 +674,14 @@ fn extensions(scale: ExperimentScale, runner: &Runner) -> String {
         reqs.extend(steps_modes.map(|mode| req(w, scale, base_cfg().with_mode(mode))));
     }
     let mut results = runner.run_metrics(&reqs).into_iter();
-    let mut t = Table::new(vec!["workload", "mode", "I-MPKI", "D-MPKI", "switches or migrations", "speedup"]);
+    let mut t = Table::new(vec![
+        "workload",
+        "mode",
+        "I-MPKI",
+        "D-MPKI",
+        "switches or migrations",
+        "speedup",
+    ]);
     for w in workloads {
         let base = results.next().expect("baseline result");
         for mode in steps_modes {
@@ -665,9 +718,24 @@ fn extensions(scale: ExperimentScale, runner: &Runner) -> String {
         let [base, real, bound, sw] = chunks.next().expect("four results per workload") else {
             unreachable!("chunk size is four");
         };
-        t.row(vec![w.name().into(), "PIF (real, ~40 KiB)".into(), f1(real.i_mpki()), f2(real.speedup_over(base))]);
-        t.row(vec![w.name().into(), "PIF (paper's bound)".into(), f1(bound.i_mpki()), f2(bound.speedup_over(base))]);
-        t.row(vec![w.name().into(), "SLICC-SW (966 B)".into(), f1(sw.i_mpki()), f2(sw.speedup_over(base))]);
+        t.row(vec![
+            w.name().into(),
+            "PIF (real, ~40 KiB)".into(),
+            f1(real.i_mpki()),
+            f2(real.speedup_over(base)),
+        ]);
+        t.row(vec![
+            w.name().into(),
+            "PIF (paper's bound)".into(),
+            f1(bound.i_mpki()),
+            f2(bound.speedup_over(base)),
+        ]);
+        t.row(vec![
+            w.name().into(),
+            "SLICC-SW (966 B)".into(),
+            f1(sw.i_mpki()),
+            f2(sw.speedup_over(base)),
+        ]);
     }
     out.push_str(&t.render());
 
@@ -719,7 +787,12 @@ fn scaling(scale: ExperimentScale, runner: &Runner) -> String {
 
     let mut out = String::from("## Scaling — SLICC benefit vs core count (TPC-C-1)\n\n");
     let mut t = Table::new(vec![
-        "cores", "aggregate L1-I", "base I-MPKI", "SW I-MPKI", "SW speedup", "txn latency x",
+        "cores",
+        "aggregate L1-I",
+        "base I-MPKI",
+        "SW I-MPKI",
+        "SW speedup",
+        "txn latency x",
     ]);
     for (cores, _, _) in shapes {
         let [base, sw] = chunks.next().expect("two results per shape") else {

@@ -95,9 +95,7 @@ impl BloomSignature {
     /// eviction); the bit is cleared only if no survivor collides with it.
     pub fn remove(&mut self, block: BlockAddr, survivors: impl Iterator<Item = BlockAddr>) {
         let idx = self.index(block);
-        let collision = survivors
-            .filter(|&s| s != block)
-            .any(|s| self.index(s) == idx);
+        let collision = survivors.filter(|&s| s != block).any(|s| self.index(s) == idx);
         if !collision {
             self.bits[idx] = false;
         }
@@ -228,8 +226,10 @@ mod tests {
         for stride in 1..64u64 {
             let base = BlockAddr::new(0x4000);
             let other = BlockAddr::new(0x4000 + stride * geom.num_sets());
-            let run_aliases = (0..4).all(|i| sig.index(BlockAddr::new(base.raw() + i * geom.num_sets()))
-                == sig.index(BlockAddr::new(other.raw() + i * geom.num_sets())));
+            let run_aliases = (0..4).all(|i| {
+                sig.index(BlockAddr::new(base.raw() + i * geom.num_sets()))
+                    == sig.index(BlockAddr::new(other.raw() + i * geom.num_sets()))
+            });
             if run_aliases {
                 aliased_runs += 1;
             }

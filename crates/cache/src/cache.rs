@@ -586,7 +586,8 @@ mod tests {
                     1 => drop(c.clean(b)),
                     2 => drop(c.fill(b)),
                     _ => {
-                        let kind = if rng.chance(0.4) { AccessKind::Write } else { AccessKind::Read };
+                        let kind =
+                            if rng.chance(0.4) { AccessKind::Write } else { AccessKind::Read };
                         c.access(b, kind);
                     }
                 }
@@ -598,7 +599,11 @@ mod tests {
                     }
                 }
                 for &(block, way) in &remembered {
-                    assert_eq!(c.holds(way, block), c.probe(block) == Some(way), "{kind} step {step} block {block:?}");
+                    assert_eq!(
+                        c.holds(way, block),
+                        c.probe(block) == Some(way),
+                        "{kind} step {step} block {block:?}"
+                    );
                 }
                 // A way from another block's set never holds `b`.
                 if let Some(&(_, way)) = remembered.first() {
@@ -630,7 +635,10 @@ mod tests {
             if matches!(kind, PolicyKind::Lru) {
                 assert_eq!(s.hits, 0, "LRU gets no hits on cyclic thrash");
             }
-            if matches!(kind, PolicyKind::Bip | PolicyKind::Brrip | PolicyKind::Dip | PolicyKind::Drrip) {
+            if matches!(
+                kind,
+                PolicyKind::Bip | PolicyKind::Brrip | PolicyKind::Dip | PolicyKind::Drrip
+            ) {
                 assert!(s.hits > 0, "{kind} should retain part of the working set");
             }
         }
@@ -654,7 +662,10 @@ mod tests {
                     let b = BlockAddr::new(rng.next_below(512));
                     let access = if rng.chance(0.5) { AccessKind::Write } else { AccessKind::Read };
                     if c.access(b, access).is_miss() {
-                        assert!(c.access(b, AccessKind::Read).is_hit(), "{kind} step {step}: a fill must hit");
+                        assert!(
+                            c.access(b, AccessKind::Read).is_hit(),
+                            "{kind} step {step}: a fill must hit"
+                        );
                     }
                     assert!(c.occupancy() as u64 <= geom.num_blocks(), "{kind} step {step}");
                 }

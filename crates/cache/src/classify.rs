@@ -30,7 +30,8 @@ pub enum MissClass {
 
 impl MissClass {
     /// All classes, in Figure 1's legend order.
-    pub const ALL: [MissClass; 3] = [MissClass::Conflict, MissClass::Capacity, MissClass::Compulsory];
+    pub const ALL: [MissClass; 3] =
+        [MissClass::Conflict, MissClass::Capacity, MissClass::Compulsory];
 
     /// Display label matching the paper's figure legend.
     pub const fn name(self) -> &'static str {

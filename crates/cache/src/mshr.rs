@@ -58,12 +58,8 @@ impl MshrFile {
             return MshrOutcome::Merged(ready);
         }
         if self.entries.len() == self.capacity {
-            let earliest = self
-                .entries
-                .iter()
-                .map(|&(_, r)| r)
-                .min()
-                .expect("full file is non-empty");
+            let earliest =
+                self.entries.iter().map(|&(_, r)| r).min().expect("full file is non-empty");
             return MshrOutcome::Full(earliest);
         }
         self.entries.push((block, ready_at));

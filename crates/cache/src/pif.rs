@@ -30,7 +30,9 @@ struct Footprint {
 
 impl Footprint {
     fn blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        (0..32u32).filter(|i| self.bits & (1 << i) != 0).map(|i| BlockAddr::new(self.trigger + i as u64))
+        (0..32u32)
+            .filter(|i| self.bits & (1 << i) != 0)
+            .map(|i| BlockAddr::new(self.trigger + i as u64))
     }
 }
 

@@ -183,9 +183,9 @@ impl Policy {
     pub(crate) fn new(kind: PolicyKind, num_sets: usize, assoc: usize, seed: u64) -> Self {
         assert!(assoc <= u8::MAX as usize, "associativity must fit in u8");
         let engine = match kind {
-            PolicyKind::Lru | PolicyKind::Lip | PolicyKind::Bip | PolicyKind::Dip => Engine::Stack {
-                order: (0..num_sets).flat_map(|_| 0..assoc as u8).collect(),
-            },
+            PolicyKind::Lru | PolicyKind::Lip | PolicyKind::Bip | PolicyKind::Dip => {
+                Engine::Stack { order: (0..num_sets).flat_map(|_| 0..assoc as u8).collect() }
+            }
             PolicyKind::Srrip | PolicyKind::Brrip | PolicyKind::Drrip => {
                 Engine::Rrip { rrpv: vec![RRPV_MAX; num_sets * assoc] }
             }
@@ -202,7 +202,9 @@ impl Policy {
     #[inline]
     pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
         match &mut self.engine {
-            Engine::Stack { order } => promote_to_mru(&mut order[set * self.assoc..(set + 1) * self.assoc], way as u8),
+            Engine::Stack { order } => {
+                promote_to_mru(&mut order[set * self.assoc..(set + 1) * self.assoc], way as u8)
+            }
             // Hit promotion (HP) variant: re-referenced blocks are
             // predicted near-immediate.
             Engine::Rrip { rrpv } => rrpv[set * self.assoc + way] = 0,
@@ -243,10 +245,12 @@ impl Policy {
             PolicyKind::Lru | PolicyKind::Srrip => true,
             PolicyKind::Lip => false,
             PolicyKind::Bip | PolicyKind::Brrip => self.rng.next_below(BIMODAL_ONE_IN) == 0,
-            PolicyKind::Dip | PolicyKind::Drrip => match component.expect("dueling policy has a monitor") {
-                Leader::Primary => true,
-                Leader::Bimodal => self.rng.next_below(BIMODAL_ONE_IN) == 0,
-            },
+            PolicyKind::Dip | PolicyKind::Drrip => {
+                match component.expect("dueling policy has a monitor") {
+                    Leader::Primary => true,
+                    Leader::Bimodal => self.rng.next_below(BIMODAL_ONE_IN) == 0,
+                }
+            }
         };
         match &mut self.engine {
             Engine::Stack { order } => {
@@ -269,7 +273,9 @@ impl Policy {
     /// eviction-eligible.
     pub(crate) fn on_invalidate(&mut self, set: usize, way: usize) {
         match &mut self.engine {
-            Engine::Stack { order } => demote_to_lru(&mut order[set * self.assoc..(set + 1) * self.assoc], way as u8),
+            Engine::Stack { order } => {
+                demote_to_lru(&mut order[set * self.assoc..(set + 1) * self.assoc], way as u8)
+            }
             Engine::Rrip { rrpv } => rrpv[set * self.assoc + way] = RRPV_MAX,
         }
     }
@@ -279,7 +285,9 @@ impl Policy {
     #[cfg(test)]
     fn stack_order(&self, set: usize) -> Option<Vec<u8>> {
         match &self.engine {
-            Engine::Stack { order } => Some(order[set * self.assoc..(set + 1) * self.assoc].to_vec()),
+            Engine::Stack { order } => {
+                Some(order[set * self.assoc..(set + 1) * self.assoc].to_vec())
+            }
             Engine::Rrip { .. } => None,
         }
     }
@@ -338,7 +346,8 @@ mod tests {
             let mut model = order.clone();
             for step in 0..2_000 {
                 // Bias toward the MRU way, the early-return path.
-                let way = if rng.chance(0.3) { order[0] } else { rng.next_below(assoc as u64) as u8 };
+                let way =
+                    if rng.chance(0.3) { order[0] } else { rng.next_below(assoc as u64) as u8 };
                 promote_to_mru(&mut order, way);
                 let pos = model.iter().position(|&w| w == way).unwrap();
                 model[..=pos].rotate_right(1);

@@ -50,7 +50,11 @@ impl NextLinePrefetcher {
     /// Returns the demand access result plus any blocks evicted by the
     /// prefetch fills (the caller must propagate those to bloom signatures
     /// and the like). Convenience wrapper over [`Self::access_into`].
-    pub fn access(&mut self, cache: &mut Cache, block: BlockAddr) -> (LookupResult, Vec<EvictedBlock>) {
+    pub fn access(
+        &mut self,
+        cache: &mut Cache,
+        block: BlockAddr,
+    ) -> (LookupResult, Vec<EvictedBlock>) {
         let mut evicted = Vec::new();
         let result = self.access_into(cache, block, &mut evicted);
         (result, evicted)

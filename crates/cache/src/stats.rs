@@ -97,7 +97,13 @@ mod tests {
     fn merge_sums_counters() {
         use slicc_common::Merge;
         let mut a = CacheStats { accesses: 10, hits: 7, misses: 3, ..Default::default() };
-        a.merge(&CacheStats { accesses: 5, hits: 1, misses: 4, evictions: 2, ..Default::default() });
+        a.merge(&CacheStats {
+            accesses: 5,
+            hits: 1,
+            misses: 4,
+            evictions: 2,
+            ..Default::default()
+        });
         assert_eq!(a.accesses, 15);
         assert_eq!(a.hits, 8);
         assert_eq!(a.misses, 7);

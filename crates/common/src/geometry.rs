@@ -36,12 +36,21 @@ impl CacheGeometry {
     /// multiple of `associativity * block_size`, or if the resulting number
     /// of sets is not a power of two (real caches index with bit fields).
     pub fn new(size_bytes: u64, associativity: u32, block_size: u64) -> Self {
-        assert!(size_bytes > 0 && associativity > 0 && block_size > 0, "cache geometry parameters must be non-zero");
+        assert!(
+            size_bytes > 0 && associativity > 0 && block_size > 0,
+            "cache geometry parameters must be non-zero"
+        );
         assert!(block_size.is_power_of_two(), "block size must be a power of two");
         let way_bytes = associativity as u64 * block_size;
-        assert!(size_bytes.is_multiple_of(way_bytes), "capacity must be a multiple of associativity * block size");
+        assert!(
+            size_bytes.is_multiple_of(way_bytes),
+            "capacity must be a multiple of associativity * block size"
+        );
         let num_sets = size_bytes / way_bytes;
-        assert!(num_sets.is_power_of_two(), "number of sets must be a power of two (got {num_sets})");
+        assert!(
+            num_sets.is_power_of_two(),
+            "number of sets must be a power of two (got {num_sets})"
+        );
         CacheGeometry {
             size_bytes,
             associativity,

@@ -303,8 +303,7 @@ impl<'a> Parser<'a> {
                                     if !(0xDC00..0xE000).contains(&low) {
                                         return Err(self.err("invalid low surrogate"));
                                     }
-                                    let c =
-                                        0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                                     char::from_u32(c)
                                 } else {
                                     return Err(self.err("lone high surrogate"));
@@ -317,9 +316,7 @@ impl<'a> Parser<'a> {
                                 None => return Err(self.err("invalid \\u escape")),
                             }
                         }
-                        other => {
-                            return Err(self.err(format!("bad escape '\\{}'", other as char)))
-                        }
+                        other => return Err(self.err(format!("bad escape '\\{}'", other as char))),
                     }
                 }
                 0x00..=0x1f => return Err(self.err("raw control character in string")),
@@ -432,10 +429,7 @@ mod tests {
             assert_eq!(parsed.as_str(), Some(original), "via {rendered}");
         }
         // Explicit \u escapes, including a surrogate pair.
-        assert_eq!(
-            parse_json("\"A\\ud83d\\ude00\"").unwrap().as_str(),
-            Some("A\u{1F600}")
-        );
+        assert_eq!(parse_json("\"A\\ud83d\\ude00\"").unwrap().as_str(), Some("A\u{1F600}"));
     }
 
     #[test]

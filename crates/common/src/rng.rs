@@ -200,16 +200,7 @@ mod tests {
 
     #[test]
     fn hit_matches_chance_draw_for_draw() {
-        let edge = [
-            f64::NAN,
-            -0.5,
-            0.0,
-            (-60f64).exp2(),
-            0.34,
-            1.0 - (-53f64).exp2(),
-            1.0,
-            1.5,
-        ];
+        let edge = [f64::NAN, -0.5, 0.0, (-60f64).exp2(), 0.34, 1.0 - (-53f64).exp2(), 1.0, 1.5];
         for (i, &p) in edge.iter().enumerate() {
             let odds = SplitMix64::odds(p);
             let mut a = SplitMix64::new(0xabc ^ i as u64);
@@ -223,7 +214,8 @@ mod tests {
         // float and integer rules on the 53-bit draws around it.
         for &p in &edge {
             let odds = SplitMix64::odds(p);
-            for k in [0u64, 1, odds.saturating_sub(1), odds, odds.saturating_add(1), (1 << 53) - 1] {
+            for k in [0u64, 1, odds.saturating_sub(1), odds, odds.saturating_add(1), (1 << 53) - 1]
+            {
                 let k = k.min((1 << 53) - 1);
                 let float_rule = k as f64 * (1.0 / (1u64 << 53) as f64) < p;
                 assert_eq!(float_rule, k < odds, "p = {p}, k = {k}");

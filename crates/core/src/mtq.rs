@@ -73,10 +73,7 @@ impl MissedTagQueue {
         if !self.is_full() {
             return CoreMask::empty();
         }
-        self.entries
-            .iter()
-            .copied()
-            .fold(CoreMask::from_bits(u32::MAX), |acc, m| acc & m)
+        self.entries.iter().copied().fold(CoreMask::from_bits(u32::MAX), |acc, m| acc & m)
     }
 
     /// Clears the queue (on migration or team completion).

@@ -209,7 +209,8 @@ mod tests {
                 .map(|i| (ThreadId::new(i), TxnTypeId::new(rng.next_below(5) as u16)))
                 .collect();
             let teams = former.form_teams(&ts);
-            let mut seen: Vec<ThreadId> = teams.iter().flat_map(|p| p.members.iter().copied()).collect();
+            let mut seen: Vec<ThreadId> =
+                teams.iter().flat_map(|p| p.members.iter().copied()).collect();
             seen.sort_unstable();
             assert_eq!(seen, ts.iter().map(|&(t, _)| t).collect::<Vec<_>>(), "{n_cores} cores");
             for plan in &teams {
@@ -221,7 +222,10 @@ mod tests {
                     assert!(2 * plan.members.len() < n_cores);
                 }
             }
-            assert!(teams.windows(2).all(|w| w[0].arrival <= w[1].arrival), "teams come out oldest-first");
+            assert!(
+                teams.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+                "teams come out oldest-first"
+            );
         }
     }
 }

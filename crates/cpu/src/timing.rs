@@ -349,7 +349,8 @@ mod tests {
 
     #[test]
     fn mshr_exhaustion_exposes_full_latency() {
-        let cfg = TimingConfig { num_mshrs: 2, load_hide_x1000: 1000, ..TimingConfig::paper_like() };
+        let cfg =
+            TimingConfig { num_mshrs: 2, load_hide_x1000: 1000, ..TimingConfig::paper_like() };
         let mut t = CoreTimer::new(cfg);
         // Two loads fill both MSHRs; 100% hidden -> time stays 0.
         t.data_miss(BlockAddr::new(1), 100, false);
@@ -362,7 +363,8 @@ mod tests {
 
     #[test]
     fn merged_misses_do_not_double_allocate() {
-        let cfg = TimingConfig { num_mshrs: 1, load_hide_x1000: 1000, ..TimingConfig::paper_like() };
+        let cfg =
+            TimingConfig { num_mshrs: 1, load_hide_x1000: 1000, ..TimingConfig::paper_like() };
         let mut t = CoreTimer::new(cfg);
         t.data_miss(BlockAddr::new(1), 100, false);
         // Same block: merges instead of stalling for a free MSHR.
@@ -449,7 +451,8 @@ mod tests {
                     4 => {
                         let latency = rng.next_below(6);
                         t.ifetch_hit(latency);
-                        fetch_millis += latency.saturating_sub(2) * cfg.fetch_latency_sensitivity_x1000;
+                        fetch_millis +=
+                            latency.saturating_sub(2) * cfg.fetch_latency_sensitivity_x1000;
                     }
                     5 => {
                         let rt = rng.next_below(200);
@@ -457,8 +460,13 @@ mod tests {
                         eager.ifetch_stall_cycles += rt + cfg.ifetch_refill_penalty;
                     }
                     6 => {
-                        t.data_miss(BlockAddr::new(rng.next_below(16)), rng.next_below(200), rng.chance(0.45));
-                        eager.data_stall_cycles += t.stats().data_stall_cycles - before.data_stall_cycles;
+                        t.data_miss(
+                            BlockAddr::new(rng.next_below(16)),
+                            rng.next_below(200),
+                            rng.chance(0.45),
+                        );
+                        eager.data_stall_cycles +=
+                            t.stats().data_stall_cycles - before.data_stall_cycles;
                     }
                     _ => {
                         let cycles = rng.next_below(50);

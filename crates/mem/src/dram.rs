@@ -102,7 +102,13 @@ pub struct DramStats {
 }
 
 // Per-channel counters fold together via the workspace-wide `Merge` trait.
-slicc_common::impl_merge_counters!(DramStats { row_hits, row_closed, row_conflicts, reads, writes });
+slicc_common::impl_merge_counters!(DramStats {
+    row_hits,
+    row_closed,
+    row_conflicts,
+    reads,
+    writes
+});
 
 impl DramStats {
     /// Total accesses.
@@ -144,7 +150,8 @@ pub struct Dram {
 impl Dram {
     /// Creates an idle DRAM with all banks precharged.
     pub fn new(config: DramConfig) -> Self {
-        let banks = vec![Bank { open_row: None, busy_until: 0, activated_at: 0 }; config.total_banks()];
+        let banks =
+            vec![Bank { open_row: None, busy_until: 0, activated_at: 0 }; config.total_banks()];
         Dram { config, banks, stats: DramStats::default() }
     }
 
@@ -262,7 +269,8 @@ mod tests {
         let blocks_per_row = cfg.row_bytes / 64;
         let b1 = BlockAddr::new(0);
         // Same bank, different row: jump banks*rows worth of blocks.
-        let b2 = BlockAddr::new(blocks_per_row * cfg.banks_per_channel as u64 * cfg.channels as u64);
+        let b2 =
+            BlockAddr::new(blocks_per_row * cfg.banks_per_channel as u64 * cfg.channels as u64);
         assert_eq!(d.map(b1).0, d.map(b2).0, "must map to same bank");
         assert_ne!(d.map(b1).1, d.map(b2).1, "must map to different rows");
         let t1 = d.access(b1, 0, false);

@@ -1,6 +1,6 @@
 //! The 2D torus topology.
 
-use slicc_common::{Cycle, CoreId};
+use slicc_common::{CoreId, Cycle};
 
 /// A `cols x rows` 2D torus of nodes, numbered row-major: node `i` sits at
 /// `(i % cols, i / cols)`. Links wrap around in both dimensions.
@@ -65,7 +65,12 @@ impl Torus {
     /// Panics if `node` is out of range.
     pub fn coords(&self, node: CoreId) -> (u32, u32) {
         let i = node.index() as u32;
-        assert!(i < self.cols * self.rows, "node {node} out of range for {}x{} torus", self.cols, self.rows);
+        assert!(
+            i < self.cols * self.rows,
+            "node {node} out of range for {}x{} torus",
+            self.cols,
+            self.rows
+        );
         (i % self.cols, i / self.cols)
     }
 
@@ -88,7 +93,8 @@ impl Torus {
     pub fn hops(&self, a: CoreId, b: CoreId) -> u32 {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
-        Torus::dim_distance(ax.abs_diff(bx), self.cols) + Torus::dim_distance(ay.abs_diff(by), self.rows)
+        Torus::dim_distance(ax.abs_diff(bx), self.cols)
+            + Torus::dim_distance(ay.abs_diff(by), self.rows)
     }
 
     /// One-way transfer latency between two nodes.
@@ -104,10 +110,7 @@ impl Torus {
     /// Latency for a broadcast from `src` to every other node: the time
     /// until the farthest node has received it.
     pub fn broadcast_latency(&self, src: CoreId) -> Cycle {
-        (0..self.num_nodes() as u16)
-            .map(|i| self.latency(src, CoreId::new(i)))
-            .max()
-            .unwrap_or(0)
+        (0..self.num_nodes() as u16).map(|i| self.latency(src, CoreId::new(i))).max().unwrap_or(0)
     }
 
     /// The maximum hop count between any two nodes (network diameter).
@@ -193,7 +196,10 @@ mod tests {
         let noc = t();
         for a in 0..16u16 {
             for b in 0..16u16 {
-                assert_eq!(noc.hops(CoreId::new(a), CoreId::new(b)), noc.hops(CoreId::new(b), CoreId::new(a)));
+                assert_eq!(
+                    noc.hops(CoreId::new(a), CoreId::new(b)),
+                    noc.hops(CoreId::new(b), CoreId::new(a))
+                );
             }
         }
     }

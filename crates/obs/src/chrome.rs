@@ -56,11 +56,8 @@ impl TraceWriter {
         push_json_str(&mut self.out, &meta.workload);
         self.out.push_str(", \"mode\": ");
         push_json_str(&mut self.out, &meta.mode);
-        let _ = write!(
-            self.out,
-            ", \"cores\": {}, \"clock\": \"1 cycle = 1 us\"}}\n}}\n",
-            meta.cores
-        );
+        let _ =
+            write!(self.out, ", \"cores\": {}, \"clock\": \"1 cycle = 1 us\"}}\n}}\n", meta.cores);
         self.out
     }
 }
@@ -114,12 +111,7 @@ pub fn chrome_trace_json(events: &[TraceEvent], meta: &TraceMeta) -> String {
     // Per-core open running-slice state for defensive B/E pairing. Sized
     // to the events actually present, so a `meta.cores` that undercounts
     // the machine degrades to unnamed tracks rather than a panic.
-    let tracks = events
-        .iter()
-        .map(|e| e.core.index() + 1)
-        .max()
-        .unwrap_or(0)
-        .max(meta.cores);
+    let tracks = events.iter().map(|e| e.core.index() + 1).max().unwrap_or(0).max(meta.cores);
     let mut open: Vec<bool> = vec![false; tracks];
     let mut last_cycle: Cycle = 0;
     for ev in events {
@@ -170,7 +162,9 @@ pub fn chrome_trace_json(events: &[TraceEvent], meta: &TraceMeta) -> String {
                         kind.name(),
                         c.name()
                     ),
-                    None => format!("\"level\": \"{}\", \"kind\": \"{}\"", level.name(), kind.name()),
+                    None => {
+                        format!("\"level\": \"{}\", \"kind\": \"{}\"", level.name(), kind.name())
+                    }
                 };
                 instant(&mut w, tid, ts, &format!("{} miss", level.name()), "miss", &args);
             }

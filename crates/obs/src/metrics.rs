@@ -458,10 +458,14 @@ impl MetricsSnapshot {
                     for (i, c) in h.buckets.iter().enumerate() {
                         cumulative += c;
                         match bucket_bound(i) {
-                            Some(le) => out
-                                .push_str(&format!("{}_bucket{{le=\"{le}\"}} {cumulative}\n", s.name)),
-                            None => out
-                                .push_str(&format!("{}_bucket{{le=\"+Inf\"}} {cumulative}\n", s.name)),
+                            Some(le) => out.push_str(&format!(
+                                "{}_bucket{{le=\"{le}\"}} {cumulative}\n",
+                                s.name
+                            )),
+                            None => out.push_str(&format!(
+                                "{}_bucket{{le=\"+Inf\"}} {cumulative}\n",
+                                s.name
+                            )),
                         }
                     }
                     out.push_str(&format!("{}_sum {}\n", s.name, h.sum));
@@ -500,11 +504,12 @@ impl MetricsSnapshot {
                         }
                         cumulative += c;
                         match bucket_bound(bi) {
-                            Some(le) => {
-                                out.push_str(&format!("{{\"le\": \"{le}\", \"count\": {cumulative}}}"))
-                            }
-                            None => out
-                                .push_str(&format!("{{\"le\": \"+Inf\", \"count\": {cumulative}}}")),
+                            Some(le) => out.push_str(&format!(
+                                "{{\"le\": \"{le}\", \"count\": {cumulative}}}"
+                            )),
+                            None => out.push_str(&format!(
+                                "{{\"le\": \"+Inf\", \"count\": {cumulative}}}"
+                            )),
                         }
                     }
                     out.push(']');

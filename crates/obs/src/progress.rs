@@ -220,10 +220,8 @@ impl Reporter for PlainReporter {
                 s.done = 0;
                 if fresh > 1 {
                     let cached = points - fresh.min(points);
-                    let _ = writeln!(
-                        s.out,
-                        "simulating {fresh} point(s) ({cached} served from cache)"
-                    );
+                    let _ =
+                        writeln!(s.out, "simulating {fresh} point(s) ({cached} served from cache)");
                 }
             }
             ProgressEvent::PointStarted { .. } | ProgressEvent::PointCached { .. } => {}
@@ -263,7 +261,14 @@ impl Reporter for PlainReporter {
                     );
                 }
             }
-            ProgressEvent::Pressure { queue_depth, inflight, cache_bytes, cache_budget, cache_entries, shed } => {
+            ProgressEvent::Pressure {
+                queue_depth,
+                inflight,
+                cache_bytes,
+                cache_budget,
+                cache_entries,
+                shed,
+            } => {
                 // Routine snapshots stay quiet on the human reporter;
                 // sheds are worth a line.
                 if shed > 0 {
@@ -314,19 +319,30 @@ impl Reporter for JsonLinesReporter {
         let mut line = String::from("{\"event\": ");
         match &event {
             ProgressEvent::BatchStarted { points, fresh } => {
-                line.push_str(&format!("\"batch_started\", \"points\": {points}, \"fresh\": {fresh}"));
+                line.push_str(&format!(
+                    "\"batch_started\", \"points\": {points}, \"fresh\": {fresh}"
+                ));
             }
             ProgressEvent::PointStarted { index, total, label } => {
-                line.push_str(&format!("\"point_started\", \"index\": {index}, \"total\": {total}, \"label\": "));
+                line.push_str(&format!(
+                    "\"point_started\", \"index\": {index}, \"total\": {total}, \"label\": "
+                ));
                 push_json_str(&mut line, label);
             }
             ProgressEvent::PointFinished { index, total, label, wall_ns, sim_ips } => {
-                line.push_str(&format!("\"point_finished\", \"index\": {index}, \"total\": {total}, \"label\": "));
+                line.push_str(&format!(
+                    "\"point_finished\", \"index\": {index}, \"total\": {total}, \"label\": "
+                ));
                 push_json_str(&mut line, label);
-                line.push_str(&format!(", \"wall_ns\": {wall_ns}, \"sim_ips\": {}", json_f64(*sim_ips)));
+                line.push_str(&format!(
+                    ", \"wall_ns\": {wall_ns}, \"sim_ips\": {}",
+                    json_f64(*sim_ips)
+                ));
             }
             ProgressEvent::PointFailed { index, total, label, error } => {
-                line.push_str(&format!("\"point_failed\", \"index\": {index}, \"total\": {total}, \"label\": "));
+                line.push_str(&format!(
+                    "\"point_failed\", \"index\": {index}, \"total\": {total}, \"label\": "
+                ));
                 push_json_str(&mut line, label);
                 line.push_str(", \"error\": ");
                 push_json_str(&mut line, error);
@@ -346,7 +362,14 @@ impl Reporter for JsonLinesReporter {
                     "\"batch_finished\", \"fresh\": {fresh}, \"cached\": {cached}, \"failed\": {failed}"
                 ));
             }
-            ProgressEvent::Pressure { queue_depth, inflight, cache_bytes, cache_budget, cache_entries, shed } => {
+            ProgressEvent::Pressure {
+                queue_depth,
+                inflight,
+                cache_bytes,
+                cache_budget,
+                cache_entries,
+                shed,
+            } => {
                 line.push_str(&format!(
                     "\"pressure\", \"queue_depth\": {queue_depth}, \"inflight\": {inflight}, \
                      \"cache_bytes\": {cache_bytes}, \"cache_budget\": {cache_budget}, \
@@ -523,7 +546,10 @@ mod tests {
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 1, "got: {out}");
-        assert!(lines[0].starts_with("{\"event\": \"point_cancelled\", \"index\": 1"), "got: {out}");
+        assert!(
+            lines[0].starts_with("{\"event\": \"point_cancelled\", \"index\": 1"),
+            "got: {out}"
+        );
     }
 
     #[test]
@@ -541,7 +567,14 @@ mod tests {
         r.report(snapshot.clone());
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         assert!(out.starts_with("{\"event\": \"pressure\""), "got: {out}");
-        for field in ["\"queue_depth\": 3", "\"inflight\": 2", "\"cache_bytes\": 4096", "\"cache_budget\": 8192", "\"cache_entries\": 7", "\"shed\": 0"] {
+        for field in [
+            "\"queue_depth\": 3",
+            "\"inflight\": 2",
+            "\"cache_bytes\": 4096",
+            "\"cache_budget\": 8192",
+            "\"cache_entries\": 7",
+            "\"shed\": 0",
+        ] {
             assert!(out.contains(field), "missing {field} in: {out}");
         }
 
@@ -574,7 +607,10 @@ mod tests {
         let r = JsonLinesReporter::to_writer(Box::new(w));
         r.report(event.clone());
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert!(out.starts_with("{\"event\": \"metrics\", \"snapshot\": {\"metrics\": ["), "got: {out}");
+        assert!(
+            out.starts_with("{\"event\": \"metrics\", \"snapshot\": {\"metrics\": ["),
+            "got: {out}"
+        );
         assert!(out.contains("\"name\": \"runs_total\""), "got: {out}");
         assert_eq!(out.lines().count(), 1, "one line per event");
 
@@ -600,7 +636,10 @@ mod tests {
         let (w, buf) = capture();
         JsonLinesReporter::to_writer(Box::new(w)).report(event);
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert!(out.starts_with("{\"event\": \"server_state\", \"state\": \"draining\""), "got: {out}");
+        assert!(
+            out.starts_with("{\"event\": \"server_state\", \"state\": \"draining\""),
+            "got: {out}"
+        );
         assert!(out.contains("\"connections\": 3"), "got: {out}");
     }
 

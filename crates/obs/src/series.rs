@@ -54,18 +54,30 @@ pub struct Epoch {
 impl Epoch {
     /// L1-I misses per kilo-instruction in this interval.
     pub fn i_mpki(&self) -> f64 {
-        if self.instructions == 0 { 0.0 } else { self.i_misses as f64 * 1000.0 / self.instructions as f64 }
+        if self.instructions == 0 {
+            0.0
+        } else {
+            self.i_misses as f64 * 1000.0 / self.instructions as f64
+        }
     }
 
     /// L1-D misses per kilo-instruction in this interval.
     pub fn d_mpki(&self) -> f64 {
-        if self.instructions == 0 { 0.0 } else { self.d_misses as f64 * 1000.0 / self.instructions as f64 }
+        if self.instructions == 0 {
+            0.0
+        } else {
+            self.d_misses as f64 * 1000.0 / self.instructions as f64
+        }
     }
 
     /// Machine-wide instructions per cycle in this interval.
     pub fn ipc(&self) -> f64 {
         let cycles = self.end_cycle.saturating_sub(self.start_cycle);
-        if cycles == 0 { 0.0 } else { self.instructions as f64 / cycles as f64 }
+        if cycles == 0 {
+            0.0
+        } else {
+            self.instructions as f64 / cycles as f64
+        }
     }
 }
 

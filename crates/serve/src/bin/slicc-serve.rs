@@ -74,7 +74,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             args.get(i).cloned().ok_or_else(|| format!("{opt} needs a value"))
         };
         let number = |text: &str| -> Result<u64, String> {
-            text.parse::<u64>().map_err(|_| format!("{opt} needs a non-negative integer, got {text:?}"))
+            text.parse::<u64>()
+                .map_err(|_| format!("{opt} needs a non-negative integer, got {text:?}"))
         };
         let deadline = |text: &str| -> Result<DeadlineConfig, String> {
             if text == "off" {
@@ -87,9 +88,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--addr" => opts.addr = value()?,
             "--jobs" => opts.jobs = number(&value()?)?.max(1) as usize,
             "--queue-limit" => opts.queue_limit = Some(number(&value()?)? as usize),
-            "--max-connections" => {
-                opts.server.max_connections = number(&value()?)?.max(1) as usize
-            }
+            "--max-connections" => opts.server.max_connections = number(&value()?)?.max(1) as usize,
             "--read-deadline-ms" => opts.server.read_deadline = deadline(&value()?)?,
             "--idle-deadline-ms" => opts.server.idle_deadline = deadline(&value()?)?,
             "--cache-bytes" => opts.cache_bytes = Some(number(&value()?)?),

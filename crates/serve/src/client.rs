@@ -42,9 +42,7 @@ impl Client {
     }
 
     fn send(&mut self, frame: &str) -> Result<(), String> {
-        self.stream
-            .write_all(frame.as_bytes())
-            .map_err(|e| format!("write failed: {e}"))
+        self.stream.write_all(frame.as_bytes()).map_err(|e| format!("write failed: {e}"))
     }
 
     /// Pops the next complete response frame, reading as needed.
@@ -96,9 +94,7 @@ impl Client {
                             .unwrap_or(false),
                     });
                 }
-                Response::RetryAfter { millis, .. } => {
-                    return Ok(Submitted::RetryAfter { millis })
-                }
+                Response::RetryAfter { millis, .. } => return Ok(Submitted::RetryAfter { millis }),
                 Response::Error { kind, message } => {
                     return if kind == "run" {
                         Ok(Submitted::RunError { message })

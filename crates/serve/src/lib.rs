@@ -33,8 +33,7 @@ pub use protocol::{
     submission_from_json, FrameBuffer, ProtocolError, Request, Response, MAX_FRAME,
 };
 pub use server::{
-    export_server, metrics_snapshot, write_metrics_artifacts, Server, ServerConfig,
-    ServerCounters,
+    export_server, metrics_snapshot, write_metrics_artifacts, Server, ServerConfig, ServerCounters,
 };
 pub use transport::{
     ChaosTransport, Exhausted, MemTransport, TcpTransport, Transport, TransportFault,

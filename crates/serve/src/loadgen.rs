@@ -216,9 +216,8 @@ impl DigestBook {
                 seen.insert(key.to_string(), digest.to_string());
             }
             Some(expected) if expected == digest => {}
-            Some(expected) => lock_unpoisoned(&self.mismatches).push(format!(
-                "key {key}: digest {digest} disagrees with earlier {expected}"
-            )),
+            Some(expected) => lock_unpoisoned(&self.mismatches)
+                .push(format!("key {key}: digest {digest} disagrees with earlier {expected}")),
         }
     }
 }
@@ -316,9 +315,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
         report.run_errors += tally.run_errors;
         report.client_errors.extend(tally.errors);
     }
-    report
-        .client_errors
-        .extend(std::mem::take(&mut *lock_unpoisoned(&digests.mismatches)));
+    report.client_errors.extend(std::mem::take(&mut *lock_unpoisoned(&digests.mismatches)));
 
     // Overload: prove the server recovers once the burst subsides — a
     // fresh serial submission (new key, nothing to coalesce onto) must
@@ -329,23 +326,20 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
             r#"{{"workload":"tpcc1","scale":"tiny","machine":"tiny","seed":{}}}"#,
             distinct + 1_000_003
         );
-        report.recovered = (0..50).any(|_| {
-            match prober.submit(&fresh) {
-                Ok(crate::client::Submitted::Result { .. }) => true,
-                Ok(crate::client::Submitted::RetryAfter { millis, .. }) => {
-                    std::thread::sleep(Duration::from_millis(millis.clamp(10, 500)));
-                    false
-                }
-                _ => false,
+        report.recovered = (0..50).any(|_| match prober.submit(&fresh) {
+            Ok(crate::client::Submitted::Result { .. }) => true,
+            Ok(crate::client::Submitted::RetryAfter { millis, .. }) => {
+                std::thread::sleep(Duration::from_millis(millis.clamp(10, 500)));
+                false
             }
+            _ => false,
         });
         let _ = prober.quit();
     }
 
     let after = Client::connect(&cfg.addr)?.stats()?;
     report.delta_cache_misses = stat(&after, "cache_misses") - stat(&before, "cache_misses");
-    report.delta_coalesced_hits =
-        stat(&after, "coalesced_hits") - stat(&before, "coalesced_hits");
+    report.delta_coalesced_hits = stat(&after, "coalesced_hits") - stat(&before, "coalesced_hits");
     report.delta_cache_hits = stat(&after, "cache_hits") - stat(&before, "cache_hits");
     report.delta_shed_points = stat(&after, "shed_points") - stat(&before, "shed_points");
     // The recovery probe executes one fresh point; keep the stampede

@@ -189,10 +189,8 @@ pub fn decode_request(frame: &[u8]) -> Result<Request, ProtocolError> {
                     detail: "missing JSON payload".into(),
                 });
             }
-            let json = parse_json(payload).map_err(|e| ProtocolError::BadPayload {
-                verb: "SUBMIT",
-                detail: e.to_string(),
-            })?;
+            let json = parse_json(payload)
+                .map_err(|e| ProtocolError::BadPayload { verb: "SUBMIT", detail: e.to_string() })?;
             Ok(Request::Submit(json))
         }
         "PING" | "STATS" | "QUIT" => {
@@ -301,8 +299,7 @@ pub fn decode_response(frame: &[u8]) -> Result<Response, ProtocolError> {
         None => (text, ""),
     };
     let json_payload = |verb: &'static str, payload: &str| {
-        parse_json(payload)
-            .map_err(|e| ProtocolError::BadPayload { verb, detail: e.to_string() })
+        parse_json(payload).map_err(|e| ProtocolError::BadPayload { verb, detail: e.to_string() })
     };
     match verb {
         "EVENT" => Ok(Response::Event(json_payload("EVENT", payload)?)),
@@ -416,7 +413,8 @@ pub fn submission_from_json(json: &JsonValue) -> Result<RunRequest, ProtocolErro
     };
 
     let workload = str_field("workload")?.ok_or_else(|| bad("missing workload".into()))?;
-    let workload = Workload::parse(workload).ok_or_else(|| bad(format!("unknown workload {workload:?}")))?;
+    let workload =
+        Workload::parse(workload).ok_or_else(|| bad(format!("unknown workload {workload:?}")))?;
     let mode = str_field("mode")?.unwrap_or("base");
     let mode = SchedulerMode::parse(mode).ok_or_else(|| bad(format!("unknown mode {mode:?}")))?;
     let scale = str_field("scale")?.unwrap_or("tiny");
@@ -537,13 +535,13 @@ mod tests {
         assert_eq!(ok.seed, Some(9));
 
         for bad in [
-            r#"{}"#,                                    // missing workload
-            r#"{"workload":"tpcx"}"#,                   // unknown workload
-            r#"{"workload":"tpcc1","mode":"turbo"}"#,   // unknown mode
-            r#"{"workload":"tpcc1","speed":"max"}"#,    // unknown key
-            r#"{"workload":"tpcc1","seed":-1}"#,        // negative integer
+            r#"{}"#,                                      // missing workload
+            r#"{"workload":"tpcx"}"#,                     // unknown workload
+            r#"{"workload":"tpcc1","mode":"turbo"}"#,     // unknown mode
+            r#"{"workload":"tpcc1","speed":"max"}"#,      // unknown key
+            r#"{"workload":"tpcc1","seed":-1}"#,          // negative integer
             r#"{"workload":"tpcc1","decode_threads":2}"#, // unknown key
-            r#"[1,2,3]"#,                               // not an object
+            r#"[1,2,3]"#,                                 // not an object
         ] {
             let json = parse_json(bad).unwrap();
             let err = submission_from_json(&json).unwrap_err();
@@ -595,7 +593,8 @@ mod tests {
         }
         let mut rng = SplitMix64::new(0xc0de);
         for _ in 0..500 {
-            let mut wire: Vec<u8> = (0..rng.next_below(512)).map(|_| rng.next_u64() as u8).collect();
+            let mut wire: Vec<u8> =
+                (0..rng.next_below(512)).map(|_| rng.next_u64() as u8).collect();
             assert_eq!(decode_request(&wire), decode_request(&wire));
             assert_eq!(decode_response(&wire), decode_response(&wire));
             for _ in 0..rng.next_below(8) {
@@ -604,7 +603,8 @@ mod tests {
                     wire[i] = b'\n';
                 }
             }
-            let cuts: Vec<usize> = (0..rng.next_below(24)).map(|_| rng.next_below(96) as usize).collect();
+            let cuts: Vec<usize> =
+                (0..rng.next_below(24)).map(|_| rng.next_below(96) as usize).collect();
             assert_eq!(frames(&wire, &[]), frames(&wire, &cuts));
         }
     }

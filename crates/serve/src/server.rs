@@ -144,7 +144,10 @@ pub(crate) type SubmitHops = [Log2Hist; HOPS];
 const HOP_SERIES: [(&str, &str); HOPS] = [
     ("srv_hop_decode_nanos", "SUBMIT hop: frame decoded into a request"),
     ("srv_hop_queue_nanos", "SUBMIT hop: cache lookup, coalesced flight or slot wait"),
-    ("srv_hop_simulate_nanos", "SUBMIT hop: fresh simulation (0 when served from cache or a flight)"),
+    (
+        "srv_hop_simulate_nanos",
+        "SUBMIT hop: fresh simulation (0 when served from cache or a flight)",
+    ),
     ("srv_hop_encode_nanos", "SUBMIT hop: reply frames built and encoded"),
     ("srv_hop_write_nanos", "SUBMIT hop: reply frames written to the transport"),
 ];
@@ -154,13 +157,25 @@ const HOP_SERIES: [(&str, &str); HOPS] = [
 pub fn export_server(reg: &MetricsRegistry, counters: &ServerCounters, active: usize) {
     let pairs: &[(&str, &str, &AtomicU64)] = &[
         ("srv_connections_total", "connections accepted", &counters.connections),
-        ("srv_connections_rejected_total", "connections turned away at the cap", &counters.rejected),
+        (
+            "srv_connections_rejected_total",
+            "connections turned away at the cap",
+            &counters.rejected,
+        ),
         ("srv_frames_total", "complete frames received", &counters.frames),
-        ("srv_protocol_errors_total", "frames rejected with a typed protocol error", &counters.protocol_errors),
+        (
+            "srv_protocol_errors_total",
+            "frames rejected with a typed protocol error",
+            &counters.protocol_errors,
+        ),
         ("srv_timeouts_total", "connections closed by a read or idle deadline", &counters.timeouts),
         ("srv_submits_total", "SUBMIT requests handed to the service", &counters.submits),
         ("srv_results_total", "successful RESULT frames sent", &counters.results),
-        ("srv_retry_after_total", "overloaded submissions answered with RETRY-AFTER", &counters.retry_after),
+        (
+            "srv_retry_after_total",
+            "overloaded submissions answered with RETRY-AFTER",
+            &counters.retry_after,
+        ),
         ("srv_disconnects_total", "connections that ended without QUIT", &counters.disconnects),
         ("srv_drains_total", "graceful drains completed", &counters.drains),
     ];
@@ -360,7 +375,8 @@ fn handle_connection(
                     match fb.next_frame() {
                         Ok(Some(frame)) => {
                             counters.frames.fetch_add(1, Ordering::Relaxed);
-                            frame_started = if fb.has_partial() { Some(Instant::now()) } else { None };
+                            frame_started =
+                                if fb.has_partial() { Some(Instant::now()) } else { None };
                             last_frame = Instant::now();
                             match serve_frame(&frame, transport, service, counters, &mut hops) {
                                 Ok(true) => {}
@@ -388,8 +404,7 @@ fn handle_connection(
                 }
             }
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 let now = Instant::now();
                 if let (Some(budget), Some(started)) = (read_deadline, frame_started) {
@@ -511,9 +526,7 @@ fn serve_frame(
             send(transport, &Response::Bye { reason: "goodbye".into() })?;
             Ok(false)
         }
-        Request::Stats => {
-            send(transport, &Response::Stats(stats_json(service))).map(|()| true)
-        }
+        Request::Stats => send(transport, &Response::Stats(stats_json(service))).map(|()| true),
         Request::Submit(payload) => {
             let req = match submission_from_json(&payload) {
                 Ok(req) => req,
@@ -667,10 +680,8 @@ mod tests {
     fn hop_histograms_count_every_submit_and_tile_the_handler_time() {
         const HITS: u64 = 2_000;
         let runner = Arc::new(Runner::new(1));
-        let service = Arc::new(SimService::new(
-            runner,
-            ServiceConfig { max_inflight: 1, queue_limit: 0 },
-        ));
+        let service =
+            Arc::new(SimService::new(runner, ServiceConfig { max_inflight: 1, queue_limit: 0 }));
         let server = Server::new(service, ServerConfig::default());
         let hist = |snapshot: &slicc_obs::MetricsSnapshot, name: &str| match snapshot.get(name) {
             Some(MetricValue::Histogram(h)) => h.clone(),

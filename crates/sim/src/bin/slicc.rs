@@ -160,11 +160,13 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
             "--mode" => {
                 let m = value(args, &mut i, &opt)?;
-                mode = SchedulerMode::parse(&m).ok_or_else(|| CliError::new(&opt, format!("unknown mode '{m}'")))?;
+                mode = SchedulerMode::parse(&m)
+                    .ok_or_else(|| CliError::new(&opt, format!("unknown mode '{m}'")))?;
             }
             "--scale" => {
                 let s = value(args, &mut i, &opt)?;
-                scale = TraceScale::parse(&s).ok_or_else(|| CliError::new(&opt, format!("unknown scale '{s}'")))?;
+                scale = TraceScale::parse(&s)
+                    .ok_or_else(|| CliError::new(&opt, format!("unknown scale '{s}'")))?;
             }
             "--tasks" => tasks = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--seed" => seed = Some(number(&opt, &value(args, &mut i, &opt)?)?),
@@ -183,13 +185,24 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--next-line" => config = config.with_next_line(1),
             "--pif-bound" => config = config.with_pif_model(),
             "--pif-real" => config = config.with_real_pif(),
-            "--fill-up" => config.slicc = config.slicc.with_fill_up(number(&opt, &value(args, &mut i, &opt)?)?),
-            "--matched" => config.slicc = config.slicc.with_matched(number(&opt, &value(args, &mut i, &opt)?)?),
-            "--dilution" => config.slicc = config.slicc.with_dilution(number(&opt, &value(args, &mut i, &opt)?)?),
+            "--fill-up" => {
+                config.slicc = config.slicc.with_fill_up(number(&opt, &value(args, &mut i, &opt)?)?)
+            }
+            "--matched" => {
+                config.slicc = config.slicc.with_matched(number(&opt, &value(args, &mut i, &opt)?)?)
+            }
+            "--dilution" => {
+                config.slicc =
+                    config.slicc.with_dilution(number(&opt, &value(args, &mut i, &opt)?)?)
+            }
             "--classify" => config = config.with_classification(),
             "--baseline-compare" => compare = true,
-            "--fuel-steps" => config.watchdog.max_heap_steps = Some(number(&opt, &value(args, &mut i, &opt)?)?),
-            "--fuel-cycles" => config.watchdog.max_cycles = Some(number(&opt, &value(args, &mut i, &opt)?)?),
+            "--fuel-steps" => {
+                config.watchdog.max_heap_steps = Some(number(&opt, &value(args, &mut i, &opt)?)?)
+            }
+            "--fuel-cycles" => {
+                config.watchdog.max_cycles = Some(number(&opt, &value(args, &mut i, &opt)?)?)
+            }
             "--deadline-ms" => deadline_ms = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--inject" => {
                 let spec = value(args, &mut i, &opt)?;
@@ -289,7 +302,10 @@ fn report(result: &RunResult, baseline: Option<&RunResult>) {
     println!("BPKI            {:.3}", m.bpki());
     println!("spread          {:.1} cores/thread", m.mean_cores_per_thread);
     if let Some(bd) = &m.i_breakdown {
-        println!("I-miss classes  conflict {} / capacity {} / compulsory {}", bd.conflict, bd.capacity, bd.compulsory);
+        println!(
+            "I-miss classes  conflict {} / capacity {} / compulsory {}",
+            bd.conflict, bd.capacity, bd.compulsory
+        );
     }
     let s = &m.core_stats;
     let total = s.total_cycles().max(1);
@@ -302,7 +318,11 @@ fn report(result: &RunResult, baseline: Option<&RunResult>) {
         100.0 * s.migration_cycles as f64 / total as f64,
         100.0 * s.idle_cycles as f64 / total as f64,
     );
-    println!("sim throughput  {:.0} instructions/s ({:.2}s wall)", result.sim_ips, result.wall.as_secs_f64());
+    println!(
+        "sim throughput  {:.0} instructions/s ({:.2}s wall)",
+        result.sim_ips,
+        result.wall.as_secs_f64()
+    );
     if let Some(base) = baseline {
         println!("speedup         {:.3}x over baseline", m.speedup_over(&base.metrics));
     }
@@ -379,7 +399,9 @@ fn main() {
                         print_obs_summary(observation);
                     }
                     if let Some(prefix) = &obs_out {
-                        if let Err(e) = write_obs_artifacts(observation, &request, prefix, &*reporter) {
+                        if let Err(e) =
+                            write_obs_artifacts(observation, &request, prefix, &*reporter)
+                        {
                             eprintln!("error: --obs-out: {e}");
                             failed = true;
                         }
@@ -429,7 +451,10 @@ fn print_obs_summary(observation: &slicc_sim::Observation) {
     let Some(series) = &observation.series else { return };
     println!();
     println!("interval series ({} epochs of {} cycles)", series.epochs.len(), series.epoch_cycles);
-    println!("{:>5} {:>12} {:>12} {:>12} {:>8} {:>8} {:>7} {:>6}", "epoch", "start", "end", "instr", "I-MPKI", "D-MPKI", "IPC", "migr");
+    println!(
+        "{:>5} {:>12} {:>12} {:>12} {:>8} {:>8} {:>7} {:>6}",
+        "epoch", "start", "end", "instr", "I-MPKI", "D-MPKI", "IPC", "migr"
+    );
     for (i, e) in series.epochs.iter().enumerate() {
         println!(
             "{i:>5} {:>12} {:>12} {:>12} {:>8.2} {:>8.2} {:>7.3} {:>6}",
@@ -522,7 +547,9 @@ fn write_obs_artifacts(
         ),
     });
     if let Some(series) = &observation.series {
-        for (suffix, body) in [(".intervals.csv", series.to_csv()), (".intervals.json", series.to_json())] {
+        for (suffix, body) in
+            [(".intervals.csv", series.to_csv()), (".intervals.json", series.to_json())]
+        {
             let path = with_suffix(suffix);
             atomic_write(&path, body.as_bytes())
                 .map_err(|e| format!("writing {}: {e}", path.display()))?;
@@ -567,7 +594,11 @@ mod tests {
                 assert!(request.config.fault_injection.is_none());
                 assert!(cache_bytes.is_none(), "default budget lives in the runner");
                 assert!(!request.deadline.is_enabled(), "no deadline unless asked");
-                assert_eq!(request.obs, ObsConfig::disabled(), "observation must be off by default");
+                assert_eq!(
+                    request.obs,
+                    ObsConfig::disabled(),
+                    "observation must be off by default"
+                );
             }
             Command::Help => panic!("empty args must run, not print help"),
         }
@@ -578,7 +609,10 @@ mod tests {
         match parse(&["--deadline-ms", "250", "--inject", "stall:40"]).unwrap() {
             Command::Run { request, .. } => {
                 assert_eq!(request.deadline.budget(), Some(std::time::Duration::from_millis(250)));
-                assert_eq!(request.config.fault_injection, Some(InjectedFault::StallAt { step: 40 }));
+                assert_eq!(
+                    request.config.fault_injection,
+                    Some(InjectedFault::StallAt { step: 40 })
+                );
             }
             Command::Help => panic!("expected a run"),
         }

@@ -30,8 +30,12 @@ pub enum SchedulerMode {
 
 impl SchedulerMode {
     /// All modes in Figure 10/11 presentation order.
-    pub const ALL: [SchedulerMode; 4] =
-        [SchedulerMode::Baseline, SchedulerMode::Slicc, SchedulerMode::SliccPp, SchedulerMode::SliccSw];
+    pub const ALL: [SchedulerMode; 4] = [
+        SchedulerMode::Baseline,
+        SchedulerMode::Slicc,
+        SchedulerMode::SliccPp,
+        SchedulerMode::SliccSw,
+    ];
 
     /// The paper's modes plus this workspace's STEPS re-creation.
     pub const WITH_STEPS: [SchedulerMode; 5] = [
@@ -550,7 +554,10 @@ impl SimConfig {
         if self.mode.uses_agents() {
             let blocks = self.l1i_size / slicc_common::BLOCK_SIZE;
             if u64::from(self.slicc.fill_up_t) > blocks {
-                return Err(ConfigError::FillUpExceedsBlocks { fill_up_t: self.slicc.fill_up_t, blocks });
+                return Err(ConfigError::FillUpExceedsBlocks {
+                    fill_up_t: self.slicc.fill_up_t,
+                    blocks,
+                });
             }
         }
         Ok(())
@@ -653,7 +660,10 @@ impl fmt::Display for ConfigError {
                 write!(f, "cores: SLICC-Pp dedicates one core to scouting")
             }
             ConfigError::ZeroThreadQueue => {
-                write!(f, "thread_queue_capacity: per-core queues need capacity for at least one thread")
+                write!(
+                    f,
+                    "thread_queue_capacity: per-core queues need capacity for at least one thread"
+                )
             }
             ConfigError::ZeroL2Banks => write!(f, "l2_banks: need at least one L2 bank"),
             ConfigError::ZeroBloomBits => {
@@ -672,7 +682,10 @@ impl fmt::Display for ConfigError {
                 )
             }
             ConfigError::NonPowerOfTwoSets { cache, sets } => {
-                write!(f, "{cache}_size/{cache}_assoc: derived set count {sets} is not a power of two")
+                write!(
+                    f,
+                    "{cache}_size/{cache}_assoc: derived set count {sets} is not a power of two"
+                )
             }
             ConfigError::FillUpExceedsBlocks { fill_up_t, blocks } => {
                 write!(
@@ -780,7 +793,8 @@ mod tests {
 
     #[test]
     fn presets_with_overrides_validate() {
-        let cfg = SimConfig { seed: 42, ..SimConfig::paper_baseline() }.with_mode(SchedulerMode::Slicc);
+        let cfg =
+            SimConfig { seed: 42, ..SimConfig::paper_baseline() }.with_mode(SchedulerMode::Slicc);
         assert_eq!(cfg.try_validate(), Ok(()));
         assert_eq!(cfg.mode, SchedulerMode::Slicc);
         assert_eq!(cfg.seed, 42);
@@ -788,7 +802,8 @@ mod tests {
 
     #[test]
     fn zero_way_cache_is_rejected() {
-        let err = SimConfig { l1i_assoc: 0, ..SimConfig::paper_baseline() }.try_validate().unwrap_err();
+        let err =
+            SimConfig { l1i_assoc: 0, ..SimConfig::paper_baseline() }.try_validate().unwrap_err();
         assert_eq!(err, ConfigError::ZeroWayCache { cache: "l1i" });
         assert!(err.to_string().contains("l1i_assoc"));
     }
@@ -803,14 +818,18 @@ mod tests {
             c.slicc = c.slicc.with_fill_up(fill_up_t);
             c.try_validate()
         };
-        assert_eq!(with_fill_up(65), Err(ConfigError::FillUpExceedsBlocks { fill_up_t: 65, blocks: 64 }));
+        assert_eq!(
+            with_fill_up(65),
+            Err(ConfigError::FillUpExceedsBlocks { fill_up_t: 65, blocks: 64 })
+        );
         assert_eq!(with_fill_up(64), Ok(()));
     }
 
     #[test]
     fn builder_rejects_bad_torus() {
         // A config built by struct update still meets the torus check.
-        let err = SimConfig { cores: 12, ..SimConfig::paper_baseline() }.try_validate().unwrap_err();
+        let err =
+            SimConfig { cores: 12, ..SimConfig::paper_baseline() }.try_validate().unwrap_err();
         assert_eq!(err, ConfigError::TorusMismatch { cores: 12, cols: 4, rows: 4 });
         assert!(err.to_string().contains("torus"));
     }
@@ -821,14 +840,19 @@ mod tests {
         // More cores than torus nodes: try_validate rejects the config
         // because the last core would have no place on the grid.
         let c = SimConfig { cores: 20, ..SimConfig::paper_baseline() };
-        assert_eq!(c.try_validate(), Err(ConfigError::TorusMismatch { cores: 20, cols: 4, rows: 4 }));
+        assert_eq!(
+            c.try_validate(),
+            Err(ConfigError::TorusMismatch { cores: 20, cols: 4, rows: 4 })
+        );
         let noc = slicc_noc::Torus::new(c.noc_cols, c.noc_rows);
         noc.coords(slicc_common::CoreId::new(c.cores as u16 - 1));
     }
 
     #[test]
     fn zero_pool_multiplier_is_rejected() {
-        let err = SimConfig { pool_multiplier: 0, ..SimConfig::paper_baseline() }.try_validate().unwrap_err();
+        let err = SimConfig { pool_multiplier: 0, ..SimConfig::paper_baseline() }
+            .try_validate()
+            .unwrap_err();
         assert_eq!(err, ConfigError::ZeroPoolMultiplier);
     }
 
@@ -861,14 +885,22 @@ mod tests {
         };
         assert_ne!(stable_hash_of(&base), stable_hash_of(&cycles));
         assert_ne!(stable_hash_of(&fueled), stable_hash_of(&cycles));
-        let faulty = SimConfig { fault_injection: Some(InjectedFault::Panic), ..SimConfig::paper_baseline() };
+        let faulty = SimConfig {
+            fault_injection: Some(InjectedFault::Panic),
+            ..SimConfig::paper_baseline()
+        };
         assert_ne!(stable_hash_of(&base), stable_hash_of(&faulty));
     }
 
     #[test]
     fn every_injected_fault_hashes_distinctly_including_payloads() {
         use slicc_common::stable_hash_of;
-        let key = |fault| stable_hash_of(&SimConfig { fault_injection: Some(fault), ..SimConfig::paper_baseline() });
+        let key = |fault| {
+            stable_hash_of(&SimConfig {
+                fault_injection: Some(fault),
+                ..SimConfig::paper_baseline()
+            })
+        };
         let mut keys: Vec<u64> = InjectedFault::ALL.into_iter().map(key).collect();
         // Payloads must feed the hash too, not just the ordinal.
         keys.push(key(InjectedFault::StallAt { step: 7 }));
@@ -922,13 +954,28 @@ mod tests {
         for (name, workload) in workloads {
             assert_eq!(Workload::parse(name), Some(workload), "{name:?}");
         }
-        let scales =
-            [("tiny", TraceScale::tiny()), ("small", TraceScale::small()), ("paper", TraceScale::paper_like())];
+        let scales = [
+            ("tiny", TraceScale::tiny()),
+            ("small", TraceScale::small()),
+            ("paper", TraceScale::paper_like()),
+        ];
         for (name, scale) in scales {
             assert_eq!(TraceScale::parse(name), Some(scale), "{name:?}");
         }
         // Display names, other cases and near misses are not spellings.
-        for bad in ["", "Base", "SLICC-SW", "sliccsw", "turbo", "TPC-C-1", "tpcc", "tpcx", "Tiny", "medium", "paper_like"] {
+        for bad in [
+            "",
+            "Base",
+            "SLICC-SW",
+            "sliccsw",
+            "turbo",
+            "TPC-C-1",
+            "tpcc",
+            "tpcx",
+            "Tiny",
+            "medium",
+            "paper_like",
+        ] {
             assert_eq!(SchedulerMode::parse(bad), None, "{bad:?}");
             assert_eq!(Workload::parse(bad), None, "{bad:?}");
             assert_eq!(TraceScale::parse(bad), None, "{bad:?}");
@@ -949,7 +996,9 @@ mod tests {
         let c = SimConfig::paper_baseline();
         assert!(!c.watchdog.is_enabled());
         assert!(c.fault_injection.is_none());
-        assert!(WatchdogConfig { max_heap_steps: Some(0), ..WatchdogConfig::disabled() }.is_enabled());
+        assert!(
+            WatchdogConfig { max_heap_steps: Some(0), ..WatchdogConfig::disabled() }.is_enabled()
+        );
     }
 
     #[test]

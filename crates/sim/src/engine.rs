@@ -40,11 +40,11 @@ use crate::shard::{run_segment, StopReason, ThreadStream};
 use crate::system::{SegmentParams, System};
 use slicc_cache::MissClass;
 use slicc_common::{BlockAddr, CancelToken, CoreId, Cycle, RingFifo, ThreadId, TxnTypeId};
+use slicc_core::{CoreMask, MigrationAdvice, ScoutHasher, TeamFormer, TeamKind, TypeRegistry};
 use slicc_obs::{
     EventKind, EventSink, IntervalSampler, MigrationReason, MissKind, MissLevel, ObsConfig,
     Observation, ThreeC,
 };
-use slicc_core::{CoreMask, MigrationAdvice, ScoutHasher, TeamFormer, TeamKind, TypeRegistry};
 use slicc_trace::{Record, WorkloadSpec};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -415,12 +415,8 @@ impl<'a> Engine<'a> {
                 if let Some(d) = rec.data {
                     self.sys.data_access(scout, d.addr.block_default(), d.is_store);
                 }
-                let token = self
-                    .spec
-                    .pool
-                    .segment_of_block(block)
-                    .map(|s| s as u64)
-                    .unwrap_or(block.raw());
+                let token =
+                    self.spec.pool.segment_of_block(block).map(|s| s as u64).unwrap_or(block.raw());
                 signature = hasher.observe(BlockAddr::new(token));
             }
             let detected = registry.type_for(signature.unwrap_or(0x5c007 ^ idx as u64));
@@ -673,9 +669,8 @@ impl<'a> Engine<'a> {
     /// context-switch reaction to an L1-I miss. Mirrors the sequential
     /// per-record body exactly.
     fn exec_blocking_record(&mut self, core: CoreId, tid: ThreadId) {
-        let rec = self.threads.streams[tid.index()]
-            .next()
-            .expect("segment stopped on a blocking record");
+        let rec =
+            self.threads.streams[tid.index()].next().expect("segment stopped on a blocking record");
         self.sys.timer_mut(core).retire_instruction();
         let block = rec.pc.block_default();
         // Fetch-buffer model: instructions within the current block are
@@ -1230,8 +1225,7 @@ impl<'a> Engine<'a> {
             .collect();
         latencies.sort_unstable();
         if !latencies.is_empty() {
-            out.mean_txn_latency =
-                latencies.iter().sum::<Cycle>() as f64 / latencies.len() as f64;
+            out.mean_txn_latency = latencies.iter().sum::<Cycle>() as f64 / latencies.len() as f64;
             out.p95_txn_latency = latencies[(latencies.len() * 95 / 100).min(latencies.len() - 1)];
         }
         out
@@ -1254,11 +1248,7 @@ impl<'a> Engine<'a> {
             cum.migrations = self.migrations;
             s.finish(self.sys.makespan(), cum)
         });
-        Observation {
-            dropped_events: self.sink.dropped(),
-            events: self.sink.drain(),
-            series,
-        }
+        Observation { dropped_events: self.sink.dropped(), events: self.sink.drain(), series }
     }
 
     /// The engine's system (tests, diagnostics).

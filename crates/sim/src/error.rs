@@ -347,7 +347,8 @@ mod tests {
 
     #[test]
     fn sim_errors_wrap_into_run_errors() {
-        let e = RunError::from_sim(point(), SimError::Stalled { completed: 1, total: 4, in_flight: 2 });
+        let e =
+            RunError::from_sim(point(), SimError::Stalled { completed: 1, total: 4, in_flight: 2 });
         assert!(matches!(
             e,
             RunError::Sim { error: SimError::Stalled { completed: 1, total: 4, in_flight: 2 }, .. }

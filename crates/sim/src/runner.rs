@@ -64,8 +64,8 @@ use crate::session::{RunOutcome, RunSession};
 use slicc_common::{lock_unpoisoned, CancelToken, StableHash, StableHasher};
 use slicc_obs::{ObsConfig, Observation, ProgressEvent, Reporter, WarningsOnlyReporter};
 use slicc_trace::{TraceScale, Workload, WorkloadSpec};
-use std::collections::{HashMap, VecDeque};
 use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -238,7 +238,8 @@ impl RunRequest {
             cancel: CancelToken::new(),
             deadline: self.deadline.budget().map(|budget| started + budget),
         };
-        let outcome = RunSession::new(&spec, &self.config)?.observe(self.obs).control(ctrl).run()?;
+        let outcome =
+            RunSession::new(&spec, &self.config)?.observe(self.obs).control(ctrl).run()?;
         Ok(RunResult::of(outcome, started))
     }
 }
@@ -553,8 +554,10 @@ impl Runner {
     /// the runner makes no admission promise to returning clients.
     pub fn retry_after_hint(&self) -> Duration {
         let busy = self.busy_nanos.load(Ordering::Relaxed);
-        let completed =
-            self.misses.load(Ordering::Relaxed).saturating_sub(self.failures.load(Ordering::Relaxed));
+        let completed = self
+            .misses
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.failures.load(Ordering::Relaxed));
         if busy == 0 || completed == 0 {
             return Duration::from_millis(50);
         }
@@ -859,7 +862,8 @@ impl Runner {
         let spec = self.spec_for(req);
         let started = Instant::now();
         let budget = req.deadline.budget().or_else(|| self.default_deadline());
-        let ctrl = RunControl { cancel: self.cancel.clone(), deadline: budget.map(|b| started + b) };
+        let ctrl =
+            RunControl { cancel: self.cancel.clone(), deadline: budget.map(|b| started + b) };
         let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
             let session = RunSession::new(&spec, &req.config)?.observe(req.obs).control(ctrl);
             Ok(RunResult::of(session.run()?, started))
@@ -1124,7 +1128,8 @@ mod tests {
         assert_ne!(base.stable_key(), base.clone().with_mode(SchedulerMode::Slicc).stable_key());
         assert_ne!(base.stable_key(), base.clone().with_seed(99).stable_key());
         assert_ne!(base.stable_key(), base.clone().with_tasks(3).stable_key());
-        let other_workload = RunRequest::new(Workload::TpcE, TraceScale::tiny(), SimConfig::tiny_test());
+        let other_workload =
+            RunRequest::new(Workload::TpcE, TraceScale::tiny(), SimConfig::tiny_test());
         assert_ne!(base.stable_key(), other_workload.stable_key());
         let mut other_cfg = tiny_request();
         other_cfg.config.seed ^= 1;
@@ -1287,7 +1292,8 @@ mod tests {
         assert_ne!(base.stable_key(), slicc.stable_key(), "...but it does split the run cache");
         assert_ne!(base.spec_key(), base.clone().with_seed(9).spec_key());
         assert_ne!(base.spec_key(), base.clone().with_tasks(3).spec_key());
-        let other_workload = RunRequest::new(Workload::TpcE, TraceScale::tiny(), SimConfig::tiny_test());
+        let other_workload =
+            RunRequest::new(Workload::TpcE, TraceScale::tiny(), SimConfig::tiny_test());
         assert_ne!(base.spec_key(), other_workload.spec_key());
     }
 
@@ -1301,7 +1307,8 @@ mod tests {
     }
 
     fn panicking_request() -> RunRequest {
-        let config = SimConfig { fault_injection: Some(InjectedFault::Panic), ..SimConfig::tiny_test() };
+        let config =
+            SimConfig { fault_injection: Some(InjectedFault::Panic), ..SimConfig::tiny_test() };
         RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config)
     }
 

@@ -33,7 +33,7 @@
 
 use crate::error::RunError;
 use crate::metrics::RunMetrics;
-use crate::runner::{Runner, RunRequest, RunResult};
+use crate::runner::{RunRequest, RunResult, Runner};
 use slicc_obs::{Epoch, ProgressEvent, TraceEvent};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -473,10 +473,8 @@ mod tests {
     #[test]
     fn service_serves_cache_hits_without_consuming_slots() {
         let runner = Arc::new(Runner::new(1));
-        let service = SimService::new(
-            Arc::clone(&runner),
-            ServiceConfig { max_inflight: 1, queue_limit: 0 },
-        );
+        let service =
+            SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 0 });
         let req = tiny_request(1);
         let first = service.submit(&req).expect("fresh point completes");
         assert!(!first.from_cache);
@@ -522,10 +520,8 @@ mod tests {
     fn overload_sheds_with_a_typed_rejection_and_recovers() {
         use crate::config::InjectedFault;
         let runner = Arc::new(Runner::new(1));
-        let service = SimService::new(
-            Arc::clone(&runner),
-            ServiceConfig { max_inflight: 1, queue_limit: 0 },
-        );
+        let service =
+            SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 0 });
         // A slow point holds the only slot long enough for the shed to be
         // deterministic.
         let slow_config = SimConfig {
@@ -566,10 +562,8 @@ mod tests {
     #[test]
     fn queued_submissions_wait_instead_of_shedding() {
         let runner = Arc::new(Runner::new(1));
-        let service = SimService::new(
-            Arc::clone(&runner),
-            ServiceConfig { max_inflight: 1, queue_limit: 8 },
-        );
+        let service =
+            SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 8 });
         let reqs: Vec<RunRequest> = (10..14).map(tiny_request).collect();
         let service = &service;
         std::thread::scope(|scope| {

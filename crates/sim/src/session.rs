@@ -139,11 +139,8 @@ mod tests {
     fn control_that_never_fires_changes_nothing() {
         let (spec, cfg) = tiny();
         let uncontrolled = RunSession::new(&spec, &cfg).unwrap().run().unwrap();
-        let controlled = RunSession::new(&spec, &cfg)
-            .unwrap()
-            .control(RunControl::unbounded())
-            .run()
-            .unwrap();
+        let controlled =
+            RunSession::new(&spec, &cfg).unwrap().control(RunControl::unbounded()).run().unwrap();
         assert_eq!(uncontrolled.metrics.digest(), controlled.metrics.digest());
         assert!(controlled.obs.is_none(), "control alone attaches no artifacts");
     }
@@ -238,7 +235,11 @@ mod tests {
                 assert!(m.cycles > 0, "case {case} {mode}");
                 assert!(m.i_misses <= m.i_accesses, "case {case} {mode}");
                 assert!(m.d_misses <= m.d_accesses, "case {case} {mode}");
-                assert_eq!(m.migrations, m.matched_migrations + m.idle_migrations, "case {case} {mode}");
+                assert_eq!(
+                    m.migrations,
+                    m.matched_migrations + m.idle_migrations,
+                    "case {case} {mode}"
+                );
             }
         }
     }

@@ -149,7 +149,12 @@ type PrivateHits = (Option<Way>, Option<(BlockAddr, bool, Way)>);
 /// found are the ones the hits update, since nothing in between changes
 /// either cache's sets.
 #[inline(always)]
-fn classify(site: &mut CoreSite, rec: &Record, block: BlockAddr, params: &SegmentParams) -> Option<PrivateHits> {
+fn classify(
+    site: &mut CoreSite,
+    rec: &Record,
+    block: BlockAddr,
+    params: &SegmentParams,
+) -> Option<PrivateHits> {
     let iway = if site.last_iblock == Some(block) {
         None
     } else if params.fetch_transition_blocks {
@@ -197,15 +202,35 @@ mod tests {
         let mut stops = [0u64; 3];
         loop {
             let before = stream.executed();
-            let stop = run_segment(sys.core_site_mut(core), &mut stream, &mut sink, core, thread, spec, &params);
+            let stop = run_segment(
+                sys.core_site_mut(core),
+                &mut stream,
+                &mut sink,
+                core,
+                thread,
+                spec,
+                &params,
+            );
             let after = stream.executed();
-            assert_eq!(sys.timer(core).stats().instructions, after, "each executed record retires once");
+            assert_eq!(
+                sys.timer(core).stats().instructions,
+                after,
+                "each executed record retires once"
+            );
             match stop {
                 StopReason::Exhausted => {
                     stops[2] += 1;
                     assert_eq!(after, reference.len() as u64);
                     assert_eq!(stream.next(), None);
-                    let again = run_segment(sys.core_site_mut(core), &mut stream, &mut sink, core, thread, spec, &params);
+                    let again = run_segment(
+                        sys.core_site_mut(core),
+                        &mut stream,
+                        &mut sink,
+                        core,
+                        thread,
+                        spec,
+                        &params,
+                    );
                     assert_eq!(again, StopReason::Exhausted);
                     return stops;
                 }

@@ -173,26 +173,24 @@ impl System {
         let l1i_geom = cfg.l1i_geometry();
         let l1d_geom = cfg.l1d_geometry();
         let sites = (0..cfg.cores)
-            .map(|i| {
-                CoreSite {
-                    l1i: Cache::new(l1i_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1),
-                    l1d: Cache::new(l1d_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1 ^ 1),
-                    timer: CoreTimer::new(cfg.timing),
-                    itlb: Tlb::with_page_bytes(cfg.itlb_entries, cfg.itlb_page_bytes),
-                    dtlb: Tlb::new(cfg.dtlb_entries),
-                    prefetcher: cfg.next_line_prefetch.map(NextLinePrefetcher::new),
-                    pif: cfg.pif_prefetch.map(Pif::new),
-                    i_classifier: cfg
-                        .classify_3c
-                        .then(|| ThreeCClassifier::new(l1i_geom.num_blocks() as usize)),
-                    d_classifier: cfg
-                        .classify_3c
-                        .then(|| ThreeCClassifier::new(l1d_geom.num_blocks() as usize)),
-                    agent: SliccAgent::new(CoreId::new(i as u16), cfg.slicc),
-                    last_iblock: None,
-                    last_dway: None,
-                    last_segment: None,
-                }
+            .map(|i| CoreSite {
+                l1i: Cache::new(l1i_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1),
+                l1d: Cache::new(l1d_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1 ^ 1),
+                timer: CoreTimer::new(cfg.timing),
+                itlb: Tlb::with_page_bytes(cfg.itlb_entries, cfg.itlb_page_bytes),
+                dtlb: Tlb::new(cfg.dtlb_entries),
+                prefetcher: cfg.next_line_prefetch.map(NextLinePrefetcher::new),
+                pif: cfg.pif_prefetch.map(Pif::new),
+                i_classifier: cfg
+                    .classify_3c
+                    .then(|| ThreeCClassifier::new(l1i_geom.num_blocks() as usize)),
+                d_classifier: cfg
+                    .classify_3c
+                    .then(|| ThreeCClassifier::new(l1d_geom.num_blocks() as usize)),
+                agent: SliccAgent::new(CoreId::new(i as u16), cfg.slicc),
+                last_iblock: None,
+                last_dway: None,
+                last_segment: None,
             })
             .collect();
         Ok(System {

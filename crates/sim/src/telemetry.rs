@@ -42,9 +42,17 @@ pub fn export_run_metrics(reg: &MetricsRegistry, runs: &[&RunMetrics]) {
         ("sim_l1d_accesses_total", "L1-D demand accesses", sum(|m| m.d_accesses)),
         ("sim_migrations_total", "thread migrations", sum(|m| m.migrations)),
         ("sim_context_switches_total", "STEPS context switches", sum(|m| m.context_switches)),
-        ("sim_matched_migrations_total", "migrations matched by search", sum(|m| m.matched_migrations)),
+        (
+            "sim_matched_migrations_total",
+            "migrations matched by search",
+            sum(|m| m.matched_migrations),
+        ),
         ("sim_idle_migrations_total", "migrations to an idle core", sum(|m| m.idle_migrations)),
-        ("sim_blocked_migrations_total", "migrations with nowhere to go", sum(|m| m.blocked_migrations)),
+        (
+            "sim_blocked_migrations_total",
+            "migrations with nowhere to go",
+            sum(|m| m.blocked_migrations),
+        ),
         ("sim_completed_threads_total", "transactions completed", sum(|m| m.completed_threads)),
         ("sim_itlb_misses_total", "instruction-TLB misses", sum(|m| m.i_tlb_misses)),
         ("sim_dtlb_misses_total", "data-TLB misses", sum(|m| m.d_tlb_misses)),
@@ -61,7 +69,11 @@ pub fn export_run_metrics(reg: &MetricsRegistry, runs: &[&RunMetrics]) {
     let nested: [(&str, &str, u64); 21] = [
         ("core_instructions_total", "per-core instructions retired", core.instructions),
         ("core_base_cycles_total", "base execution cycles", core.base_cycles),
-        ("core_ifetch_stall_cycles_total", "instruction-miss stall cycles", core.ifetch_stall_cycles),
+        (
+            "core_ifetch_stall_cycles_total",
+            "instruction-miss stall cycles",
+            core.ifetch_stall_cycles,
+        ),
         ("core_fetch_latency_cycles_total", "front-end latency cycles", core.fetch_latency_cycles),
         ("core_tlb_walk_cycles_total", "TLB page-walk cycles", core.tlb_walk_cycles),
         ("core_data_stall_cycles_total", "data-miss stall cycles", core.data_stall_cycles),
@@ -97,7 +109,11 @@ pub fn export_runner_stats(reg: &MetricsRegistry, stats: &RunnerStats) {
         ("runner_shed_points_total", "submissions shed by admission control", stats.shed_points),
         ("runner_failed_points_total", "fresh attempts that failed", stats.failed_points),
         ("runner_spec_builds_total", "workload specs materialized", stats.spec_builds),
-        ("runner_simulated_instructions_total", "instructions simulated fresh", stats.simulated_instructions),
+        (
+            "runner_simulated_instructions_total",
+            "instructions simulated fresh",
+            stats.simulated_instructions,
+        ),
         ("runner_busy_nanos_total", "CPU nanoseconds inside simulations", stats.busy_nanos),
     ];
     for (name, help, v) in counters {
@@ -110,8 +126,7 @@ pub fn export_runner_stats(reg: &MetricsRegistry, stats: &RunnerStats) {
 /// Exports the service's admission/governance surface (`service_`
 /// prefix).
 pub fn export_service(reg: &MetricsRegistry, snap: &PressureSnapshot) {
-    reg.gauge("service_queue_depth", "submissions waiting for a slot")
-        .set(snap.queue_depth as u64);
+    reg.gauge("service_queue_depth", "submissions waiting for a slot").set(snap.queue_depth as u64);
     reg.gauge("service_inflight", "fresh simulations executing").set(snap.inflight as u64);
     reg.gauge("service_cache_resident_bytes", "bytes resident in the run cache")
         .set(snap.cache_bytes);

@@ -50,7 +50,12 @@ impl WorkloadBuilder {
             gap_prob: 0.0,
             shared_segments: 0,
             types: Vec::new(),
-            code: CodeParams { instrs_per_block: 12, passes_per_visit: 2, skip_prob: 0.0, sequential_run_blocks: 2 },
+            code: CodeParams {
+                instrs_per_block: 12,
+                passes_per_visit: 2,
+                skip_prob: 0.0,
+                sequential_run_blocks: 2,
+            },
             data: DataParams {
                 data_ratio: 0.0,
                 store_frac: 0.45,
@@ -94,7 +99,13 @@ impl WorkloadBuilder {
 
     /// Adds a transaction type with `specific` own segments and a minimum
     /// of `loop_iters` loop iterations.
-    pub fn txn_type(mut self, name: impl Into<String>, weight: f64, specific: usize, loop_iters: u32) -> Self {
+    pub fn txn_type(
+        mut self,
+        name: impl Into<String>,
+        weight: f64,
+        specific: usize,
+        loop_iters: u32,
+    ) -> Self {
         self.types.push((name.into(), weight, specific, loop_iters));
         self
     }
@@ -130,7 +141,8 @@ impl WorkloadBuilder {
         } else {
             CodePool::new()
         };
-        let shared = (0..self.shared_segments).map(|_| pool.add_segment(self.segment_blocks)).collect();
+        let shared =
+            (0..self.shared_segments).map(|_| pool.add_segment(self.segment_blocks)).collect();
         let types = self
             .types
             .into_iter()
@@ -179,7 +191,8 @@ mod tests {
 
     #[test]
     fn no_data_produces_pure_instruction_traces() {
-        let spec = WorkloadBuilder::new("nodata").tasks(2).txn_type("T", 1.0, 1, 3).no_data().build();
+        let spec =
+            WorkloadBuilder::new("nodata").tasks(2).txn_type("T", 1.0, 1, 3).no_data().build();
         for t in spec.threads() {
             assert!(spec.thread_trace(t).all(|r| r.data.is_none()));
         }
@@ -206,8 +219,10 @@ mod tests {
             skip_prob: 0.2,
             sequential_run_blocks: 2,
         };
-        let a = WorkloadBuilder::new("x").seed(1).txn_type("T", 1.0, 2, 3).code_params(code).build();
-        let b = WorkloadBuilder::new("x").seed(2).txn_type("T", 1.0, 2, 3).code_params(code).build();
+        let a =
+            WorkloadBuilder::new("x").seed(1).txn_type("T", 1.0, 2, 3).code_params(code).build();
+        let b =
+            WorkloadBuilder::new("x").seed(2).txn_type("T", 1.0, 2, 3).code_params(code).build();
         let ta: Vec<_> = a.thread_trace(ThreadId::new(0)).collect();
         let tb: Vec<_> = b.thread_trace(ThreadId::new(0)).collect();
         assert_ne!(ta, tb);

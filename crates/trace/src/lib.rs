@@ -51,4 +51,6 @@ pub use segment::{CodePool, CodeSegment, SegmentId};
 pub use stats::{instruction_reuse, FootprintStats, ReuseBreakdown};
 pub use thread_gen::ThreadTrace;
 pub use validate::{validate_structure, StructureReport};
-pub use workload::{CodeParams, DataParams, DataPattern, TraceScale, TypeSpec, Workload, WorkloadSpec};
+pub use workload::{
+    CodeParams, DataParams, DataPattern, TraceScale, TypeSpec, Workload, WorkloadSpec,
+};

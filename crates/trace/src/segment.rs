@@ -208,7 +208,13 @@ impl CodePool {
     /// Panics if `num_blocks` is zero.
     pub fn add_segment(&mut self, num_blocks: u32) -> SegmentId {
         let id = self.segments.len() as SegmentId;
-        let seg = CodeSegment::new(id, self.next_block, num_blocks, self.gap_prob, 0x5e9 ^ (id as u64) << 20);
+        let seg = CodeSegment::new(
+            id,
+            self.next_block,
+            num_blocks,
+            self.gap_prob,
+            0x5e9 ^ (id as u64) << 20,
+        );
         self.next_block += seg.span_blocks() as u64;
         self.segments.push(seg);
         id

@@ -29,7 +29,11 @@ impl ReuseBreakdown {
         if total == 0.0 {
             return ReuseBreakdown::default();
         }
-        ReuseBreakdown { single: single as f64 / total, few: few as f64 / total, most: most as f64 / total }
+        ReuseBreakdown {
+            single: single as f64 / total,
+            few: few as f64 / total,
+            most: most as f64 / total,
+        }
     }
 }
 

@@ -206,7 +206,8 @@ impl<'a> ThreadTrace<'a> {
     /// The first instruction's address in the block under the cursor.
     #[inline]
     fn current_block_pc(&self) -> Addr {
-        BlockAddr::new(u64::from(self.order[(self.cluster * CLUSTER_BLOCKS + self.block) as usize])).base_addr(64)
+        BlockAddr::new(u64::from(self.order[(self.cluster * CLUSTER_BLOCKS + self.block) as usize]))
+            .base_addr(64)
     }
 
     /// The thread this trace belongs to.
@@ -324,7 +325,8 @@ impl<'a> ThreadTrace<'a> {
                         self.finished = true;
                         return;
                     }
-                    self.order = self.spec.pool.segment(self.plan[self.visit]).visit_blocks(self.run_len);
+                    self.order =
+                        self.spec.pool.segment(self.plan[self.visit]).visit_blocks(self.run_len);
                 }
             }
         }
@@ -396,7 +398,8 @@ mod tests {
         let trace = spec.thread_trace(ThreadId::new(0));
         let plan: HashSet<u32> = trace.plan().iter().copied().collect();
         for rec in spec.thread_trace(ThreadId::new(0)) {
-            let seg = spec.pool.segment_of_block(rec.pc.block(64)).expect("pc must be in a code segment");
+            let seg =
+                spec.pool.segment_of_block(rec.pc.block(64)).expect("pc must be in a code segment");
             assert!(plan.contains(&seg), "pc in unplanned segment {seg}");
         }
     }
@@ -446,7 +449,8 @@ mod tests {
             by_type.insert(ty, t);
         }
         let (a, b) = pair.expect("two same-type threads exist");
-        let blocks_of = |t| -> HashSet<u64> { spec.thread_trace(t).map(|r| r.pc.block(64).raw()).collect() };
+        let blocks_of =
+            |t| -> HashSet<u64> { spec.thread_trace(t).map(|r| r.pc.block(64).raw()).collect() };
         let (ba, bb) = (blocks_of(a), blocks_of(b));
         let inter = ba.intersection(&bb).count();
         let union = ba.union(&bb).count();
@@ -519,7 +523,11 @@ mod tests {
                 let mut cursor = StreamCursor::new(partition, offset);
                 for pos in 0..3 * partition * STREAM_ACCESSES_PER_BLOCK + 5 {
                     let want = (offset + pos / STREAM_ACCESSES_PER_BLOCK) % partition;
-                    assert_eq!(cursor.next(), want, "partition {partition} offset {offset} pos {pos}");
+                    assert_eq!(
+                        cursor.next(),
+                        want,
+                        "partition {partition} offset {offset} pos {pos}"
+                    );
                 }
             }
         }
@@ -536,7 +544,10 @@ mod tests {
             blocks.iter().map(|&b| BlockAddr::new(u64::from(b)).base_addr(64)).collect()
         }
         fn want(seg: &CodeSegment, id: u32, run_len: u32) -> Vec<Addr> {
-            segment_visit_order(id, seg.num_blocks(), run_len).iter().map(|&i| seg.instr_addr(i, 0)).collect()
+            segment_visit_order(id, seg.num_blocks(), run_len)
+                .iter()
+                .map(|&i| seg.instr_addr(i, 0))
+                .collect()
         }
         let mut rng = SplitMix64::new(0x0dd5);
         for w in Workload::ALL {
@@ -546,14 +557,24 @@ mod tests {
                 for (id, seg) in spec.pool.iter() {
                     let blocks = seg.visit_blocks(run_len);
                     assert_eq!(addrs(&blocks), want(seg, id, run_len), "{w} segment {id}");
-                    assert!(Arc::ptr_eq(&blocks, &seg.visit_blocks(run_len)), "{w}: one copy per spec");
+                    assert!(
+                        Arc::ptr_eq(&blocks, &seg.visit_blocks(run_len)),
+                        "{w}: one copy per spec"
+                    );
                     let other = 1 + rng.next_below(6) as u32;
-                    assert_eq!(addrs(&seg.visit_blocks(other)), want(seg, id, other), "{w} segment {id} run length {other}");
+                    assert_eq!(
+                        addrs(&seg.visit_blocks(other)),
+                        want(seg, id, other),
+                        "{w} segment {id} run length {other}"
+                    );
                 }
                 // A cloned spec shares the built orders.
                 let clone = spec.clone();
                 let (id, seg) = spec.pool.iter().next().expect("a segment");
-                assert!(Arc::ptr_eq(&seg.visit_blocks(run_len), &clone.pool.segment(id).visit_blocks(run_len)));
+                assert!(Arc::ptr_eq(
+                    &seg.visit_blocks(run_len),
+                    &clone.pool.segment(id).visit_blocks(run_len)
+                ));
             }
         }
     }

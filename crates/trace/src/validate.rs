@@ -53,7 +53,11 @@ impl StructureReport {
 /// let report = validate_structure(&spec, CacheGeometry::new(32 * 1024, 8, 64), 16);
 /// assert!(report.all_hold());
 /// ```
-pub fn validate_structure(spec: &WorkloadSpec, l1i: CacheGeometry, cores: usize) -> StructureReport {
+pub fn validate_structure(
+    spec: &WorkloadSpec,
+    l1i: CacheGeometry,
+    cores: usize,
+) -> StructureReport {
     let l1_bytes = l1i.size_bytes();
     let aggregate = l1_bytes * cores as u64;
 
@@ -148,7 +152,10 @@ mod tests {
             for t in spec.threads() {
                 for rec in spec.thread_trace(t) {
                     assert_ne!(rec.pc.raw(), 0, "{w} thread {t:?} fetches from address zero");
-                    assert!(rec.data.is_none_or(|d| d.addr.raw() != 0), "{w} thread {t:?} touches data address zero");
+                    assert!(
+                        rec.data.is_none_or(|d| d.addr.raw() != 0),
+                        "{w} thread {t:?} touches data address zero"
+                    );
                 }
             }
         }

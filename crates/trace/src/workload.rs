@@ -113,7 +113,12 @@ pub struct CodeParams {
 
 impl Default for CodeParams {
     fn default() -> Self {
-        CodeParams { instrs_per_block: 12, passes_per_visit: 2, skip_prob: 0.06, sequential_run_blocks: 2 }
+        CodeParams {
+            instrs_per_block: 12,
+            passes_per_visit: 2,
+            skip_prob: 0.06,
+            sequential_run_blocks: 2,
+        }
     }
 }
 
@@ -293,7 +298,8 @@ pub enum Workload {
 
 impl Workload {
     /// All workloads, in the paper's presentation order.
-    pub const ALL: [Workload; 4] = [Workload::TpcC1, Workload::TpcC10, Workload::TpcE, Workload::MapReduce];
+    pub const ALL: [Workload; 4] =
+        [Workload::TpcC1, Workload::TpcC10, Workload::TpcE, Workload::MapReduce];
 
     /// Display name matching the paper's figure labels.
     pub const fn name(self) -> &'static str {
@@ -483,7 +489,12 @@ fn mapreduce_spec(scale: TraceScale) -> WorkloadSpec {
         pool,
         shared: Vec::new(),
         types,
-        code: CodeParams { instrs_per_block: 12, passes_per_visit: 2, skip_prob: 0.02, sequential_run_blocks: 4 },
+        code: CodeParams {
+            instrs_per_block: 12,
+            passes_per_visit: 2,
+            skip_prob: 0.02,
+            sequential_run_blocks: 4,
+        },
         data: DataParams {
             data_ratio: 0.30,
             store_frac: 0.10,
@@ -592,7 +603,8 @@ mod tests {
     #[test]
     fn hot_regions_are_disjoint_per_type() {
         let spec = Workload::TpcC1.spec(TraceScale::paper_like());
-        let bases: Vec<_> = (0..spec.types.len()).map(|i| spec.hot_region_base(TxnTypeId::new(i as u16))).collect();
+        let bases: Vec<_> =
+            (0..spec.types.len()).map(|i| spec.hot_region_base(TxnTypeId::new(i as u16))).collect();
         for w in bases.windows(2) {
             assert!(w[1] - w[0] >= spec.data.hot_blocks);
         }

@@ -52,11 +52,23 @@ fn main() {
     println!("workload: {}", spec.name);
     println!(
         "{:<10} {:>7} {:>7} | {:>5} {:>6} {:>6} {:>5} {:>5} {:>5} | {:>6} {:>6} {:>8}",
-        "mode", "I-MPKI", "D-MPKI", "base%", "istal%", "dstal%", "flat%", "mig%", "idle%", "mig/KI", "BPKI", "speedup"
+        "mode",
+        "I-MPKI",
+        "D-MPKI",
+        "base%",
+        "istal%",
+        "dstal%",
+        "flat%",
+        "mig%",
+        "idle%",
+        "mig/KI",
+        "BPKI",
+        "speedup"
     );
     // Four independent points, fanned across host cores.
     let point = RunRequest::new(workload, TraceScale::small(), SimConfig::paper_baseline());
-    let reqs: Vec<RunRequest> = SchedulerMode::ALL.iter().map(|&m| point.clone().with_mode(m)).collect();
+    let reqs: Vec<RunRequest> =
+        SchedulerMode::ALL.iter().map(|&m| point.clone().with_mode(m)).collect();
     let results = Runner::with_default_parallelism().run_metrics(&reqs);
     for m in &results {
         row(m, &results[0]);

@@ -27,8 +27,7 @@ fn pick_workload() -> Workload {
 }
 
 fn main() {
-    let point =
-        RunRequest::new(pick_workload(), TraceScale::small(), SimConfig::paper_baseline());
+    let point = RunRequest::new(pick_workload(), TraceScale::small(), SimConfig::paper_baseline());
     println!("workload: {}\n", point.spec().name);
     println!("{:<22} {:>8} {:>10} {:>9}", "configuration", "I-MPKI", "cycles", "speedup");
 
@@ -36,7 +35,11 @@ fn main() {
     // fanned across host cores. The LRU point doubles as the baseline.
     let mut reqs = vec![point.clone()];
     reqs.extend(PolicyKind::ALL.map(|policy| {
-        RunRequest::new(point.workload, TraceScale::small(), SimConfig::paper_baseline().with_policy(policy))
+        RunRequest::new(
+            point.workload,
+            TraceScale::small(),
+            SimConfig::paper_baseline().with_policy(policy),
+        )
     }));
     reqs.push(point.clone().with_mode(SchedulerMode::SliccSw));
     let results = Runner::with_default_parallelism().run_metrics(&reqs);

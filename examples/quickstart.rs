@@ -20,7 +20,10 @@ fn main() {
     let spec = base.spec();
     println!("workload: {} ({} transactions)", spec.name, spec.num_tasks);
     println!();
-    println!("{:<10} {:>8} {:>8} {:>10} {:>10} {:>9}", "mode", "I-MPKI", "D-MPKI", "cycles", "migrations", "speedup");
+    println!(
+        "{:<10} {:>8} {:>8} {:>10} {:>10} {:>9}",
+        "mode", "I-MPKI", "D-MPKI", "cycles", "migrations", "speedup"
+    );
 
     // SchedulerMode::ALL starts with Baseline, so results[0] is the
     // reference point for the speedup column.

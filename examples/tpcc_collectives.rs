@@ -66,8 +66,7 @@ fn main() {
     }
     if let Some((&traveller, &hops)) = per_thread.iter().max_by_key(|&(&t, &n)| (n, t)) {
         println!("\nmost-travelled thread: T{traveller} with {hops} migrations:");
-        for &(cycle, _, from, to, reason) in
-            migrations.iter().filter(|m| m.1 == traveller).take(12)
+        for &(cycle, _, from, to, reason) in migrations.iter().filter(|m| m.1 == traveller).take(12)
         {
             println!("  @cycle {cycle:>9}: {from} -> {to} ({})", reason.name());
         }
@@ -85,5 +84,10 @@ fn main() {
         metrics.migrations_per_kilo_instruction(),
         metrics.mean_cores_per_thread
     );
-    println!("I-MPKI {:.2}, D-MPKI {:.2}, BPKI {:.3}", metrics.i_mpki(), metrics.d_mpki(), metrics.bpki());
+    println!(
+        "I-MPKI {:.2}, D-MPKI {:.2}, BPKI {:.3}",
+        metrics.i_mpki(),
+        metrics.d_mpki(),
+        metrics.bpki()
+    );
 }

@@ -8,8 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use slicc_sim::{
-    DeadlineConfig, InjectedFault, RunError, RunRequest, Runner, SchedulerMode, SimConfig,
-    SimError,
+    DeadlineConfig, InjectedFault, RunError, RunRequest, Runner, SchedulerMode, SimConfig, SimError,
 };
 use slicc_trace::{TraceScale, Workload};
 
@@ -56,9 +55,9 @@ fn every_injected_fault_is_contained_and_healthy_digests_are_unchanged() {
 
         // The healthy sibling must survive every fault kind, with
         // byte-identical metrics.
-        let healthy = results[1].as_ref().unwrap_or_else(|e| {
-            panic!("{what}: healthy sibling must complete, got {e}")
-        });
+        let healthy = results[1]
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{what}: healthy sibling must complete, got {e}"));
         assert_eq!(healthy.metrics.digest(), reference, "{what}: digest drifted");
 
         let failed = fails_in_engine(fault);
@@ -190,13 +189,10 @@ use slicc_sim::{ServiceConfig, SimService};
 /// re-simulate as misses.
 #[test]
 fn cache_thrash_under_a_tiny_byte_budget_is_bounded_and_digest_stable() {
-    let points: Vec<RunRequest> =
-        (0..6u64).map(|seed| healthy_request().with_seed(seed)).collect();
+    let points: Vec<RunRequest> = (0..6u64).map(|seed| healthy_request().with_seed(seed)).collect();
     let runner = Runner::new(2);
-    let reference: Vec<u64> = points
-        .iter()
-        .map(|p| p.try_execute().expect("reference run").metrics.digest())
-        .collect();
+    let reference: Vec<u64> =
+        points.iter().map(|p| p.try_execute().expect("reference run").metrics.digest()).collect();
 
     // Size the budget off a real entry so the drill survives codec
     // changes: room for one resident result, never two.
@@ -238,18 +234,14 @@ fn stampede_storm_of_identical_and_distinct_clients_coalesces_to_one_flight() {
     const DISTINCT_CLIENTS: usize = 3;
 
     let runner = Arc::new(Runner::new(4));
-    let service = SimService::new(
-        Arc::clone(&runner),
-        ServiceConfig { max_inflight: 4, queue_limit: 32 },
-    );
+    let service =
+        SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 4, queue_limit: 32 });
     let hot = healthy_request().with_seed(1000);
     let hot_digest = hot.try_execute().expect("reference").metrics.digest();
     let cold: Vec<RunRequest> =
         (0..DISTINCT_CLIENTS as u64).map(|s| healthy_request().with_seed(s)).collect();
-    let cold_digests: Vec<u64> = cold
-        .iter()
-        .map(|p| p.try_execute().expect("reference").metrics.digest())
-        .collect();
+    let cold_digests: Vec<u64> =
+        cold.iter().map(|p| p.try_execute().expect("reference").metrics.digest()).collect();
 
     let (service, hot, cold) = (&service, &hot, &cold);
     std::thread::scope(|scope| {
@@ -293,10 +285,8 @@ fn stampede_storm_of_identical_and_distinct_clients_coalesces_to_one_flight() {
 #[test]
 fn overload_shedding_rejects_typed_and_recovers_after_the_drain() {
     let runner = Arc::new(Runner::new(1));
-    let service = SimService::new(
-        Arc::clone(&runner),
-        ServiceConfig { max_inflight: 1, queue_limit: 0 },
-    );
+    let service =
+        SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 0 });
     let slow = faulty_request(InjectedFault::SlowConsumer { delay_ms: 400 });
 
     let (service, slow) = (&service, &slow);
@@ -339,10 +329,8 @@ fn overload_shedding_rejects_typed_and_recovers_after_the_drain() {
 fn eviction_racing_coalesced_waiters_still_serves_identical_results() {
     let runner = Arc::new(Runner::new(2));
     runner.set_cache_bytes(16); // below any entry's weight: nothing is ever resident
-    let service = SimService::new(
-        Arc::clone(&runner),
-        ServiceConfig { max_inflight: 2, queue_limit: 16 },
-    );
+    let service =
+        SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 2, queue_limit: 16 });
     // A slow consumer holds the flight open long enough that every
     // waiter deterministically attaches to it instead of racing a new
     // simulation after the (impossible) cache insert.
@@ -378,7 +366,8 @@ fn eviction_racing_coalesced_waiters_still_serves_identical_results() {
     assert_eq!(stats.cache_bytes, 0, "nothing can be resident under a 16-byte budget");
     assert!(stats.cache_evictions > 0, "the refused insert counts as an eviction: {stats:?}");
     assert_eq!(
-        stats.cache_misses, 1, // the uncached reference run is not counted
+        stats.cache_misses,
+        1, // the uncached reference run is not counted
         "every waiter must coalesce onto the one flight: {stats:?}"
     );
     assert_eq!(stats.coalesced_hits, 5, "{stats:?}");
@@ -403,7 +392,16 @@ fn cli_engine_faults_exit_one_and_name_the_failure() {
     assert!(stderr.contains("panicked"), "got: {stderr}");
 
     let out = slicc()
-        .args(["--scale", "tiny", "--inject", "stall:10", "--fuel-steps", "500", "--progress", "quiet"])
+        .args([
+            "--scale",
+            "tiny",
+            "--inject",
+            "stall:10",
+            "--fuel-steps",
+            "500",
+            "--progress",
+            "quiet",
+        ])
         .output()
         .expect("slicc runs");
     assert_eq!(out.status.code(), Some(1), "a stalled event loop must trip the watchdog");

@@ -155,8 +155,7 @@ fn progress_json_emits_one_object_per_line() {
 
 #[test]
 fn obs_out_writes_all_three_artifacts() {
-    let prefix =
-        std::env::temp_dir().join(format!("slicc-cli-obs-{}", std::process::id()));
+    let prefix = std::env::temp_dir().join(format!("slicc-cli-obs-{}", std::process::id()));
     let trace = prefix.with_extension("trace.json");
     let csv = prefix.with_extension("intervals.csv");
     let json = prefix.with_extension("intervals.json");

@@ -44,10 +44,7 @@ fn metrics_are_byte_identical_to_pre_optimization_capture() {
             drifted.push((mode, want, got));
         }
     }
-    assert!(
-        drifted.is_empty(),
-        "simulated results drifted from the golden capture: {drifted:x?}"
-    );
+    assert!(drifted.is_empty(), "simulated results drifted from the golden capture: {drifted:x?}");
 }
 
 #[test]
@@ -68,8 +65,7 @@ fn run_session_compositions_all_match_the_golden_digest_in_every_mode() {
         let spec = Workload::TpcC1.spec(TraceScale::tiny());
         let cfg = SimConfig::tiny_test().with_mode(mode);
 
-        let uncontrolled =
-            RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
+        let uncontrolled = RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
         let observed = RunSession::new(&spec, &cfg)
             .unwrap()
             .observe(ObsConfig::disabled().with_events().with_epochs(1_000))
@@ -106,10 +102,8 @@ fn governed_runners_reproduce_the_golden_digests() {
 
     let runner = Arc::new(Runner::new(2));
     runner.set_cache_bytes(64); // far below one entry: every insert evicts
-    let service = SimService::new(
-        Arc::clone(&runner),
-        ServiceConfig { max_inflight: 2, queue_limit: 8 },
-    );
+    let service =
+        SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 2, queue_limit: 8 });
     for (mode, want) in GOLDEN {
         let req = RunRequest::new(
             Workload::TpcC1,
@@ -202,7 +196,12 @@ fn other_workloads_and_prefetchers_match_their_golden_digests() {
     let cases = [
         ("MapReduce", Workload::MapReduce, SimConfig::tiny_test(), GOLDEN_MAPREDUCE),
         ("TPC-E", Workload::TpcE, SimConfig::tiny_test(), GOLDEN_TPCE),
-        ("next-line 1", Workload::TpcC1, SimConfig::tiny_test().with_next_line(1), GOLDEN_NEXT_LINE),
+        (
+            "next-line 1",
+            Workload::TpcC1,
+            SimConfig::tiny_test().with_next_line(1),
+            GOLDEN_NEXT_LINE,
+        ),
     ];
     for (what, workload, cfg, golden) in cases {
         for (mode, want) in MODES.into_iter().zip(golden) {
@@ -276,10 +275,16 @@ fn classification_tpcc10_and_policies_match_their_golden_digests() {
         check(format!("classified {mode:?}"), cfg, Workload::TpcC1, want);
     }
     for (mode, want) in MODES.into_iter().zip(GOLDEN_TPCC10) {
-        check(format!("TPC-C-10 {mode:?}"), SimConfig::tiny_test().with_mode(mode), Workload::TpcC10, want);
+        check(
+            format!("TPC-C-10 {mode:?}"),
+            SimConfig::tiny_test().with_mode(mode),
+            Workload::TpcC10,
+            want,
+        );
     }
     for (policy, wants) in GOLDEN_POLICIES {
-        for (mode, want) in [SchedulerMode::Baseline, SchedulerMode::SliccSw].into_iter().zip(wants) {
+        for (mode, want) in [SchedulerMode::Baseline, SchedulerMode::SliccSw].into_iter().zip(wants)
+        {
             let cfg = SimConfig::tiny_test().with_policy(policy).with_mode(mode);
             check(format!("{policy} {mode:?}"), cfg, Workload::TpcC1, want);
         }

@@ -76,7 +76,8 @@ fn instruction_savings_outweigh_data_costs_in_cycles() {
     let sw = sim(req.with_mode(SchedulerMode::SliccSw));
     assert!(sw.d_mpki() >= base.d_mpki(), "migration should not reduce data misses");
     assert!(sw.i_mpki() < base.i_mpki(), "migration must reduce instruction misses");
-    let i_saved = base.core_stats.ifetch_stall_cycles.saturating_sub(sw.core_stats.ifetch_stall_cycles);
+    let i_saved =
+        base.core_stats.ifetch_stall_cycles.saturating_sub(sw.core_stats.ifetch_stall_cycles);
     let d_cost = sw.core_stats.data_stall_cycles.saturating_sub(base.core_stats.data_stall_cycles);
     assert!(
         i_saved > d_cost,
@@ -109,9 +110,8 @@ fn mapreduce_is_practically_unaffected() {
 fn pif_upper_bound_beats_baseline_on_oltp() {
     // Enough tasks that cold misses amortize and the PIF bound shines.
     let base = sim(tiny(Workload::TpcC1, SchedulerMode::Baseline).with_tasks(64));
-    let pif = sim(
-        RunRequest::new(Workload::TpcC1, TraceScale::tiny(), tiny_pif_bound()).with_tasks(64),
-    );
+    let pif =
+        sim(RunRequest::new(Workload::TpcC1, TraceScale::tiny(), tiny_pif_bound()).with_tasks(64));
     assert!(pif.i_mpki() < 0.4 * base.i_mpki(), "PIF model should nearly eliminate I-misses");
     assert!(pif.speedup_over(&base) > 1.1);
 }
@@ -119,14 +119,15 @@ fn pif_upper_bound_beats_baseline_on_oltp() {
 #[test]
 fn next_line_prefetch_reduces_misses_but_less_than_pif() {
     let base = sim(tiny(Workload::TpcC1, SchedulerMode::Baseline).with_tasks(64));
-    let nl = sim(
-        RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test().with_next_line(1))
-            .with_tasks(64),
-    );
+    let nl = sim(RunRequest::new(
+        Workload::TpcC1,
+        TraceScale::tiny(),
+        SimConfig::tiny_test().with_next_line(1),
+    )
+    .with_tasks(64));
     assert!(nl.i_mpki() < base.i_mpki(), "next-line should cover some sequential misses");
-    let pif = sim(
-        RunRequest::new(Workload::TpcC1, TraceScale::tiny(), tiny_pif_bound()).with_tasks(64),
-    );
+    let pif =
+        sim(RunRequest::new(Workload::TpcC1, TraceScale::tiny(), tiny_pif_bound()).with_tasks(64));
     assert!(pif.i_mpki() < nl.i_mpki(), "the PIF bound beats next-line");
 }
 
@@ -253,17 +254,18 @@ fn bigger_l1i_reduces_misses_but_latency_tempers_speedup() {
     let small = sim(tiny(Workload::TpcC1, SchedulerMode::Baseline).with_tasks(64));
     // 32x the cache at +4 cycles of latency.
     let big_cfg = SimConfig {
-        latency_table: slicc_common::LatencyTable::from_entries(vec![(4 * 1024, 3), (128 * 1024, 7)]),
+        latency_table: slicc_common::LatencyTable::from_entries(vec![
+            (4 * 1024, 3),
+            (128 * 1024, 7),
+        ]),
         ..SimConfig::tiny_test().with_l1i_size(128 * 1024)
     };
-    let big = sim(
-        RunRequest::new(Workload::TpcC1, TraceScale::tiny(), big_cfg.clone()).with_tasks(64),
-    );
+    let big =
+        sim(RunRequest::new(Workload::TpcC1, TraceScale::tiny(), big_cfg.clone()).with_tasks(64));
     assert!(big.i_mpki() < 0.5 * small.i_mpki(), "32x capacity must slash misses");
     // And the same cache at the small cache's latency is faster still.
     let ideal_cfg = SimConfig { l1i_latency_override: Some(3), ..big_cfg };
-    let ideal =
-        sim(RunRequest::new(Workload::TpcC1, TraceScale::tiny(), ideal_cfg).with_tasks(64));
+    let ideal = sim(RunRequest::new(Workload::TpcC1, TraceScale::tiny(), ideal_cfg).with_tasks(64));
     assert!(ideal.cycles <= big.cycles, "removing the latency penalty can only help");
 }
 
@@ -301,13 +303,14 @@ fn steps_cuts_instruction_misses_via_time_domain_reuse() {
 #[test]
 fn real_pif_lands_between_baseline_and_its_upper_bound() {
     let base = sim(tiny(Workload::TpcC1, SchedulerMode::Baseline).with_tasks(48));
-    let real = sim(
-        RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test().with_real_pif())
-            .with_tasks(48),
-    );
-    let bound = sim(
-        RunRequest::new(Workload::TpcC1, TraceScale::tiny(), tiny_pif_bound()).with_tasks(48),
-    );
+    let real = sim(RunRequest::new(
+        Workload::TpcC1,
+        TraceScale::tiny(),
+        SimConfig::tiny_test().with_real_pif(),
+    )
+    .with_tasks(48));
+    let bound =
+        sim(RunRequest::new(Workload::TpcC1, TraceScale::tiny(), tiny_pif_bound()).with_tasks(48));
     assert!(real.i_mpki() < base.i_mpki(), "real PIF must cover some misses");
     assert!(bound.i_mpki() < real.i_mpki(), "the upper bound beats the real prefetcher");
 }
@@ -323,11 +326,12 @@ fn tlb_statistics_follow_the_paper_pattern() {
 
 #[test]
 fn disabling_work_stealing_changes_makespan_not_correctness() {
-    let no_steal_cfg = SimConfig { work_stealing: false, ..SimConfig::tiny_test().with_mode(SchedulerMode::SliccSw) };
+    let no_steal_cfg = SimConfig {
+        work_stealing: false,
+        ..SimConfig::tiny_test().with_mode(SchedulerMode::SliccSw)
+    };
     let a = sim(tiny(Workload::TpcC1, SchedulerMode::SliccSw).with_tasks(32));
-    let b = sim(
-        RunRequest::new(Workload::TpcC1, TraceScale::tiny(), no_steal_cfg).with_tasks(32),
-    );
+    let b = sim(RunRequest::new(Workload::TpcC1, TraceScale::tiny(), no_steal_cfg).with_tasks(32));
     assert_eq!(a.completed_threads, b.completed_threads);
     assert_eq!(a.instructions, b.instructions);
     assert_ne!(a.cycles, b.cycles, "the knob must do something");

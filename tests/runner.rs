@@ -179,10 +179,8 @@ fn a_submission_storm_coalesces_to_one_simulation_per_distinct_point() {
                 .with_seed(seed)
         })
         .collect();
-    let reference: Vec<u64> = points
-        .iter()
-        .map(|p| p.try_execute().expect("reference run").metrics.digest())
-        .collect();
+    let reference: Vec<u64> =
+        points.iter().map(|p| p.try_execute().expect("reference run").metrics.digest()).collect();
 
     let (service, points, reference) = (&service, &points, &reference);
     std::thread::scope(|scope| {
@@ -287,7 +285,8 @@ fn a_dying_flight_owner_wakes_waiters_with_a_typed_error_and_frees_its_slot() {
         // the owner is parked in the grenade.
         await_or_die("the owner to register its flight", &|| service.pressure().inflight == 1);
 
-        let waiters: Vec<_> = (0..WAITERS).map(|_| scope.spawn(move || service.submit(req))).collect();
+        let waiters: Vec<_> =
+            (0..WAITERS).map(|_| scope.spawn(move || service.submit(req))).collect();
         await_or_die("the waiters to attach to the flight", &|| {
             runner.stats().coalesced_hits >= WAITERS as u64
         });
@@ -321,8 +320,10 @@ fn a_dying_flight_owner_wakes_waiters_with_a_typed_error_and_frees_its_slot() {
 /// A tiny point whose finished result is held for `delay_ms` before its
 /// flight is filled, so a test can observe the flight in the air.
 fn slow_request(delay_ms: u64) -> RunRequest {
-    let config =
-        SimConfig { fault_injection: Some(InjectedFault::SlowConsumer { delay_ms }), ..SimConfig::tiny_test() };
+    let config = SimConfig {
+        fault_injection: Some(InjectedFault::SlowConsumer { delay_ms }),
+        ..SimConfig::tiny_test()
+    };
     RunRequest::new(Workload::TpcC1, TraceScale::tiny(), config).with_seed(31)
 }
 
@@ -334,8 +335,8 @@ fn cross_path_a_batch_attaches_to_a_submitted_flight() {
     let service =
         SimService::new(Arc::clone(&runner), ServiceConfig { max_inflight: 1, queue_limit: 0 });
     let slow = slow_request(400);
-    let other = RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test())
-        .with_seed(32);
+    let other =
+        RunRequest::new(Workload::TpcC1, TraceScale::tiny(), SimConfig::tiny_test()).with_seed(32);
     let reference = slow.try_execute().expect("reference run").metrics.digest();
 
     let (service, slow, runner_ref) = (&service, &slow, &runner);

@@ -54,9 +54,7 @@ impl Reporter for StateCapture {
 
 /// Spawns `server.serve` on a listener bound to an ephemeral loopback
 /// port; returns the address and the join handle.
-fn spawn_server(
-    server: Arc<Server>,
-) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
+fn spawn_server(server: Arc<Server>) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handle = std::thread::spawn(move || server.serve(listener));
